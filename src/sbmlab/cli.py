@@ -7,6 +7,7 @@ Progress and logs go to stderr; data goes to stdout or --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -49,50 +50,63 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="sbmlab", description="SBM testing / recovery / learning laboratory")
-    p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--trials", type=int, default=None, help="trials per arm (overrides config)")
-    p.add_argument("--threads", type=int, default=None, help="worker count (overrides config)")
+def _add_global_flags(p, default):
+    p.add_argument("--seed", type=int, default=default, help="master seed (overrides config)")
+    p.add_argument("--config", default=default, help="flat key=value config file")
+    p.add_argument("--out", default=default, help="output path (default stdout)")
+    p.add_argument("--trials", type=int, default=default, help="trials per arm (overrides config)")
+    p.add_argument("--threads", type=int, default=default, help="worker count (overrides config)")
     for flag, typ in (
         ("--n", int), ("--d", float), ("--eps", float), ("--k", int),
         ("--eta", float), ("--delta", float),
     ):
-        p.add_argument(flag, type=typ, default=None, help=f"override params{flag[1:]}")
+        p.add_argument(flag, type=typ, default=default, help=f"override params{flag[1:]}")
+
+
+def build_parser() -> _Parser:
+    """Global flags are valid before and after the verb.
+
+    Each verb's parser carries copies of the global flags defaulting to
+    SUPPRESS, so a flag given before the verb is not reset by the verb's
+    parser; given on both sides, the one after the verb wins.
+    """
+    p = _Parser(prog="sbmlab", description="SBM testing / recovery / learning laboratory")
+    _add_global_flags(p, None)
+    shared = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(shared, argparse.SUPPRESS)
 
     sub = p.add_subparsers(dest="command", required=True)
+    add_verb = functools.partial(sub.add_parser, parents=[shared])
 
-    sp = sub.add_parser("sample", help="draw one graph and write its edge list")
+    sp = add_verb("sample", help="draw one graph and write its edge list")
     sp.add_argument("--null", action="store_true", help="draw from G(n, d/n) instead")
     sp.add_argument("--labels-out", default=None)
 
-    sp = sub.add_parser("split", help="subsample a fresh draw into kept/held-out parts")
+    sp = add_verb("split", help="subsample a fresh draw into kept/held-out parts")
     sp.add_argument("--prefix", required=True, help="writes <prefix>.y1 <prefix>.y2 <prefix>.meta")
 
-    sp = sub.add_parser("recover", help="run a recovery baseline against the truth")
+    sp = add_verb("recover", help="run a recovery baseline against the truth")
     sp.add_argument("--method", default="spectral", choices=("spectral", "random", "oracle"))
 
-    sp = sub.add_parser("project", help="recovery plus correlation-preserving projection")
+    sp = add_verb("project", help="recovery plus correlation-preserving projection")
     sp.add_argument("--method", default="spectral", choices=("spectral", "random", "oracle"))
 
-    sp = sub.add_parser("test", help="two-arm testing trials, per-trial CSV")
+    sp = add_verb("test", help="two-arm testing trials, per-trial CSV")
     sp.add_argument("--no-timing", action="store_true", help="zero wall times (byte-stable)")
 
-    sp = sub.add_parser("learn", help="rank-k estimator error trials")
+    sp = add_verb("learn", help="rank-k estimator error trials")
     sp.add_argument("--graphon-out", default=None, help="also write the first estimate as a graphon")
 
-    sp = sub.add_parser("ldlr", help="exact low-degree likelihood ratio norm CSV")
+    sp = add_verb("ldlr", help="exact low-degree likelihood ratio norm CSV")
     sp.add_argument("--ell", type=int, default=None, help="degree bound (overrides config)")
 
-    sp = sub.add_parser("sweep", help="phase sweep over an SNR grid")
+    sp = add_verb("sweep", help="phase sweep over an SNR grid")
     sp.add_argument("--grid", required=True, help="comma-separated SNR values")
     sp.add_argument("--no-timing", action="store_true")
 
-    sp = sub.add_parser("check", help="spectral concentration report")
+    sp = add_verb("check", help="spectral concentration report")
 
-    sp = sub.add_parser("accept", help="run the acceptance battery")
+    sp = add_verb("accept", help="run the acceptance battery")
     sp.add_argument("--suite", default="full", help="full | fast (canonical seed unless --seed given)")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     return p
@@ -184,7 +198,7 @@ def main(argv=None) -> int:
         from .project import ProjectionSpec
 
         spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=2000)
-        rep = corr_preserving_projection(res.m_hat0, spec, factors=res.factors)
+        rep = corr_preserving_projection(None, spec, factors=res.factors)
         rate_after = recovery_rate(rep.m_hat, membership_matrix(labels))
         with _open_out(args) as fh:
             fh.write("method,rate_before,rate_after,iterations,max_violation,n_norm,backend\n")

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .model import Graph, SbmParams, edge_prob_matrix, membership_matrix, sample_ssbm
@@ -263,16 +262,7 @@ def centered_operator_norm(graph: Graph, theta: np.ndarray | None, labels=None, 
     n = graph.n
     if graph.edge_count == 0 and (theta is None or not np.any(theta)):
         return 0.0
-    a = sparse.csr_matrix(
-        (
-            np.ones(2 * graph.edge_count),
-            (
-                np.concatenate([graph.edges[:, 0], graph.edges[:, 1]]),
-                np.concatenate([graph.edges[:, 1], graph.edges[:, 0]]),
-            ),
-        ),
-        shape=(n, n),
-    )
+    a = graph.sparse()
     if theta is None:
         # structured theta from labels: (eps d / n) M + (d/n) J, zero diagonal
         mm = membership_matrix(labels)

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .model import BlockGraphon, Graph
-from .recover import _DENSE_EIG_LIMIT
+from .model import DENSE_EIG_LIMIT, BlockGraphon, Graph
 from .seeds import stream_rng, unit_vector
 
 _EXACT_GW_LIMIT = 8
@@ -31,7 +30,7 @@ def svd_theta(y: Graph | np.ndarray, k: int) -> np.ndarray:
     n = a.shape[0]
     if k >= n:
         raise ValueError("truncation rank must be below n")
-    if n <= _DENSE_EIG_LIMIT or k > n // 10:
+    if n <= DENSE_EIG_LIMIT or k > n // 10:
         vals, vecs = np.linalg.eigh(a)
         top = np.argsort(np.abs(vals))[::-1][:k]
         vals, vecs = vals[top], vecs[:, top]

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sps
 
 from .seeds import stream_rng
+
+# Largest n at which eigenproblems on an n x n graph matrix are solved densely;
+# above it the solvers switch to Lanczos on the sparse adjacency.
+DENSE_EIG_LIMIT = 800
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,14 @@ class Graph:
         """Dense symmetric 0/1 matrix, zero diagonal.  Cached; do not mutate."""
         return self._dense
 
+    def sparse(self) -> sps.csr_matrix:
+        """Symmetric 0/1 adjacency in CSR form, zero diagonal."""
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        return sps.csr_matrix(
+            (np.ones(2 * self.edge_count), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(self.n, self.n),
+        )
+
     @staticmethod
     def from_edge_array(n: int, edges: np.ndarray) -> "Graph":
         """Normalize (orient u < v, sort, dedupe) an arbitrary pair array."""
@@ -207,12 +220,6 @@ def edge_prob_matrix(params: SbmParams, labels: Labels) -> np.ndarray:
     a = labels.assignment
     same = a[:, None] == a[None, :]
     return np.where(same, params.p_in, params.p_out)
-
-
-def _sample_pair_graph(n: int, pair_probs: np.ndarray, rng: np.random.Generator) -> Graph:
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < pair_probs
-    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
 
 
 def sample_ssbm(params: SbmParams, seed: int, balanced: bool = False) -> tuple[Graph, Labels]:

@@ -13,21 +13,32 @@ Cauchy-Schwarz.  The rescaled output lands in the 1/delta-inflated set K.
 
 The search runs Dykstra's alternating projections over the four sets (each
 projection is closed form given one symmetric eigendecomposition).  A fast
-backend handles the common pipeline case where M0 is low rank: every Dykstra
-iterate then lives in span{eigenvectors of M0, all-ones, adjoined vertex
-axes} plus a multiple of the complementary identity, so sweeps cost
-O(n r^2) instead of an n x n eigendecomposition.  Entry-bound violations are
-detected by a certified row scan and clipped inside the family once the
-affected vertex axes are adjoined; the dense solver remains as the fallback
-and as the reference implementation.
+backend handles the common pipeline case where M0 is low rank and given by
+its eigenpairs: every Dykstra iterate then lives in span{eigenvectors of M0,
+all-ones, adjoined vertex axes} plus a multiple of the complementary
+identity, so sweeps cost O(n r^2) instead of an n x n eigendecomposition.
+Entry-bound violations are detected by a certified row scan and clipped
+inside the family once the affected vertex axes are adjoined.
+
+The subspace backend returns its solution in factored form, a `Factored`
+s (V C V^T + alpha (I - V V^T)); |N|_F and <M0, N> are computed from the
+coordinates, and the report's `estimate` is that factored matrix.  The
+pipeline scores it without ever building an n x n array.  The dense
+`m_hat` is materialised only when a caller reads it (tests, the acceptance
+certificate, the CLI `project` verb).  The dense solver handles full-rank
+inputs, serves as the fallback when too many vertex axes are adjoined, and
+remains the reference implementation; its report carries a dense estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .factored import Factored
 
 
 class ProjectionInfeasibleError(RuntimeError):
@@ -71,14 +82,24 @@ class ProjectionSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionReport:
-    """Solver output: rescaled estimate plus the feasibility certificate."""
+    """Solver output: rescaled estimate plus the feasibility certificate.
 
-    m_hat: np.ndarray
+    `estimate` is factored on the subspace backend and dense on the dense one.
+    """
+
+    estimate: np.ndarray | Factored
     iterations: int
     max_violation: float
     halfspace_value: float  # achieved <M0, N>
     n_norm: float  # |N|_F of the pre-rescaling solution
     backend: str
+
+    @cached_property
+    def m_hat(self) -> np.ndarray:
+        """The rescaled estimate as a dense n x n matrix (built on first read)."""
+        if isinstance(self.estimate, Factored):
+            return self.estimate.dense()
+        return self.estimate
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +412,7 @@ def _subspace_sweeps(state, c_u, b, n, k, tol, max_iters):
             f"max residual {max(residuals):.3e} after {max_iters} sweeps"
         )
 
-    x = big_v @ c @ big_v.T
-    if alpha != 0.0:
-        x = x + alpha * (np.eye(n) - big_v @ big_v.T)
-    x = (x + x.T) / 2.0
-    return x, iters, max(residuals)
+    return Factored(big_v, c, alpha), iters, max(residuals)
 
 
 _MAX_AXES = 64
@@ -451,35 +468,35 @@ def corr_preserving_projection(
         raise ValueError("projection input must be nonzero")
     b = spec.delta * spec.target
 
-    backend = "dense"
     if factors is not None:
         try:
             x, iters, max_res = _dykstra_subspace(
                 vals, vecs, b, n, k, spec.tol, spec.max_iters
             )
-            backend = "subspace"
         except _BoxFallback:
             m_hat0 = (vecs * vals) @ vecs.T
-            norm_m0 = float(np.linalg.norm(vals))
-            u = m_hat0 / norm_m0
-            x, iters, max_res = _dykstra_dense(u, b, n, k, spec.tol, spec.max_iters)
-    else:
-        u = m_hat0 / norm_m0
-        x, iters, max_res = _dykstra_dense(u, b, n, k, spec.tol, spec.max_iters)
+        else:
+            n_norm = x.norm()
+            if n_norm <= 0.0:
+                raise ProjectionDidNotConverge("solver returned the zero matrix")
+            return ProjectionReport(
+                estimate=x.scaled(spec.target / n_norm),
+                iterations=iters,
+                max_violation=max_res,
+                halfspace_value=Factored.from_eig(vals, vecs).inner(x),
+                n_norm=n_norm,
+                backend="subspace",
+            )
 
+    x, iters, max_res = _dykstra_dense(m_hat0 / norm_m0, b, n, k, spec.tol, spec.max_iters)
     n_norm = float(np.linalg.norm(x))
     if n_norm <= 0.0:
         raise ProjectionDidNotConverge("solver returned the zero matrix")
-    if factors is not None:
-        half_inner = float(np.sum(((vecs * vals) @ vecs.T) * x))
-    else:
-        half_inner = float(np.sum(m_hat0 * x))
-    m_hat = (spec.target / n_norm) * x
     return ProjectionReport(
-        m_hat=m_hat,
+        estimate=(spec.target / n_norm) * x,
         iterations=iters,
         max_violation=max_res,
-        halfspace_value=half_inner,
+        halfspace_value=float(np.sum(m_hat0 * x)),
         n_norm=n_norm,
-        backend=backend,
+        backend="dense",
     )

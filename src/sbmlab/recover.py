@@ -12,23 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from .factored import Factored
+from .model import DENSE_EIG_LIMIT as _DENSE_EIG_LIMIT  # module global: tests lower it
 from .model import Graph, Labels, SbmParams, membership_matrix, sample_labels
 from .seeds import unit_vector
-
-_DENSE_EIG_LIMIT = 800
 
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Estimate of the membership matrix plus how it was produced."""
+    """Estimate of the membership matrix as eigenpairs, plus how it was produced."""
 
-    m_hat0: np.ndarray
     method: str
+    factors: tuple[np.ndarray, np.ndarray]  # (vals, vecs), vecs n x r orthonormal
     rate: float | None = None
-    factors: tuple[np.ndarray, np.ndarray] | None = None  # (vals, vecs), vecs n x r
 
 
 def estimate_degree(y: Graph) -> float:
@@ -47,16 +45,23 @@ def offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0)))
 
 
-def recovery_rate(m: np.ndarray, m_true: np.ndarray) -> float:
-    """Normalized correlation <M, M*> / (|M|_F |M*|_F), diagonal excluded."""
-    m = np.asarray(m, dtype=float)
-    m_true = np.asarray(m_true, dtype=float)
-    if m.shape != m_true.shape:
-        raise ValueError("matrices must have equal shape")
-    nm, nt = offdiag_norm(m), offdiag_norm(m_true)
+def recovery_rate(m: np.ndarray | Factored, m_true: np.ndarray | Factored) -> float:
+    """Normalized correlation <M, M*> / (|M|_F |M*|_F), diagonal excluded.
+
+    Two `Factored` arguments are evaluated in factored form, without n x n
+    arrays; otherwise both must be dense.
+    """
+    if isinstance(m, Factored) and isinstance(m_true, Factored):
+        inner, nm, nt = m.offdiag_inner(m_true), m.offdiag_norm(), m_true.offdiag_norm()
+    else:
+        m = np.asarray(m, dtype=float)
+        m_true = np.asarray(m_true, dtype=float)
+        if m.shape != m_true.shape:
+            raise ValueError("matrices must have equal shape")
+        inner, nm, nt = offdiag_inner(m, m_true), offdiag_norm(m), offdiag_norm(m_true)
     if nm == 0.0 or nt == 0.0:
         raise ValueError("recovery rate undefined for a zero matrix")
-    return offdiag_inner(m, m_true) / (nm * nt)
+    return inner / (nm * nt)
 
 
 def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,16 +82,7 @@ def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.nd
         top = np.argsort(np.abs(vals))[::-1][:k]
         top = np.sort(top)
         return vals[top], vecs[:, top]
-    a = sparse.csr_matrix(
-        (
-            np.ones(2 * y1.edge_count),
-            (
-                np.concatenate([y1.edges[:, 0], y1.edges[:, 1]]),
-                np.concatenate([y1.edges[:, 1], y1.edges[:, 0]]),
-            ),
-        ),
-        shape=(n, n),
-    )
+    a = y1.sparse()
 
     def matvec(x):
         return a @ x - c * x.sum() * np.ones(n)
@@ -118,9 +114,14 @@ def membership_factors(labels: Labels) -> tuple[np.ndarray, np.ndarray]:
     return vals[keep], q @ w[:, keep]
 
 
+def random_labels(n: int, k: int, seed: int) -> Labels:
+    """Uniformly random labels (the signal-free baseline)."""
+    return sample_labels(SbmParams(n, 1.0, k=k), seed)
+
+
 def random_membership(n: int, k: int, seed: int) -> tuple[np.ndarray, Labels]:
     """Membership matrix of uniformly random labels (signal-free baseline)."""
-    labels = sample_labels(SbmParams(n, 1.0, k=k), seed)
+    labels = random_labels(n, k, seed)
     return membership_matrix(labels), labels
 
 
@@ -132,28 +133,28 @@ def run_recovery(
     labels: Labels | None = None,
     d_hat: float | None = None,
 ) -> RecoveryResult:
-    """Dispatch a recovery baseline; attaches rate when true labels are given."""
+    """Dispatch a recovery baseline; attaches rate when true labels are given.
+
+    The estimate stays in eigenpair form, and the rate is computed from the
+    factors, so no n x n array is built.
+    """
     if method == "spectral":
         d_used = estimate_degree(y1) if d_hat is None else d_hat
         if d_used <= 0:
             raise ValueError("empty graph: cannot center the adjacency")
         factors = spectral_factors(y1, params.k, d_used)
-        vals, vecs = factors
-        if np.all(np.abs(vals) < 1e-12):
+        if np.all(np.abs(factors[0]) < 1e-12):
             raise ValueError("spectral truncation vanished; no usable estimate")
-        m0 = (vecs * vals) @ vecs.T
-        m0 = (m0 + m0.T) / 2.0
     elif method == "random":
-        m0, rand_labels = random_membership(y1.n, params.k, seed)
-        factors = membership_factors(rand_labels)
+        factors = membership_factors(random_labels(y1.n, params.k, seed))
     elif method == "oracle":
         if labels is None:
             raise ValueError("oracle recovery needs the true labels")
-        m0 = membership_matrix(labels)
         factors = membership_factors(labels)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
     rate = None
     if labels is not None:
-        rate = recovery_rate(m0, membership_matrix(labels))
-    return RecoveryResult(m_hat0=m0, method=method, rate=rate, factors=factors)
+        truth = Factored.from_eig(*membership_factors(labels))
+        rate = recovery_rate(Factored.from_eig(*factors), truth)
+    return RecoveryResult(method=method, factors=factors, rate=rate)

@@ -7,6 +7,10 @@ excluded).  The learning route replaces the recovery step with an edge
 probability learner and projects theta_hat - (d/n) J.  Decisions compare g
 against a threshold, by default a null-calibrated quantile.
 
+On the recovery route the estimate stays factored from the eigenpairs of
+the recovery step to the score: g is evaluated from the factors in
+O((m + n) r^2), with no n x n array.  The learning route's estimate is dense.
+
 When the projection degenerates (infeasible correlation constraint, solver
 non-convergence, or a zero estimate) the report carries M_hat = 0, hence
 g = 0 exactly, with the reason recorded in the side channel.
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .factored import Factored
 from .learn import gw_constant
 from .model import BlockGraphon, Graph, Labels, SbmParams, sample_er, sample_ssbm
 from .project import (
@@ -28,7 +33,7 @@ from .project import (
     ProjectionSpec,
     corr_preserving_projection,
 )
-from .recover import run_recovery
+from .recover import estimate_degree, run_recovery
 from .seeds import derive_seed
 from .split import subsample_edges
 
@@ -55,7 +60,11 @@ class TestReport:
     side_channel: dict
 
     def __post_init__(self):
-        assert self.decision == int(self.statistic >= self.threshold)
+        if self.decision != int(self.statistic >= self.threshold):
+            raise ValueError(
+                f"decision {self.decision} disagrees with statistic {self.statistic} "
+                f"against threshold {self.threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,12 +79,17 @@ class RScore:
     degenerate: bool
 
 
-def statistic_from_m_hat(m_hat: np.ndarray, y2: Graph, center: float) -> float:
+def statistic_from_m_hat(m_hat: np.ndarray | Factored, y2: Graph, center: float) -> float:
     """g = <M_hat, Y2 - center * J> with diagonal terms excluded.
 
-    The diagonal never enters the arithmetic, so adding any diagonal matrix
-    to M_hat leaves g unchanged bit for bit.
+    For a dense M_hat the diagonal never enters the arithmetic, so adding any
+    diagonal matrix to M_hat leaves g unchanged bit for bit.  A factored
+    M_hat is scored in O((m + n) r^2): edge entries from the rows of V, the
+    off-diagonal sum from V^T 1 minus the diagonal.
     """
+    if isinstance(m_hat, Factored):
+        edge_part = 2.0 * float(m_hat.entries(y2.edges[:, 0], y2.edges[:, 1]).sum())
+        return edge_part - center * m_hat.offdiag_sum()
     edge_part = 2.0 * float(m_hat[y2.edges[:, 0], y2.edges[:, 1]].sum())
     off = m_hat.copy()
     np.fill_diagonal(off, 0.0)
@@ -129,9 +143,9 @@ def recovery_test_statistic(
     except ValueError as exc:
         return _degenerate_report(threshold, side, f"recovery: {exc}")
     side["recovery_rate"] = rec.rate
-    center = params.eta * (estimated_degree_center(y) if center_estimated else params.d) / params.n
+    center = params.eta * (estimate_degree(y) if center_estimated else params.d) / params.n
     try:
-        rep = corr_preserving_projection(rec.m_hat0, spec, factors=rec.factors)
+        rep = corr_preserving_projection(None, spec, factors=rec.factors)
     except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
         return _degenerate_report(threshold, side, f"projection: {exc}")
     side["projection"] = {
@@ -140,14 +154,10 @@ def recovery_test_statistic(
         "n_norm": rep.n_norm,
         "backend": rep.backend,
     }
-    g = statistic_from_m_hat(rep.m_hat, split.y2, center)
+    g = statistic_from_m_hat(rep.estimate, split.y2, center)
     return TestReport(
         statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
     )
-
-
-def estimated_degree_center(y: Graph) -> float:
-    return 2.0 * y.edge_count / y.n
 
 
 def learning_test_statistic(
@@ -181,7 +191,7 @@ def learning_test_statistic(
         "n_norm": rep.n_norm,
         "backend": rep.backend,
     }
-    g = statistic_from_m_hat(rep.m_hat, split.y2, center)
+    g = statistic_from_m_hat(rep.estimate, split.y2, center)
     return TestReport(
         statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
     )

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,45 @@ def test_accept_json_wiring(tmp_path, monkeypatch):
     out2 = tmp_path / "report.csv"
     assert main(["--out", str(out2), "accept", "--suite", "full"]) == 2
     assert out2.read_text().splitlines()[0] == "criterion,status,metric,value"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command(verb):
+    """The README's `sbmlab ... <verb> --out ...` example as an argv list."""
+    for line in README.read_text().splitlines():
+        words = line.split()
+        if words[:1] == ["sbmlab"] and verb in words and "--out" in words[words.index(verb):]:
+            return words[1:]
+    raise AssertionError(f"README has no `{verb} --out` example")
+
+
+def _reduced(argv, out, **sizes):
+    """Point --out at `out` and replace the given flag values."""
+    argv = list(argv)
+    argv[argv.index("--out") + 1] = str(out)
+    for flag, value in sizes.items():
+        argv[argv.index(f"--{flag}") + 1] = str(value)
+    return argv
+
+
+def test_readme_out_examples_run(tmp_path):
+    # the README puts --out after the verb; both verbs must accept it there
+    out = tmp_path / "graph.txt"
+    assert main(_reduced(_readme_command("sample"), out, n=200)) == 0
+    n, m = map(int, out.read_text().splitlines()[0].split())  # header `n m`
+    assert n == 200 and len(out.read_text().splitlines()) == m + 1
+
+    out = tmp_path / "trials.csv"
+    assert main(_reduced(_readme_command("test"), out, n=200, trials=3)) == 0
+    header = out.read_text().splitlines()[0]
+    assert f"Trial CSV columns: `{header}`" in README.read_text()
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
+
+def test_global_flags_on_both_sides_of_the_verb(tmp_path):
+    before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+    assert main(["--n", "60", "--d", "5", "--seed", "3", "--out", str(before), "sample"]) == 0
+    assert main(["--n", "60", "sample", "--d", "5", "--seed", "3", "--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()

@@ -56,6 +56,14 @@ def test_statistic_matches_dense_formula():
     assert statistic_from_m_hat(m, g, c) == pytest.approx(dense, rel=1e-12)
 
 
+def test_report_rejects_inconsistent_decision():
+    assert TestReport(2.0, 1.0, 1, {}).decision == 1
+    with pytest.raises(ValueError):
+        TestReport(2.0, 1.0, 0, {})
+    with pytest.raises(ValueError):
+        TestReport(0.5, 1.0, 1, {})
+
+
 def test_decision_scale_invariance():
     g, _ = sample_ssbm(SbmParams(80, 6.0, eps=0.5, k=2), seed=7)
     rng = stream_rng(3, "m")
