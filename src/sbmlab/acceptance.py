@@ -62,6 +62,14 @@ class CriterionResult:
     metrics: dict
     elapsed_s: float
 
+    @property
+    def budget_s(self) -> float:
+        return BUDGET_S[self.cid]
+
+    @property
+    def within_budget(self) -> bool:
+        return self.elapsed_s <= self.budget_s
+
 
 def _c1_er_degeneration(seed, n=2000, d=10.0, draws=20):
     p = SbmParams(n, d, eps=0.0, k=2)
@@ -384,10 +392,12 @@ def run_acceptance(suite: str, seed: int = DEFAULT_SEED, stream=None) -> list[Cr
         t0 = time.perf_counter()
         passed, metrics = fn(seed)
         elapsed = time.perf_counter() - t0
-        results.append(CriterionResult(cid, passed, metrics, elapsed))
+        result = CriterionResult(cid, passed, metrics, elapsed)
+        results.append(result)
         status = "PASS" if passed else "FAIL"
+        over = "" if result.within_budget else " OVER BUDGET"
         shown = " ".join(f"{k}={v:.6g}" for k, v in metrics.items())
-        print(f"[{status}] {cid} ({elapsed:.1f}s, budget {BUDGET_S[cid]}s): {shown}", file=stream)
+        print(f"[{status}] {cid} ({elapsed:.1f}s, budget {result.budget_s}s{over}): {shown}", file=stream)
     return results
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -30,6 +31,7 @@ from .model import (
     membership_matrix,
     sample_er,
     sample_ssbm,
+    write_edge_list,
     write_labels,
 )
 from .project import corr_preserving_projection
@@ -167,9 +169,7 @@ def main(argv=None) -> int:
         else:
             g, labels = sample_ssbm(p, cfg.seed)
         with _open_out(args) as fh:
-            fh.write(f"{g.n} {g.edge_count}\n")
-            for u, v in g.edges:
-                fh.write(f"{u} {v}\n")
+            write_edge_list(g, fh)
         if args.labels_out and labels is not None:
             write_labels(labels, args.labels_out)
         _log(f"sampled graph with {g.edge_count} edges")
@@ -325,6 +325,9 @@ def main(argv=None) -> int:
                             "criterion": r.cid,
                             "passed": r.passed,
                             "metrics": {k: float(v) for k, v in r.metrics.items()},
+                            "elapsed_s": r.elapsed_s,
+                            # an unbounded budget is null: JSON has no infinity
+                            "budget_s": None if math.isinf(r.budget_s) else r.budget_s,
                         }
                         for r in results
                     ],
@@ -332,7 +335,7 @@ def main(argv=None) -> int:
                 ) + "\n")
             else:
                 fh.write(acceptance_csv(results))
-        return 0 if all(r.passed for r in results) else 2
+        return 0 if all(r.passed and r.within_budget for r in results) else 2
 
     raise AssertionError(f"unhandled command {cmd}")
 

@@ -197,6 +197,15 @@ def _point_from_trials(rows_p, rows_q, quantile):
     return tau, float(dec_p.mean()), float(dec_q.mean()), r_value, stats_p, stats_q
 
 
+def sweep_seed(seed: int, arm: str, snr: float) -> int:
+    """Seed of one arm at one SNR grid value.
+
+    Keyed on the float's exact 64-bit pattern, so two distinct grid values
+    never share a stream however close they are.
+    """
+    return derive_seed(seed, f"sweep-{arm.lower()}", int(np.float64(snr).view(np.uint64)))
+
+
 def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
     """One calibrated testing experiment per SNR grid value, ordered by SNR."""
     points = []
@@ -211,8 +220,8 @@ def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
             )
             continue
         params = replace(cfg.params, eps=eps)
-        rows_q = _arm_trials(cfg, params, "Q", derive_seed(cfg.seed, "sweep-q", int(snr * 1e6)))
-        rows_p = _arm_trials(cfg, params, "P", derive_seed(cfg.seed, "sweep-p", int(snr * 1e6)))
+        rows_q = _arm_trials(cfg, params, "Q", sweep_seed(cfg.seed, "Q", snr))
+        rows_p = _arm_trials(cfg, params, "P", sweep_seed(cfg.seed, "P", snr))
         _, power, size, r_value, stats_p, stats_q = _point_from_trials(
             rows_p, rows_q, cfg.threshold_quantile
         )

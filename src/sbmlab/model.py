@@ -9,11 +9,20 @@ The model SSBM(n, d/n, eps, k) assigns each vertex a uniform label in
 eps = 0 degenerates to the Erdos-Renyi law G(n, d/n).  Ground-truth objects:
 the membership matrix M  (entries 1{x_i = x_j} - 1/k), the edge probability
 matrix theta (entries p_in / p_out), and the k-block graphon.
+
+The samplers never enumerate the n(n-1)/2 pairs.  Pairs inside one block
+pair share a Bernoulli parameter, so each of the k(k+1)/2 block pairs draws
+a binomial edge count and then that many distinct pair indices, decoded to
+vertex pairs (a triangular decode within a block, a rectangular one across)
+and sorted once on the flat key u*n + v.  A draw with m edges costs
+O(n k + m log m) time and O(n + m) memory; at constant average degree d,
+m is about d n / 2.  G(n, d/n) is the one-block case.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,11 +126,12 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(e[:, 0] >= e[:, 1]):
                 raise ValueError("edges must satisfy u < v")
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            if np.any(order != np.arange(e.shape[0])):
+            # one pass over the flat key u*n + v: a negative step means the
+            # list is out of order, a zero step a repeated edge
+            step = np.diff(e[:, 0] * self.n + e[:, 1])
+            if np.any(step < 0):
                 raise ValueError("edge list must be sorted lexicographically")
-            flat = e[:, 0] * self.n + e[:, 1]
-            if np.any(np.diff(flat) == 0):
+            if np.any(step == 0):
                 raise ValueError("duplicate edge")
 
     @property
@@ -152,11 +162,13 @@ class Graph:
     def from_edge_array(n: int, edges: np.ndarray) -> "Graph":
         """Normalize (orient u < v, sort, dedupe) an arbitrary pair array."""
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise ValueError("edge endpoint out of range")
         lo = np.minimum(e[:, 0], e[:, 1])
         hi = np.maximum(e[:, 0], e[:, 1])
         keep = lo != hi
-        e = np.unique(np.column_stack([lo[keep], hi[keep]]), axis=0)
-        return Graph(n, e)
+        key = np.unique(lo[keep] * n + hi[keep])
+        return Graph(n, np.column_stack(np.divmod(key, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,27 +234,72 @@ def edge_prob_matrix(params: SbmParams, labels: Labels) -> np.ndarray:
     return np.where(same, params.p_in, params.p_out)
 
 
+def _triangle_decode(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert idx = j(j-1)/2 + i over pairs 0 <= i < j, exactly in integers.
+
+    The float square root gives j to within one; one integer step either way
+    corrects it for every index below 2**53.
+    """
+    j = ((1.0 + np.sqrt(1.0 + 8.0 * idx)) / 2.0).astype(np.int64)
+    j -= j * (j - 1) // 2 > idx
+    j += (j + 1) * j // 2 <= idx
+    return idx - j * (j - 1) // 2, j
+
+
+def _sample_block_pairs(n: int, labels: Labels, p_in: float, p_out: float, rng) -> Graph:
+    """Independent Bernoulli pairs, p_in within a block and p_out across blocks.
+
+    For each block pair (x <= y) the edge count is Binomial(N_xy, p_xy), with
+    N_xy = C(n_x, 2) within a block and n_x n_y across; the edges are then
+    that many distinct pair indices drawn uniformly from [0, N_xy).  Given its
+    count, a uniform subset of pairs is exactly the conditional law of the
+    independent Bernoulli pairs, so the graph has the same law as one coin per
+    pair.  Cost is O(n k + m log m) time and O(n + m) memory.
+    """
+    members = [np.flatnonzero(labels.assignment == x) for x in range(labels.k)]
+    keys = []
+    for x, mx in enumerate(members):
+        for y in range(x, labels.k):
+            my = members[y]
+            if x == y:
+                pairs, p = mx.size * (mx.size - 1) // 2, p_in
+            else:
+                pairs, p = mx.size * my.size, p_out
+            idx = rng.choice(pairs, rng.binomial(pairs, p), replace=False, shuffle=False)
+            if x == y:
+                i, j = _triangle_decode(idx)
+                u, v = mx[i], mx[j]
+            else:
+                i, j = np.divmod(idx, my.size)
+                u, v = np.minimum(mx[i], my[j]), np.maximum(mx[i], my[j])
+            keys.append(u * n + v)
+    key = np.sort(np.concatenate(keys))
+    return Graph(n, np.column_stack(np.divmod(key, n)))
+
+
 def sample_ssbm(params: SbmParams, seed: int, balanced: bool = False) -> tuple[Graph, Labels]:
     """Draw (graph, labels) from SSBM(n, d/n, eps, k).
 
     Each unordered pair is an independent Bernoulli with parameter p_in or
-    p_out according to the labels; eps = 0 reproduces G(n, d/n) exactly.
+    p_out according to the labels; eps = 0 reproduces G(n, d/n) exactly.  The
+    pairs are never enumerated: each of the k(k+1)/2 block pairs draws a
+    binomial edge count and then that many distinct pairs, so a draw costs
+    O(n k + m log m) time and O(n + m) memory for m edges.
     """
     labels = sample_labels(params, seed, balanced=balanced)
     rng = stream_rng(seed, "edges")
-    iu, ju = np.triu_indices(params.n, 1)
-    a = labels.assignment
-    probs = np.where(a[iu] == a[ju], params.p_in, params.p_out)
-    keep = rng.random(iu.size) < probs
-    return Graph(params.n, np.column_stack([iu[keep], ju[keep]])), labels
+    return _sample_block_pairs(params.n, labels, params.p_in, params.p_out, rng), labels
 
 
 def sample_er(n: int, d: float, seed: int) -> Graph:
-    """Draw the null graph G(n, d/n)."""
+    """Draw the null graph G(n, d/n): the one-block case of the SSBM sampler.
+
+    One binomial edge count over the C(n, 2) pairs, then that many distinct
+    pairs; O(n + m log m) time and O(n + m) memory.
+    """
     rng = stream_rng(seed, "edges-null")
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < d / n
-    return Graph(n, np.column_stack([iu[keep], ju[keep]]))
+    p = d / n
+    return _sample_block_pairs(n, Labels(np.zeros(n, dtype=np.int64), 1), p, p, rng)
 
 
 def sbm_graphon(params: SbmParams) -> BlockGraphon:
@@ -260,9 +317,12 @@ def sbm_graphon(params: SbmParams) -> BlockGraphon:
 # text formats
 
 
-def write_edge_list(graph: Graph, path) -> None:
-    """Edge-list text format: 'n m' header then 'u v' rows, sorted, 0-based."""
-    with open(path, "w") as fh:
+def write_edge_list(graph: Graph, dest) -> None:
+    """Edge-list text format: 'n m' header then 'u v' rows, sorted, 0-based.
+
+    `dest` is a path, or an open text handle that is written to and left open.
+    """
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w") as fh:
         fh.write(f"{graph.n} {graph.edge_count}\n")
         for u, v in graph.edges:
             fh.write(f"{u} {v}\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbmlab.cli import main
-from sbmlab.model import read_edge_list, read_labels
+from sbmlab.model import SbmParams, read_edge_list, read_labels, sample_ssbm, write_edge_list
 from sbmlab.split import read_edge_split
 
 
@@ -20,6 +20,10 @@ def test_sample_writes_edge_list(tmp_path):
     assert g.n == 60
     lab = read_labels(labels, k=2)
     assert lab.n == 60
+    # the verb writes through write_edge_list: same bytes as the path form
+    ref = tmp_path / "ref.txt"
+    write_edge_list(sample_ssbm(SbmParams(60, 5.0, eps=0.5), 3)[0], ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_sample_null_to_stdout(capsys):
@@ -181,6 +185,34 @@ def test_accept_json_wiring(tmp_path, monkeypatch):
     out2 = tmp_path / "report.csv"
     assert main(["--out", str(out2), "accept", "--suite", "full"]) == 2
     assert out2.read_text().splitlines()[0] == "criterion,status,metric,value"
+
+
+def test_accept_exits_two_on_budget_overrun(tmp_path, monkeypatch):
+    import json
+
+    import sbmlab.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "BUDGET_S", dict.fromkeys(acceptance.BUDGET_S, 0))
+    out = tmp_path / "fast.json"
+    assert main(["--out", str(out), "accept", "--suite", "fast", "--json"]) == 2
+    data = json.loads(out.read_text())
+    # every statistic passes; the exit code comes from the budgets alone
+    assert data and all(r["passed"] for r in data)
+    assert all(r["budget_s"] == 0 and r["elapsed_s"] > 0 for r in data)
+
+
+def test_accept_json_unbounded_budget_is_null(tmp_path, monkeypatch):
+    import json
+
+    import sbmlab.cli as cli
+    from sbmlab.acceptance import CriterionResult
+
+    canned = [CriterionResult("C10", True, {"identical": 1.0}, 5.0)]
+    monkeypatch.setattr(cli, "run_acceptance", lambda suite, seed=None: canned)
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "accept", "--suite", "full", "--json"]) == 0
+    (record,) = json.loads(out.read_text())
+    assert record["budget_s"] is None and record["elapsed_s"] == 5.0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

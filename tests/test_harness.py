@@ -10,6 +10,7 @@ from sbmlab.harness import (
     check_spectral_concentration,
     parse_config,
     sweep_phase,
+    sweep_seed,
     write_config,
     write_sweep_csv,
 )
@@ -155,3 +156,10 @@ def test_concentration_bound_and_scaling():
     assert max(ratios) <= 1.5 * min(ratios)
     with pytest.raises(ValueError):
         check_spectral_concentration(SbmParams(100, 0.5, eps=0.0, k=2), trials=2, seed=0)
+
+
+def test_sweep_seed_distinguishes_close_snrs():
+    # int(snr * 1e6) mapped these two grid values to one stream
+    for arm in ("P", "Q"):
+        assert sweep_seed(7, arm, 1.0) != sweep_seed(7, arm, 1.0 + 1e-9)
+    assert sweep_seed(7, "P", 1.0) != sweep_seed(7, "Q", 1.0)

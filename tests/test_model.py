@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from sbmlab.model import (
     write_edge_list,
     write_labels,
 )
+from sbmlab.model import _sample_block_pairs
+from sbmlab.seeds import stream_rng
 
 
 def test_params_validation():
@@ -258,3 +262,106 @@ def test_from_edge_array_normalizes():
     raw = np.array([[3, 1], [1, 3], [0, 2], [2, 2]])
     g = Graph.from_edge_array(5, raw)
     assert np.array_equal(g.edges, np.array([[0, 2], [1, 3]]))
+
+
+def _pair_keys(g):
+    return (g.edges[:, 0] * g.n + g.edges[:, 1]).tolist()
+
+
+@pytest.mark.parametrize("p_in,p_out", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+def test_block_pair_sampler_exact_coverage(p_in, p_out):
+    # unequal blocks of sizes 0, 1 and 7; p = 1 must give every pair of the
+    # chosen kind exactly once, through the triangular (within) and the
+    # rectangular (across) decode
+    a = np.array([2, 1, 2, 2, 2, 2, 2, 2])
+    lab = Labels(a, 3)
+    g = _sample_block_pairs(a.size, lab, p_in, p_out, stream_rng(5, "edges"))
+    expect = [
+        u * a.size + v
+        for u, v in combinations(range(a.size), 2)
+        if (p_in if a[u] == a[v] else p_out) == 1.0
+    ]
+    assert _pair_keys(g) == expect
+
+
+def test_sample_er_exact_coverage_large_block():
+    # d = n gives p = 1: a valid Graph (in range, u < v, sorted, distinct)
+    # with C(n, 2) edges holds every pair exactly once
+    n = 3001
+    g = sample_er(n, float(n), seed=4)
+    assert g.edge_count == n * (n - 1) // 2
+
+
+def _max_pair_z(draw, n, draws):
+    """Largest |z| over pairs of (hits - sum p) / sqrt(sum p (1 - p))."""
+    npairs = n * n
+    hits = np.zeros(npairs)
+    mean = np.zeros(npairs)
+    var = np.zeros(npairs)
+    for s in range(draws):
+        g, probs = draw(s)
+        hits += np.bincount(g.edges[:, 0] * n + g.edges[:, 1], minlength=npairs)
+        p = probs.ravel()
+        mean += p
+        var += p * (1 - p)
+    iu = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1).ravel())
+    return float(np.max(np.abs(hits[iu] - mean[iu]) / np.sqrt(var[iu])))
+
+
+def test_sample_ssbm_per_pair_frequency():
+    # n = 12, k = 3: the i.i.d. labels are unbalanced draw to draw; each pair's
+    # hit count must match its summed p_in / p_out.  Under the law the max
+    # over 66 pairs exceeds 4.5 with probability about 5e-4.
+    p = SbmParams(12, 3.0, eps=0.9, k=3)
+
+    def draw(s):
+        g, lab = sample_ssbm(p, seed=1000 + s)
+        return g, edge_prob_matrix(p, lab)
+
+    assert _max_pair_z(draw, p.n, 3000) <= 4.5
+
+
+def test_sample_er_per_pair_frequency():
+    n, d = 12, 4.0
+    probs = np.full((n, n), d / n)
+    assert _max_pair_z(lambda s: (sample_er(n, d, seed=2000 + s), probs), n, 3000) <= 4.5
+
+
+def test_sample_ssbm_memory_is_linear():
+    # one array over the n(n-1)/2 pairs would take 1.6 GB at n = 20000
+    p = SbmParams(20_000, 10.0, eps=0.5, k=2)
+    tracemalloc.start()
+    try:
+        g, _ = sample_ssbm(p, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 0
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([[0, 2], [0, 1]], "sorted"),
+        ([[1, 2], [0, 3]], "sorted"),
+        ([[0, 1], [1, 2], [1, 2]], "duplicate"),
+        ([[0, 1], [2, 1]], "u < v"),
+        ([[0, 1], [2, 2]], "u < v"),
+        ([[0, 4]], "out of range"),
+        ([[-1, 2]], "out of range"),
+    ],
+)
+def test_graph_rejects_invalid_edge_lists(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(4, np.array(edges))
+
+
+def test_from_edge_array_mixed_orientation_loop_duplicate():
+    raw = np.array([[4, 0], [2, 3], [3, 2], [1, 1], [0, 4], [0, 1], [4, 4]])
+    g = Graph.from_edge_array(5, raw)
+    assert g.edges.tolist() == [[0, 1], [0, 4], [2, 3]]
+    assert Graph.from_edge_array(5, np.empty((0, 2))).edge_count == 0
+    # out-of-range endpoints are rejected, not folded into other pairs
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edge_array(5, np.array([[0, 7]]))
