@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import ExperimentConfig, _point_from_trials, check_spectral_concentration, sweep_phase, write_sweep_csv
+from .harness import (
+    ExperimentConfig,
+    check_spectral_concentration,
+    pipeline_statistic,
+    run_two_arms,
+    sweep_phase,
+    write_sweep_csv,
+)
 from .learn import gw_constant, gw_distance, svd_theta
 from .ldlr import (
     all_edges,
@@ -30,14 +37,14 @@ from .model import (
     Graph,
     SbmParams,
     edge_prob_matrix,
+    map_trials,
     membership_matrix,
     sample_labels,
-    sample_ssbm,
     sbm_graphon,
 )
 from .project import ProjectionSpec, corr_preserving_projection, k_residuals
 from .recover import recovery_rate
-from .reduce import recovery_test_statistic, run_test_trials, write_trial_csv
+from .reduce import le_cam_score, run_test_trials, write_trial_csv
 from .seeds import derive_seed, stream_rng
 from .split import EdgeSplit, decouple, decoupling_diagnostics
 
@@ -78,7 +85,7 @@ def _c1_er_degeneration(seed, n=2000, d=10.0, draws=20):
     off = ~np.eye(p.n, dtype=bool)
     exact = bool(np.all(theta[off] == p.d / p.n))
     npairs = p.n * (p.n - 1) // 2
-    total = sum(sample_ssbm(p, derive_seed(seed, "c1-draw", t))[0].edge_count for t in range(draws))
+    total = sum(map_trials(lambda g, s, labels: g.edge_count, p, "P", draws, seed, "c1-draw"))
     mean = draws * npairs * (d / n)
     sigma = math.sqrt(draws * npairs * (d / n) * (1 - d / n))
     z = (total - mean) / sigma
@@ -154,33 +161,28 @@ def _c3_projection_certificate(seed, n=200, instances=20, sigma=26.0):
 
 def _c4_pipeline(seed, n=2000, d=60.0, trials=40):
     p = SbmParams(n, d, eps=math.sqrt(16.0 / d), k=2, eta=0.1, delta=0.1)
-
-    def stat(g, s, labels=None):
-        return recovery_test_statistic(g, p, seed=s, method="spectral", labels=labels)
-
-    rows_q = run_test_trials(stat, p, "Q", trials, derive_seed(seed, "c4-q"))
-    rows_p = run_test_trials(stat, p, "P", trials, derive_seed(seed, "c4-p"))
-    tau, power, size, r_value, stats_p, stats_q = _point_from_trials(rows_p, rows_q, 0.99)
-    passed = power >= 0.8 and size <= 0.05 and r_value >= 3.0
+    cfg = ExperimentConfig(params=p, trials=trials, threshold_quantile=0.99)
+    tau, rows_p, rows_q = run_two_arms(cfg, derive_seed(seed, "c4-q"), derive_seed(seed, "c4-p"))
+    score = le_cam_score([r.decision for r in rows_p], [r.decision for r in rows_q])
+    passed = score.mean_p >= 0.8 and score.mean_q <= 0.05 and score.r_value >= 3.0
     return passed, {
-        "power": power,
-        "size": size,
-        "r_value": r_value,
+        "power": score.mean_p,
+        "size": score.mean_q,
+        "r_value": score.r_value,
         "tau": tau,
-        "median_stat_p": float(np.median(stats_p)),
-        "median_stat_q": float(np.median(stats_q)),
+        "median_stat_p": float(np.median([r.statistic for r in rows_p])),
+        "median_stat_q": float(np.median([r.statistic for r in rows_q])),
     }
 
 
 def _c5_svd_learner(seed, n=1000, d=50.0, trials=20):
     p = SbmParams(n, d, eps=0.8, k=2)
-    ratios = []
-    for t in range(trials):
-        g, lab = sample_ssbm(p, derive_seed(seed, "c5", t))
-        theta = edge_prob_matrix(p, lab)
-        err = float(np.linalg.norm(svd_theta(g, p.k) - theta) ** 2)
-        ratios.append(err / (p.k * p.d))
-    med = float(np.median(ratios))
+
+    def ratio(g, s, lab):
+        err = float(np.linalg.norm(svd_theta(g, p.k) - edge_prob_matrix(p, lab)) ** 2)
+        return err / (p.k * p.d)
+
+    med = float(np.median(map_trials(ratio, p, "P", trials, seed, "c5")))
     return med <= 32.0, {"median_error_over_kd": med, "bound": 32.0}
 
 
@@ -311,10 +313,7 @@ def _csv_bundle(seed) -> dict:
     """Every CSV-emitting interface exercised once, with timing zeroed."""
     out = {}
     p = SbmParams(600, 40.0, eps=math.sqrt(16.0 / 40.0), k=2, eta=0.1, delta=0.1)
-
-    def stat(g, s, labels=None):
-        return recovery_test_statistic(g, p, seed=s, method="spectral", labels=labels)
-
+    stat = pipeline_statistic(ExperimentConfig(params=p))
     rows = run_test_trials(stat, p, "P", 3, derive_seed(seed, "c10-p")) + run_test_trials(
         stat, p, "Q", 3, derive_seed(seed, "c10-q")
     )

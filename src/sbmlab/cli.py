@@ -20,6 +20,7 @@ from .harness import (
     ExperimentConfig,
     check_spectral_concentration,
     parse_config,
+    run_two_arms,
     sweep_phase,
     write_sweep_csv,
 )
@@ -28,6 +29,7 @@ from .ldlr import exact_ldlr_norm, write_ldlr_csv
 from .model import (
     SbmParams,
     edge_prob_matrix,
+    map_trials,
     membership_matrix,
     sample_er,
     sample_ssbm,
@@ -36,7 +38,7 @@ from .model import (
 )
 from .project import corr_preserving_projection
 from .recover import recovery_rate, run_recovery
-from .reduce import recovery_test_statistic, run_test_trials, write_trial_csv
+from .reduce import write_trial_csv
 from .seeds import derive_seed
 from .split import subsample_edges, write_edge_split
 
@@ -147,15 +149,6 @@ def _open_out(args):
             yield fh
 
 
-def _threshold(cfg, rows_q):
-    if cfg.threshold_policy == "fixed":
-        return cfg.threshold_value
-    if cfg.threshold_policy == "asymptotic":
-        return cfg.asymptotic_threshold()
-    stats_q = np.array([r.statistic for r in rows_q])
-    return float(np.quantile(stats_q, cfg.threshold_quantile))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _load_config(args)
@@ -209,75 +202,32 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "test":
-        eta = cfg.effective_eta()
-        params = replace(p, eta=eta)
-
-        if cfg.pipeline == "learning":
-            from .reduce import learning_test_statistic
-
-            def stat(g, s, labels=None):
-                return learning_test_statistic(g, params, lambda y1: svd_theta(y1, params.k), s)
-
-        elif cfg.pipeline == "recovery":
-
-            def stat(g, s, labels=None):
-                return recovery_test_statistic(
-                    g, params, seed=s, method=cfg.recovery_method, labels=labels
-                )
-
-        elif cfg.pipeline == "graphon":
-            # statistic: distance of the estimated graphon to the flat one.
-            # The fixed radius of graphon_test presumes an estimator below the
-            # achievable error floor, so desk-scale runs calibrate instead.
-            from .learn import gw_constant
-            from .reduce import TestReport
-
-            def stat(g, s, labels=None):
-                w = graphon_from_theta(svd_theta(g, params.k))
-                dist = gw_constant(w, params.d / params.n)
-                return TestReport(dist, 0.0, int(dist >= 0.0), {"pipeline": "graphon"})
-
-        elif cfg.pipeline == "bipartite":
-            from .ldlr import bipartite_quadratic_statistic
-            from .reduce import TestReport
-
-            def stat(g, s, labels=None):
-                val = bipartite_quadratic_statistic(
-                    g, lambda y1: svd_theta(y1, params.k), params, s
-                )
-                return TestReport(val, 0.0, int(val >= 0.0), {"pipeline": "bipartite"})
-
-        else:
-            _log(f"test: pipeline {cfg.pipeline!r} has its own verb; use it instead")
+        try:
+            tau, rows_p, rows_q = run_two_arms(
+                cfg, derive_seed(cfg.seed, "cli-q"), derive_seed(cfg.seed, "cli-p")
+            )
+        except ValueError as exc:
+            _log(f"test: {exc}")
             return 1
-
-        rows_q = run_test_trials(
-            stat, params, "Q", cfg.trials, derive_seed(cfg.seed, "cli-q"), workers=cfg.threads
-        )
-        rows_p = run_test_trials(
-            stat, params, "P", cfg.trials, derive_seed(cfg.seed, "cli-p"), workers=cfg.threads
-        )
-        tau = _threshold(cfg, rows_q)
-        rows = [
-            replace(r, threshold=tau, decision=int(r.statistic >= tau))
-            for r in rows_p + rows_q
-        ]
         with _open_out(args) as fh:
-            write_trial_csv(rows, fh, timing=not args.no_timing)
+            write_trial_csv(rows_p + rows_q, fh, timing=not args.no_timing)
         _log(f"threshold {tau} under policy {cfg.threshold_policy}")
         return 0
 
     if cmd == "learn":
+        first = derive_seed(cfg.seed, "cli-learn-stat", 0)  # trial 0's stat seed
+
+        def error(g, s, labels):
+            theta_hat = svd_theta(g, p.k)
+            if args.graphon_out and s == first:
+                write_graphon(graphon_from_theta(theta_hat), args.graphon_out)
+            return float(np.linalg.norm(theta_hat - edge_prob_matrix(p, labels)) ** 2)
+
+        errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn")
         with _open_out(args) as fh:
             fh.write("trial,frob_error_sq,ratio_to_kd\n")
-            for t in range(cfg.trials):
-                g, labels = sample_ssbm(p, derive_seed(cfg.seed, "cli-learn", t))
-                theta = edge_prob_matrix(p, labels)
-                theta_hat = svd_theta(g, p.k)
-                err = float(np.linalg.norm(theta_hat - theta) ** 2)
+            for t, err in enumerate(errors):
                 fh.write(f"{t},{err!r},{err / (p.k * p.d)!r}\n")
-                if t == 0 and args.graphon_out:
-                    write_graphon(graphon_from_theta(theta_hat), args.graphon_out)
         return 0
 
     if cmd == "ldlr":
@@ -293,7 +243,11 @@ def main(argv=None) -> int:
         except ValueError:
             _log("sweep: grid must be comma-separated numbers")
             return 1
-        points = sweep_phase(cfg, grid)
+        try:
+            points = sweep_phase(cfg, grid)
+        except ValueError as exc:
+            _log(f"sweep: {exc}")
+            return 1
         with _open_out(args) as fh:
             write_sweep_csv(points, cfg.trials, fh, timing=not args.no_timing)
         return 0

@@ -16,8 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .model import Graph, SbmParams, edge_prob_matrix, membership_matrix, sample_ssbm
-from .reduce import recovery_test_statistic, run_test_trials
+from .learn import graphon_from_theta, gw_constant, svd_theta
+from .ldlr import bipartite_quadratic_statistic
+from .model import Graph, SbmParams, edge_prob_matrix, map_trials, membership_matrix
+from .reduce import (
+    TestReport,
+    le_cam_score,
+    learning_test_statistic,
+    recovery_test_statistic,
+    run_test_trials,
+)
 from .seeds import derive_seed, unit_vector
 
 PIPELINES = ("recovery", "learning", "graphon", "ldlr", "bipartite")
@@ -169,32 +177,62 @@ class PhasePoint:
     status: str
 
 
-def _arm_trials(cfg: ExperimentConfig, params: SbmParams, arm: str, seed: int):
-    method = cfg.recovery_method
+def pipeline_statistic(cfg: ExperimentConfig):
+    """cfg's per-trial statistic, (graph, stat_seed, labels) -> TestReport.
+
+    Scores with eta from cfg.effective_eta(); the reports carry threshold 0.
+    The ldlr pipeline has its own verb and is rejected with ValueError.
+    """
+    if cfg.pipeline == "ldlr":
+        raise ValueError(f"pipeline {cfg.pipeline!r} has its own verb; use it instead")
+    params = replace(cfg.params, eta=cfg.effective_eta())
+
+    def learner(y1):
+        return svd_theta(y1, params.k)
 
     def stat(g, s, labels=None):
-        # the oracle baseline only exists under the planted law; the null arm
-        # degrades it to the signal-free random baseline
-        m = method if labels is not None or method != "oracle" else "random"
-        return recovery_test_statistic(g, params, seed=s, method=m, labels=labels)
+        if cfg.pipeline == "recovery":
+            # the oracle baseline only exists under the planted law; the null
+            # arm degrades it to the signal-free random baseline
+            oracle_null = cfg.recovery_method == "oracle" and labels is None
+            method = "random" if oracle_null else cfg.recovery_method
+            return recovery_test_statistic(g, params, seed=s, method=method, labels=labels)
+        if cfg.pipeline == "learning":
+            return learning_test_statistic(g, params, learner, s)
+        if cfg.pipeline == "graphon":
+            # distance of the estimated graphon to the flat one.  The fixed
+            # radius of graphon_test presumes an estimator below the achievable
+            # error floor, so desk-scale runs calibrate instead.
+            val = gw_constant(graphon_from_theta(learner(g)), params.d / params.n)
+        else:
+            val = bipartite_quadratic_statistic(g, learner, params, s)
+        return TestReport(val, 0.0, int(val >= 0.0), {"pipeline": cfg.pipeline})
 
-    return run_test_trials(stat, params, arm, cfg.trials, seed, workers=cfg.threads)
+    return stat
 
 
-def _point_from_trials(rows_p, rows_q, quantile):
-    """Calibrate on the Q arm, then score both arms against the quantile."""
-    stats_q = np.array([r.statistic for r in rows_q])
-    tau = float(np.quantile(stats_q, quantile))
-    dec_q = np.array([s >= tau for s in stats_q], dtype=float)
-    stats_p = np.array([r.statistic for r in rows_p])
-    dec_p = np.array([s >= tau for s in stats_p], dtype=float)
-    var_q = float(np.var(dec_q, ddof=1))
-    gap = float(dec_p.mean() - dec_q.mean())
-    if var_q == 0.0:
-        r_value = math.inf if gap > 0 else (-math.inf if gap < 0 else math.nan)
+def run_two_arms(cfg: ExperimentConfig, seed_q: int, seed_p: int):
+    """cfg's pipeline on cfg.trials fresh draws of each arm, then calibrate and decide.
+
+    The threshold follows cfg.threshold_policy: threshold_value when fixed,
+    asymptotic_threshold() when asymptotic, else the threshold_quantile of
+    the Q arm's statistics.  Returns (tau, rows_p, rows_q), every row decided
+    against tau.
+    """
+    stat = pipeline_statistic(cfg)
+    rows_q = run_test_trials(stat, cfg.params, "Q", cfg.trials, seed_q, cfg.threads)
+    rows_p = run_test_trials(stat, cfg.params, "P", cfg.trials, seed_p, cfg.threads)
+    if cfg.threshold_policy == "fixed":
+        tau = cfg.threshold_value
+    elif cfg.threshold_policy == "asymptotic":
+        tau = cfg.asymptotic_threshold()
     else:
-        r_value = gap / math.sqrt(var_q)
-    return tau, float(dec_p.mean()), float(dec_q.mean()), r_value, stats_p, stats_q
+        tau = float(np.quantile(np.array([r.statistic for r in rows_q]), cfg.threshold_quantile))
+
+    def decide(rows):
+        return [replace(r, threshold=tau, decision=int(r.statistic >= tau)) for r in rows]
+
+    return tau, decide(rows_p), decide(rows_q)
 
 
 def sweep_seed(seed: int, arm: str, snr: float) -> int:
@@ -207,7 +245,15 @@ def sweep_seed(seed: int, arm: str, snr: float) -> int:
 
 
 def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
-    """One calibrated testing experiment per SNR grid value, ordered by SNR."""
+    """One run_two_arms experiment per SNR grid value, eps set from the SNR.
+
+    Points are ordered by SNR.  eta.policy = slack is rejected: it is
+    undefined at SNR >= 1.
+    """
+    if cfg.eta_policy == "slack":
+        raise ValueError(
+            "eta.policy = slack is undefined at SNR >= 1; sweep with eta.policy = fixed"
+        )
     points = []
     for snr in sorted(snr_grid):
         if snr <= 0:
@@ -219,21 +265,20 @@ def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
                 PhasePoint(snr, eps, math.nan, math.nan, math.nan, math.nan, math.nan, 0.0, "eps_gt_1")
             )
             continue
-        params = replace(cfg.params, eps=eps)
-        rows_q = _arm_trials(cfg, params, "Q", sweep_seed(cfg.seed, "Q", snr))
-        rows_p = _arm_trials(cfg, params, "P", sweep_seed(cfg.seed, "P", snr))
-        _, power, size, r_value, stats_p, stats_q = _point_from_trials(
-            rows_p, rows_q, cfg.threshold_quantile
+        point = replace(cfg, params=replace(cfg.params, eps=eps))
+        _, rows_p, rows_q = run_two_arms(
+            point, sweep_seed(cfg.seed, "Q", snr), sweep_seed(cfg.seed, "P", snr)
         )
+        score = le_cam_score([r.decision for r in rows_p], [r.decision for r in rows_q])
         points.append(
             PhasePoint(
                 snr=snr,
                 eps=eps,
-                power=power,
-                size=size,
-                r_value=r_value,
-                median_stat_p=float(np.median(stats_p)),
-                median_stat_q=float(np.median(stats_q)),
+                power=score.mean_p,
+                size=score.mean_q,
+                r_value=score.r_value,
+                median_stat_p=float(np.median([r.statistic for r in rows_p])),
+                median_stat_q=float(np.median([r.statistic for r in rows_q])),
                 runtime_s=time.perf_counter() - t0,
                 status="ok",
             )
@@ -293,12 +338,13 @@ def check_spectral_concentration(params: SbmParams, trials: int, seed: int) -> C
     """Max over trials of |A - theta|_op against the sqrt(d log n) scale."""
     if params.d < 1:
         raise ValueError("need average degree at least 1")
-    norms = []
-    for t in range(trials):
-        g, labels = sample_ssbm(params, derive_seed(seed, "concentration", t))
+
+    def norm(g, s, labels):
         theta = edge_prob_matrix(params, labels)
         np.fill_diagonal(theta, 0.0)
-        norms.append(centered_operator_norm(g, theta))
+        return centered_operator_norm(g, theta)
+
+    norms = map_trials(norm, params, "P", trials, seed, "concentration")
     bound = 3.0 * math.sqrt(params.d * math.log(params.n))
     scale = math.sqrt(params.d * math.log(params.n))
     return ConcentrationReport(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, SbmParams, sample_er, sample_ssbm
-from .seeds import derive_seed, stream_rng
+from .model import Graph, SbmParams, map_trials
+from .seeds import stream_rng
 
 _SUPPORT_LIMIT = 16  # k^support enumeration cap
 DEFAULT_WORK_BUDGET = 5e8
@@ -215,13 +215,7 @@ def mc_moments(statistic_fn, params: SbmParams, arm: str, trials: int, seed: int
     """Sample moments of a scalar statistic under the planted or null law."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
-    if arm not in ("P", "Q"):
-        raise ValueError("arm must be 'P' or 'Q'")
-    vals = []
-    for t in range(trials):
-        gseed = derive_seed(seed, f"mc-{arm}", t)
-        g = sample_ssbm(params, gseed)[0] if arm == "P" else sample_er(params.n, params.d, gseed)
-        vals.append(statistic_fn(g, derive_seed(seed, f"mc-{arm}-stat", t)))
+    vals = map_trials(lambda g, s, _: statistic_fn(g, s), params, arm, trials, seed, f"mc-{arm}")
     mean = float(np.mean(vals))
     var = float(np.var(vals, ddof=1)) if trials > 1 else 0.0
     return McMoments(mean=mean, var=var, std_error=math.sqrt(var / trials), trials=trials)

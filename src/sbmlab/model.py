@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sps
 
-from .seeds import stream_rng
+from .seeds import derive_seed, stream_rng
 
 # Largest n at which eigenproblems on an n x n graph matrix are solved densely;
 # above it the solvers switch to Lanczos on the sparse adjacency.
@@ -300,6 +300,37 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     rng = stream_rng(seed, "edges-null")
     p = d / n
     return _sample_block_pairs(n, Labels(np.zeros(n, dtype=np.int64), 1), p, p, rng)
+
+
+def map_trials(
+    evaluate, params: SbmParams, arm: str, trials: int, seed: int, stream: str, workers: int = 1
+) -> list:
+    """evaluate(graph, stat_seed, labels) on `trials` fresh draws of one arm.
+
+    Trial t draws its graph from derive_seed(seed, stream, t): SSBM(params)
+    with its labels on arm P, G(n, d/n) with labels None on arm Q.  evaluate
+    receives derive_seed(seed, stream + "-stat", t).  Each trial owns its
+    seeds, so with `workers` > 1 the trials run on a thread pool and the
+    results still come back in trial order, equal to those of one worker,
+    which runs the trials in order in the calling thread.
+    """
+    if arm not in ("P", "Q"):
+        raise ValueError("arm must be 'P' or 'Q'")
+
+    def one(t: int):
+        graph_seed = derive_seed(seed, stream, t)
+        if arm == "P":
+            graph, labels = sample_ssbm(params, graph_seed)
+        else:
+            graph, labels = sample_er(params.n, params.d, graph_seed), None
+        return evaluate(graph, derive_seed(seed, f"{stream}-stat", t), labels)
+
+    if workers <= 1:
+        return [one(t) for t in range(trials)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(trials)))
 
 
 def sbm_graphon(params: SbmParams) -> BlockGraphon:

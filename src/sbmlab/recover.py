@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .factored import Factored
 from .model import DENSE_EIG_LIMIT as _DENSE_EIG_LIMIT  # module global: tests lower it
-from .model import Graph, Labels, SbmParams, membership_matrix, sample_labels
+from .model import Graph, Labels, SbmParams, sample_labels
 from .seeds import unit_vector
 
 
@@ -92,15 +92,6 @@ def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.nd
     return vals, vecs
 
 
-def spectral_membership(y1: Graph, k: int, d_hat: float) -> np.ndarray:
-    """Rank-k spectral truncation of the centered adjacency, symmetrized."""
-    vals, vecs = spectral_factors(y1, k, d_hat)
-    if np.all(np.abs(vals) < 1e-12):
-        raise ValueError("spectral truncation vanished; no usable estimate")
-    m = (vecs * vals) @ vecs.T
-    return (m + m.T) / 2.0
-
-
 def membership_factors(labels: Labels) -> tuple[np.ndarray, np.ndarray]:
     """Exact low-rank eigenpairs of the membership matrix of the labels."""
     n, k = labels.n, labels.k
@@ -117,12 +108,6 @@ def membership_factors(labels: Labels) -> tuple[np.ndarray, np.ndarray]:
 def random_labels(n: int, k: int, seed: int) -> Labels:
     """Uniformly random labels (the signal-free baseline)."""
     return sample_labels(SbmParams(n, 1.0, k=k), seed)
-
-
-def random_membership(n: int, k: int, seed: int) -> tuple[np.ndarray, Labels]:
-    """Membership matrix of uniformly random labels (signal-free baseline)."""
-    labels = random_labels(n, k, seed)
-    return membership_matrix(labels), labels
 
 
 def run_recovery(

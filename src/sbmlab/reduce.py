@@ -26,7 +26,7 @@ import numpy as np
 
 from .factored import Factored
 from .learn import gw_constant
-from .model import BlockGraphon, Graph, Labels, SbmParams, sample_er, sample_ssbm
+from .model import BlockGraphon, Graph, Labels, SbmParams, map_trials
 from .project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
@@ -213,11 +213,11 @@ def calibrate_threshold(
         raise ValueError("need at least 50 null trials to calibrate")
     if not 0.5 < quantile < 1.0:
         raise ValueError("quantile must lie in (0.5, 1)")
-    values = []
-    for t in range(trials):
-        g = sample_er(params.n, params.d, derive_seed(seed, "calibrate", t))
-        values.append(statistic_fn(g, derive_seed(seed, "calibrate-stat", t), None).statistic)
-    values = np.array(values)
+
+    def statistic(g, s, labels):
+        return statistic_fn(g, s, labels).statistic
+
+    values = np.array(map_trials(statistic, params, "Q", trials, seed, "calibrate"))
     if np.all(values == values[0]):
         raise ValueError("degenerate null sample: all statistics equal")
     return float(np.quantile(values, quantile))
@@ -237,21 +237,26 @@ def empirical_r(statistic_fn, params: SbmParams, trials: int, seed: int) -> RSco
     """
     if trials < 50:
         raise ValueError("need at least 50 trials per arm")
-    p_vals = []
-    q_vals = []
-    for t in range(trials):
-        gp, _ = sample_ssbm(params, derive_seed(seed, "r-planted", t))
-        p_vals.append(statistic_fn(gp, derive_seed(seed, "r-planted-stat", t)))
-        gq = sample_er(params.n, params.d, derive_seed(seed, "r-null", t))
-        q_vals.append(statistic_fn(gq, derive_seed(seed, "r-null-stat", t)))
+    return le_cam_score(
+        map_trials(lambda g, s, _: statistic_fn(g, s), params, "P", trials, seed, "r-planted"),
+        map_trials(lambda g, s, _: statistic_fn(g, s), params, "Q", trials, seed, "r-null"),
+    )
+
+
+def le_cam_score(p_vals, q_vals) -> RScore:
+    """(mean_P - mean_Q) / sqrt(Var_Q) of per-trial values, one list per arm.
+
+    A null arm without spread is flagged degenerate, with R = +-inf, or nan
+    when the means agree too.
+    """
     mean_p = float(np.mean(p_vals))
     mean_q = float(np.mean(q_vals))
     var_q = float(np.var(q_vals, ddof=1))
     gap = mean_p - mean_q
     if var_q == 0.0:
         r = math.inf if gap > 0 else (-math.inf if gap < 0 else math.nan)
-        return RScore(mean_p, mean_q, var_q, r, trials, degenerate=True)
-    return RScore(mean_p, mean_q, var_q, gap / math.sqrt(var_q), trials, degenerate=False)
+        return RScore(mean_p, mean_q, var_q, r, len(p_vals), degenerate=True)
+    return RScore(mean_p, mean_q, var_q, gap / math.sqrt(var_q), len(p_vals), degenerate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +281,20 @@ def run_test_trials(
 
     statistic_fn(graph, stat_seed, labels) -> TestReport; labels carries the
     planted ground truth on the P arm (None on the Q arm) so oracle baselines
-    and rate bookkeeping can see it.  Workers are stateless (each trial owns
-    its derived seed) and results merge in trial-index order, so the output
-    is independent of scheduling.
+    and rate bookkeeping can see it.  The draws come from map_trials on the
+    stream trial-<arm>; each row's seed is its trial's graph seed, and its
+    wall time covers the statistic alone.
     """
-    if arm not in ("P", "Q"):
-        raise ValueError("arm must be 'P' or 'Q'")
 
-    def one_trial(t: int) -> TrialRow:
-        trial_seed = derive_seed(seed, f"trial-{arm}", t)
-        stat_seed = derive_seed(seed, f"trial-{arm}-stat", t)
-        if arm == "P":
-            g, labels = sample_ssbm(params, trial_seed)
-        else:
-            g = sample_er(params.n, params.d, trial_seed)
-            labels = None
+    def timed(g, s, labels):
         t0 = time.perf_counter()
-        report = statistic_fn(g, stat_seed, labels)
-        wall = (time.perf_counter() - t0) * 1000.0
-        return TrialRow(
-            seed=trial_seed,
+        report = statistic_fn(g, s, labels)
+        return report, (time.perf_counter() - t0) * 1000.0
+
+    stream = f"trial-{arm}"
+    return [
+        TrialRow(
+            seed=derive_seed(seed, stream, t),
             arm=arm,
             statistic=report.statistic,
             threshold=report.threshold,
@@ -303,13 +302,10 @@ def run_test_trials(
             recovery_rate=report.side_channel.get("recovery_rate"),
             wall_time_ms=wall,
         )
-
-    if workers <= 1:
-        return [one_trial(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_trial, range(trials)))
+        for t, (report, wall) in enumerate(
+            map_trials(timed, params, arm, trials, seed, stream, workers)
+        )
+    ]
 
 
 def write_trial_csv(rows, fh, timing: bool = True) -> None:

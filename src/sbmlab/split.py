@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, SbmParams, edge_prob_matrix, sample_ssbm
+from .model import Graph, SbmParams, edge_prob_matrix, map_trials
 from .seeds import stream_rng
 
 
@@ -78,31 +78,24 @@ class DecouplingReport:
 def decoupling_diagnostics(params: SbmParams, trials: int, seed: int) -> DecouplingReport:
     """Estimate E[Ytilde2 - Y2], E[(Ytilde2 - Y2)^2] and corr(Ytilde2, Y1).
 
-    Pools all off-diagonal pairs over `trials` independent SSBM draws.
+    Pools all off-diagonal pairs over `trials` independent SSBM draws, from
+    map_trials on the stream "decoupling"; each trial's split uses its stat seed.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for stable diagnostics")
-    n = params.n
-    iu, ju = np.triu_indices(n, 1)
-    gap_sum = 0.0
-    gap_sq_sum = 0.0
-    # streaming accumulators for corr(Ytilde2, Y1) over pooled pairs
-    sx = sy = sxx = syy = sxy = 0.0
-    for t in range(trials):
-        s = seed + t
-        g, labels = sample_ssbm(params, s)
-        theta = edge_prob_matrix(params, labels)
+    iu, ju = np.triu_indices(params.n, 1)
+
+    def sums(g, s, labels):
+        # per-trial sums for the pooled moments and corr(Ytilde2, Y1)
         sp = subsample_edges(g, params.eta, s)
-        yt = decouple(sp, theta)[iu, ju]
+        yt = decouple(sp, edge_prob_matrix(params, labels))[iu, ju]
         y1 = sp.y1.adjacency()[iu, ju]
         gap = yt - sp.y2.adjacency()[iu, ju]
-        gap_sum += gap.sum()
-        gap_sq_sum += (gap**2).sum()
-        sx += yt.sum()
-        sy += y1.sum()
-        sxx += (yt**2).sum()
-        syy += (y1**2).sum()
-        sxy += (yt * y1).sum()
+        return [x.sum() for x in (gap, gap**2, yt, y1, yt**2, y1**2, yt * y1)]
+
+    gap_sum, gap_sq_sum, sx, sy, sxx, syy, sxy = np.sum(
+        map_trials(sums, params, "P", trials, seed, "decoupling"), axis=0
+    )
     n_entries = trials * iu.size
     cov = sxy / n_entries - (sx / n_entries) * (sy / n_entries)
     vx = sxx / n_entries - (sx / n_entries) ** 2

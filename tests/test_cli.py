@@ -70,6 +70,22 @@ def test_test_verb_byte_stable(tmp_path):
     assert arms == {"P", "Q"}
 
 
+def test_test_verb_oracle_null_arm_uses_random_baseline(tmp_path):
+    # the oracle needs the planted labels, which the null arm does not have
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(
+        "params.n = 150\nparams.d = 10.0\nparams.eps = 0.6\nrecovery.method = oracle\n"
+        "trials = 4\nseed = 11\n"
+    )
+    out = tmp_path / "oracle.csv"
+    assert main(["--config", str(cfg), "--out", str(out), "test", "--no-timing"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    q_rows = [r for r in rows if r[1] == "Q"]
+    assert len(q_rows) == 4
+    assert any(float(r[2]) != 0.0 for r in q_rows)
+    assert sum(int(r[4]) for r in q_rows) / len(q_rows) < 1.0
+
+
 def test_learn_verb(tmp_path, capsys):
     gout = tmp_path / "w.txt"
     assert main(
@@ -162,6 +178,7 @@ def test_test_verb_pipelines(tmp_path):
     cfg3 = tmp_path / "l.cfg"
     cfg3.write_text("params.n = 100\nparams.d = 8.0\npipeline = ldlr\n")
     assert main(["--config", str(cfg3), "test"]) == 1
+    assert main(["--config", str(cfg3), "sweep", "--grid", "1.0"]) == 1
 
 
 def test_accept_json_wiring(tmp_path, monkeypatch):
@@ -218,36 +235,66 @@ def test_accept_json_unbounded_budget_is_null(tmp_path, monkeypatch):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _readme_command(verb):
-    """The README's `sbmlab ... <verb> --out ...` example as an argv list."""
+VERBS = (
+    "sample", "split", "recover", "project", "test", "learn", "ldlr", "sweep", "check", "accept",
+)
+
+
+def _readme_examples():
+    """Every `sbmlab ...` line of README.md as an argv list, comments dropped."""
     for line in README.read_text().splitlines():
-        words = line.split()
-        if words[:1] == ["sbmlab"] and verb in words and "--out" in words[words.index(verb):]:
-            return words[1:]
-    raise AssertionError(f"README has no `{verb} --out` example")
+        words = line.split("#")[0].split()
+        if words[:1] == ["sbmlab"]:
+            yield words[1:]
 
 
-def _reduced(argv, out, **sizes):
-    """Point --out at `out` and replace the given flag values."""
+def _reduced(argv, tmp_path):
+    """Smaller n and trials, the fast battery for the full one, files under tmp_path."""
     argv = list(argv)
-    argv[argv.index("--out") + 1] = str(out)
-    for flag, value in sizes.items():
-        argv[argv.index(f"--{flag}") + 1] = str(value)
+    for flag, cap in (("--n", 200), ("--trials", 3)):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            argv[i] = str(min(int(argv[i]), cap))
+    if "--suite" in argv:
+        argv[argv.index("--suite") + 1] = "fast"
+    for flag in ("--out", "--prefix"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            argv[i] = str(tmp_path / argv[i])
     return argv
 
 
-def test_readme_out_examples_run(tmp_path):
-    # the README puts --out after the verb; both verbs must accept it there
-    out = tmp_path / "graph.txt"
-    assert main(_reduced(_readme_command("sample"), out, n=200)) == 0
-    n, m = map(int, out.read_text().splitlines()[0].split())  # header `n m`
-    assert n == 200 and len(out.read_text().splitlines()) == m + 1
-
-    out = tmp_path / "trials.csv"
-    assert main(_reduced(_readme_command("test"), out, n=200, trials=3)) == 0
-    header = out.read_text().splitlines()[0]
-    assert f"Trial CSV columns: `{header}`" in README.read_text()
-    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+def test_readme_out_examples_run(tmp_path, capsys):
+    # every README example runs as written, global flags on either side of the
+    # verb, and each CSV it writes has the header README documents
+    readme = README.read_text()
+    examples = [_reduced(argv, tmp_path) for argv in _readme_examples()]
+    assert {next(w for w in argv if w in VERBS) for argv in examples} == set(VERBS)
+    done = []
+    for argv in examples:
+        if argv in done:
+            continue
+        done.append(argv)
+        verb = next(w for w in argv if w in VERBS)
+        capsys.readouterr()
+        code = main(argv)
+        assert code == 0 or (verb == "accept" and code == 2), (argv, code)
+        if verb == "split":
+            prefix = argv[argv.index("--prefix") + 1]
+            assert all(Path(f"{prefix}.{ext}").exists() for ext in ("y1", "y2", "meta"))
+            continue
+        if "--out" in argv:
+            lines = Path(argv[argv.index("--out") + 1]).read_text().splitlines()
+        else:
+            lines = capsys.readouterr().out.splitlines()
+        if verb == "sample":
+            n, m = map(int, lines[0].split())  # header `n m`
+            assert n == 200 and len(lines) == m + 1
+        else:
+            assert f"`{lines[0]}`" in readme, (verb, lines[0])
+        if verb == "test":
+            assert f"Trial CSV columns: `{lines[0]}`" in readme
+            assert len(lines) == 1 + 2 * 3
 
 
 def test_global_flags_on_both_sides_of_the_verb(tmp_path):

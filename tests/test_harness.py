@@ -14,7 +14,9 @@ from sbmlab.harness import (
     write_config,
     write_sweep_csv,
 )
-from sbmlab.model import Graph, SbmParams
+from sbmlab.learn import graphon_from_theta, gw_constant, svd_theta
+from sbmlab.model import Graph, SbmParams, sample_ssbm
+from sbmlab.seeds import derive_seed
 
 
 def test_config_roundtrip():
@@ -163,3 +165,31 @@ def test_sweep_seed_distinguishes_close_snrs():
     for arm in ("P", "Q"):
         assert sweep_seed(7, arm, 1.0) != sweep_seed(7, arm, 1.0 + 1e-9)
     assert sweep_seed(7, "P", 1.0) != sweep_seed(7, "Q", 1.0)
+
+
+def test_sweep_honours_pipeline_and_threshold_policy():
+    cfg = parse_config(
+        "params.n = 150\nparams.d = 10.0\nparams.eps = 0.6\npipeline = graphon\n"
+        "threshold.policy = fixed\nthreshold.value = 1e9\ntrials = 4\nseed = 3\n"
+    )
+    (pt,) = sweep_phase(cfg, [1.0])
+    assert pt.power == 0.0 and pt.size == 0.0
+    # the P arm's statistics are graphon distances, not recovery scores
+    p = SbmParams(150, 10.0, eps=pt.eps, k=2)
+    seed_p = sweep_seed(cfg.seed, "P", 1.0)
+    dists = [
+        gw_constant(
+            graphon_from_theta(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2)),
+            p.d / p.n,
+        )
+        for t in range(4)
+    ]
+    assert pt.median_stat_p == float(np.median(dists))
+
+
+def test_sweep_rejects_ldlr_and_slack():
+    base = "params.n = 150\nparams.d = 10.0\ntrials = 2\n"
+    with pytest.raises(ValueError, match="ldlr"):
+        sweep_phase(parse_config(base + "pipeline = ldlr\n"), [1.0])
+    with pytest.raises(ValueError, match="eta.policy"):
+        sweep_phase(parse_config(base + "eta.policy = slack\n"), [0.25])

@@ -15,6 +15,7 @@ from sbmlab.model import (
     block_of,
     edge_prob_matrix,
     ks_snr,
+    map_trials,
     membership_matrix,
     read_edge_list,
     read_labels,
@@ -26,7 +27,7 @@ from sbmlab.model import (
     write_labels,
 )
 from sbmlab.model import _sample_block_pairs
-from sbmlab.seeds import stream_rng
+from sbmlab.seeds import derive_seed, stream_rng
 
 
 def test_params_validation():
@@ -365,3 +366,53 @@ def test_from_edge_array_mixed_orientation_loop_duplicate():
     # out-of-range endpoints are rejected, not folded into other pairs
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edge_array(5, np.array([[0, 7]]))
+
+
+def test_map_trials_streams_and_laws(monkeypatch):
+    import sbmlab.model as model
+
+    p = SbmParams(60, 5.0, eps=0.5, k=2)
+    drawn = []
+    for name in ("sample_ssbm", "sample_er"):
+        real = getattr(model, name)
+
+        def spy(*args, _real=real, _name=name):
+            drawn.append((_name, args[-1]))
+            return _real(*args)
+
+        monkeypatch.setattr(model, name, spy)
+
+    def record(g, s, labels):
+        return g, s, labels
+
+    for arm, sampler in (("P", "sample_ssbm"), ("Q", "sample_er")):
+        drawn.clear()
+        out = map_trials(record, p, arm, 3, 7, "probe")
+        # trial t draws from derive_seed(seed, stream, t), evaluates on stream-stat
+        assert drawn == [(sampler, derive_seed(7, "probe", t)) for t in range(3)]
+        assert [s for _, s, _ in out] == [derive_seed(7, "probe-stat", t) for t in range(3)]
+        for t, (g, _, labels) in enumerate(out):
+            if arm == "P":
+                ref, ref_labels = sample_ssbm(p, derive_seed(7, "probe", t))
+                assert np.array_equal(labels.assignment, ref_labels.assignment)
+            else:
+                ref = sample_er(p.n, p.d, derive_seed(7, "probe", t))
+                assert labels is None
+            assert np.array_equal(g.edges, ref.edges)
+
+
+def test_map_trials_rejects_bad_arm():
+    with pytest.raises(ValueError, match="arm"):
+        map_trials(lambda g, s, labels: 0, SbmParams(20, 3.0), "X", 2, 0, "probe")
+
+
+def test_map_trials_workers_keep_trial_order():
+    p = SbmParams(80, 6.0, eps=0.5, k=2)
+
+    def summary(g, s, labels):
+        return s, g.edges.tobytes(), None if labels is None else labels.assignment.tobytes()
+
+    for arm in ("P", "Q"):
+        assert map_trials(summary, p, arm, 7, 3, "order", workers=3) == map_trials(
+            summary, p, arm, 7, 3, "order", workers=1
+        )

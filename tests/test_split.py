@@ -146,6 +146,28 @@ def test_decoupling_diagnostics_bounds():
     assert abs(rep.corr_with_y1) <= 4 / math.sqrt(rep.n_entries)
 
 
+def test_decoupling_diagnostics_adjacent_masters_draw_disjoint_graphs(monkeypatch):
+    # seeding trial t with master + t made masters s and s + 1 share 99 of 100 draws
+    import sbmlab.model as model
+    import sbmlab.split as split
+
+    seen = []
+
+    def spy(params, seed, *args, **kwargs):
+        seen.append(seed)
+        return sample_ssbm(params, seed, *args, **kwargs)
+
+    monkeypatch.setattr(model, "sample_ssbm", spy)
+    monkeypatch.setattr(split, "sample_ssbm", spy, raising=False)
+    draws = {}
+    for master in (5, 6):
+        seen.clear()
+        decoupling_diagnostics(SbmParams(30, 3.0, eps=0.5, k=2, eta=0.2), trials=100, seed=master)
+        draws[master] = set(seen)
+    assert len(draws[5]) == len(draws[6]) == 100
+    assert not draws[5] & draws[6]
+
+
 def test_diagnostics_requires_enough_trials():
     with pytest.raises(ValueError):
         decoupling_diagnostics(SbmParams(50, 3.0), trials=10, seed=0)
