@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import SUITES, acceptance_csv, run_acceptance
+from .factored import Factored
 from .harness import (
     ExperimentConfig,
     check_spectral_concentration,
@@ -30,14 +31,13 @@ from .model import (
     SbmParams,
     edge_prob_matrix,
     map_trials,
-    membership_matrix,
     sample_er,
     sample_ssbm,
     write_edge_list,
     write_labels,
 )
-from .project import corr_preserving_projection
-from .recover import recovery_rate, run_recovery
+from .project import ProjectionSpec, corr_preserving_projection
+from .recover import membership_factors, recovery_rate, run_recovery
 from .reduce import write_trial_csv
 from .seeds import derive_seed
 from .split import subsample_edges, write_edge_split
@@ -188,11 +188,9 @@ def main(argv=None) -> int:
     if cmd == "project":
         g, labels = sample_ssbm(p, cfg.seed)
         res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
-        from .project import ProjectionSpec
-
         spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=2000)
-        rep = corr_preserving_projection(None, spec, factors=res.factors)
-        rate_after = recovery_rate(rep.m_hat, membership_matrix(labels))
+        rep = corr_preserving_projection(res.estimate, spec)
+        rate_after = recovery_rate(rep.estimate, Factored.from_eig(*membership_factors(labels)))
         with _open_out(args) as fh:
             fh.write("method,rate_before,rate_after,iterations,max_violation,n_norm,backend\n")
             fh.write(
@@ -223,7 +221,7 @@ def main(argv=None) -> int:
                 write_graphon(graphon_from_theta(theta_hat), args.graphon_out)
             return float(np.linalg.norm(theta_hat - edge_prob_matrix(p, labels)) ** 2)
 
-        errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn")
+        errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn", cfg.threads)
         with _open_out(args) as fh:
             fh.write("trial,frob_error_sq,ratio_to_kd\n")
             for t, err in enumerate(errors):
@@ -253,7 +251,7 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "check":
-        rep = check_spectral_concentration(p, trials=cfg.trials, seed=cfg.seed)
+        rep = check_spectral_concentration(p, trials=cfg.trials, seed=cfg.seed, workers=cfg.threads)
         with _open_out(args) as fh:
             fh.write("max_norm,mean_norm,bound,max_ratio,trials\n")
             fh.write(

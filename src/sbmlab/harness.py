@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .learn import graphon_from_theta, gw_constant, svd_theta
 from .ldlr import bipartite_quadratic_statistic
-from .model import Graph, SbmParams, edge_prob_matrix, map_trials, membership_matrix
+from .model import Graph, SbmParams, edge_prob_matrix, map_trials
 from .reduce import (
     TestReport,
     le_cam_score,
@@ -311,17 +311,12 @@ class ConcentrationReport:
     trials: int
 
 
-def centered_operator_norm(graph: Graph, theta: np.ndarray | None, labels=None, params=None) -> float:
+def centered_operator_norm(graph: Graph, theta: np.ndarray) -> float:
     """Operator norm of A - theta via Lanczos on the implicitly centered matrix."""
     n = graph.n
-    if graph.edge_count == 0 and (theta is None or not np.any(theta)):
+    if graph.edge_count == 0 and not np.any(theta):
         return 0.0
     a = graph.sparse()
-    if theta is None:
-        # structured theta from labels: (eps d / n) M + (d/n) J, zero diagonal
-        mm = membership_matrix(labels)
-        theta = (params.eps * params.d / params.n) * mm + params.d / params.n
-        np.fill_diagonal(theta, 0.0)
 
     def matvec(x):
         return a @ x - theta @ x
@@ -334,7 +329,9 @@ def centered_operator_norm(graph: Graph, theta: np.ndarray | None, labels=None, 
     return float(max(hi[0], lo[0]))
 
 
-def check_spectral_concentration(params: SbmParams, trials: int, seed: int) -> ConcentrationReport:
+def check_spectral_concentration(
+    params: SbmParams, trials: int, seed: int, workers: int = 1
+) -> ConcentrationReport:
     """Max over trials of |A - theta|_op against the sqrt(d log n) scale."""
     if params.d < 1:
         raise ValueError("need average degree at least 1")
@@ -344,7 +341,7 @@ def check_spectral_concentration(params: SbmParams, trials: int, seed: int) -> C
         np.fill_diagonal(theta, 0.0)
         return centered_operator_norm(g, theta)
 
-    norms = map_trials(norm, params, "P", trials, seed, "concentration")
+    norms = map_trials(norm, params, "P", trials, seed, "concentration", workers)
     bound = 3.0 * math.sqrt(params.d * math.log(params.n))
     scale = math.sqrt(params.d * math.log(params.n))
     return ConcentrationReport(

@@ -11,23 +11,24 @@ least delta with a member Y of K' scaled to norm_target, the output keeps at
 least half that correlation with Y, and |N|_F >= delta * norm_target holds by
 Cauchy-Schwarz.  The rescaled output lands in the 1/delta-inflated set K.
 
-The search runs Dykstra's alternating projections over the four sets (each
-projection is closed form given one symmetric eigendecomposition).  A fast
-backend handles the common pipeline case where M0 is low rank and given by
-its eigenpairs: every Dykstra iterate then lives in span{eigenvectors of M0,
-all-ones, adjoined vertex axes} plus a multiple of the complementary
-identity, so sweeps cost O(n r^2) instead of an n x n eigendecomposition.
-Entry-bound violations are detected by a certified row scan and clipped
-inside the family once the affected vertex axes are adjoined.
+The search runs Dykstra's alternating projections over the four sets in one
+loop, `_dykstra`, which owns the corrections, residuals, stall test, stopping
+rule and sweep cap.  It runs over one of two states, each fixing the point
+representation and the closed-form projections.  The dense state holds X as
+an n x n array (one symmetric eigendecomposition per sweep); it serves dense
+inputs, is the fallback when too many vertex axes are adjoined, and remains
+the reference implementation.  The subspace state serves a low-rank M0 given
+as a `Factored` of its eigenpairs: every Dykstra iterate then lives in
+span{eigenvectors of M0, all-ones, adjoined vertex axes} plus a multiple of
+the complementary identity, so it holds coordinates (C, alpha) and a sweep
+costs O(n r^2).  Entry-bound violations are detected by a certified row scan
+and clipped inside the family once the affected vertex axes are adjoined.
 
-The subspace backend returns its solution in factored form, a `Factored`
-s (V C V^T + alpha (I - V V^T)); |N|_F and <M0, N> are computed from the
-coordinates, and the report's `estimate` is that factored matrix.  The
-pipeline scores it without ever building an n x n array.  The dense
-`m_hat` is materialised only when a caller reads it (tests, the acceptance
-certificate, the CLI `project` verb).  The dense solver handles full-rank
-inputs, serves as the fallback when too many vertex axes are adjoined, and
-remains the reference implementation; its report carries a dense estimate.
+The subspace backend's report carries a `Factored` estimate
+s (V C V^T + alpha (I - V V^T)), with |N|_F and <M0, N> computed from the
+coordinates, so the pipeline scores it without building an n x n array; the
+dense `m_hat` is materialised only when a caller reads it.  The dense
+backend's estimate is dense.
 """
 
 from __future__ import annotations
@@ -110,16 +111,15 @@ def _project_box(m: np.ndarray, bound: float) -> np.ndarray:
     return np.clip(m, -bound, bound)
 
 
-def _project_psd_shift(m: np.ndarray, shift: float) -> tuple[np.ndarray, float]:
-    """Project onto {M : M + shift * J psd}; returns (projection, old violation)."""
+def _project_psd_shift(m: np.ndarray, shift: float) -> np.ndarray:
+    """Project onto {M : M + shift * J psd}."""
     b = m + shift
     w, v = np.linalg.eigh(b)
-    viol = max(0.0, -float(w[0]))
-    if viol == 0.0:
-        return m, 0.0
+    if w[0] >= 0.0:
+        return m
     neg = w < 0
     clipped = b - (v[:, neg] * w[neg]) @ v[:, neg].T
-    return clipped - shift, viol
+    return clipped - shift
 
 
 def _project_trace(m: np.ndarray, shift: float, cap: float) -> np.ndarray:
@@ -145,7 +145,7 @@ def project_constraints(
     """Projections of m onto each constraint family of K(delta), separately."""
     out = {
         "box": _project_box(m, 1.0 / spec.delta),
-        "psd_shift": _project_psd_shift(m, 1.0 / (spec.k * spec.delta))[0],
+        "psd_shift": _project_psd_shift(m, 1.0 / (spec.k * spec.delta)),
         "trace": _project_trace(m, 1.0 / (spec.k * spec.delta), spec.n / spec.delta),
     }
     if halfspace is not None:
@@ -164,61 +164,24 @@ def k_residuals(m: np.ndarray, spec: ProjectionSpec) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Dykstra solvers
+# Dykstra's alternating projections: one loop over a dense or a subspace state
 
 
 _STALL_WINDOW = 50
+_MAX_AXES = 64
 
 
 class _BoxFallback(Exception):
     pass
 
 
+class _ExtendNeeded(Exception):
+    def __init__(self, vertices):
+        self.vertices = vertices
+
+
 def _check_stop(residuals, tol, move, scale):
     return max(residuals) <= tol and move <= 10 * tol * max(1.0, scale)
-
-
-def _dykstra_dense(u, b, n, k, tol, max_iters):
-    """Reference solver on dense n x n state."""
-    shift = 1.0 / k
-    cap = n - n / k
-    x = np.zeros((n, n))
-    corr = [np.zeros((n, n)) for _ in range(4)]
-    half_hist = []
-    iters = 0
-    for sweep in range(1, max_iters + 1):
-        iters = sweep
-        x_prev = x
-
-        y = x + corr[0]
-        x = _project_halfspace(y, u, b)
-        corr[0] = y - x
-
-        y = x + corr[1]
-        x = _project_box(y, 1.0)
-        corr[1] = y - x
-
-        y = x + corr[2]
-        x = _project_trace(y, shift, n)
-        corr[2] = y - x
-
-        y = x + corr[3]
-        x, _ = _project_psd_shift(y, shift)
-        corr[3] = y - x
-
-        box_res = max(0.0, float(np.max(np.abs(x))) - 1.0)
-        trace_res = max(0.0, (float(np.trace(x)) - cap) / n)
-        half_res = max(0.0, (b - float(np.sum(u * x))) / max(b, 1.0))
-        residuals = (box_res, 0.0, trace_res, half_res)
-        move = float(np.linalg.norm(x - x_prev))
-        scale = float(np.linalg.norm(x))
-        half_hist.append(half_res)
-        _raise_if_stalled(half_hist, residuals, tol)
-        if _check_stop(residuals, tol, move, scale):
-            return x, iters, max(residuals)
-    raise ProjectionDidNotConverge(
-        f"max residual {max(residuals):.3e} after {max_iters} sweeps"
-    )
 
 
 def _raise_if_stalled(half_hist, residuals, tol):
@@ -230,7 +193,7 @@ def _raise_if_stalled(half_hist, residuals, tol):
     """
     if len(half_hist) < _STALL_WINDOW:
         return
-    box_res, _, trace_res, half_res = residuals
+    box_res, trace_res, half_res = residuals
     if box_res > tol or trace_res > tol or half_res <= tol:
         half_hist.clear()
         return
@@ -242,7 +205,90 @@ def _raise_if_stalled(half_hist, residuals, tol):
         )
 
 
-def _subspace_basis(vals, vecs, n):
+def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
+    """Dykstra from zero over the state's four projections, then the report.
+
+    The state fixes the point representation (supporting + and -), the
+    halfspace, box, trace and psd-shift projections, the residuals
+    (box, trace, halfspace), the norm behind the stopping rule, and the
+    unscaled solution N with |N|_F and <M0, N>.
+    """
+    steps = (state.halfspace, state.box, state.trace, state.psd_shift)
+    x = state.zero()
+    corr = [state.zero() for _ in steps]
+    half_hist = []
+    for sweep in range(1, spec.max_iters + 1):
+        x_prev = x
+        for i, project in enumerate(steps):
+            y = x + corr[i]
+            x = project(y)
+            corr[i] = y - x
+        residuals = state.residuals(x)
+        half_hist.append(residuals[2])
+        _raise_if_stalled(half_hist, residuals, spec.tol)
+        if _check_stop(residuals, spec.tol, state.norm(x - x_prev), state.norm(x)):
+            break
+    else:
+        raise ProjectionDidNotConverge(
+            f"max residual {max(residuals):.3e} after {spec.max_iters} sweeps"
+        )
+    solution, n_norm, halfspace_value = state.solution(x)
+    if n_norm <= 0.0:
+        raise ProjectionDidNotConverge("solver returned the zero matrix")
+    factor = spec.target / n_norm
+    return ProjectionReport(
+        estimate=solution.scaled(factor) if isinstance(solution, Factored) else factor * solution,
+        iterations=sweep,
+        max_violation=max(residuals),
+        halfspace_value=halfspace_value,
+        n_norm=n_norm,
+        backend=state.backend,
+    )
+
+
+class _DenseState:
+    """The reference state: X as a dense n x n array."""
+
+    backend = "dense"
+
+    def __init__(self, m0: np.ndarray, norm_m0: float, spec: ProjectionSpec):
+        self.m0 = m0
+        self.u = m0 / norm_m0
+        self.b = spec.delta * spec.target
+        self.n = spec.n
+        self.shift = 1.0 / spec.k
+        self.cap = spec.n - spec.n / spec.k
+
+    def zero(self):
+        return np.zeros((self.n, self.n))
+
+    def halfspace(self, y):
+        return _project_halfspace(y, self.u, self.b)
+
+    def box(self, y):
+        return _project_box(y, 1.0)
+
+    def trace(self, y):
+        return _project_trace(y, self.shift, self.n)
+
+    def psd_shift(self, y):
+        return _project_psd_shift(y, self.shift)
+
+    def residuals(self, x):
+        return (
+            max(0.0, float(np.max(np.abs(x))) - 1.0),
+            max(0.0, (float(np.trace(x)) - self.cap) / self.n),
+            max(0.0, (self.b - float(np.sum(self.u * x))) / max(self.b, 1.0)),
+        )
+
+    def norm(self, x):
+        return float(np.linalg.norm(x))
+
+    def solution(self, x):
+        return x, self.norm(x), float(np.sum(self.m0 * x))
+
+
+def _subspace_basis(vecs, n):
     """Orthonormal [ones/sqrt(n) | complement of vecs], ones exactly first."""
     v0 = np.full(n, 1.0 / math.sqrt(n))
     w = vecs - np.outer(v0, v0 @ vecs)
@@ -270,25 +316,50 @@ def _extend_basis(big_v, vertices, n):
     return np.column_stack(cols)
 
 
-class _ExtendNeeded(Exception):
-    def __init__(self, vertices):
-        self.vertices = vertices
+class _Coords:
+    """A subspace point V C V^T + alpha (I - V V^T) by its coordinates."""
+
+    __slots__ = ("c", "alpha")
+
+    def __init__(self, c: np.ndarray, alpha: float):
+        self.c, self.alpha = c, alpha
+
+    def __add__(self, other):
+        return _Coords(self.c + other.c, self.alpha + other.alpha)
+
+    def __sub__(self, other):
+        return _Coords(self.c - other.c, self.alpha - other.alpha)
 
 
 class _SubspaceState:
-    """Coordinates (C, alpha) of x = V C V^T + alpha (I - V V^T) plus box helpers."""
+    """Points x = V C V^T + alpha (I - V V^T) as `_Coords`, plus box helpers.
 
-    def __init__(self, big_v, axes, n):
+    V is orthonormal with the all-ones direction exactly first, so the shift
+    (1/k) J is (n/k) e_0 e_0^T in coordinates.  The box step clips inside the
+    family; an entry above the bound off the adjoined vertex axes raises
+    `_ExtendNeeded`, and the caller grows V and restarts.
+    """
+
+    backend = "subspace"
+
+    def __init__(self, m0: Factored, norm_m0: float, big_v, axes, spec: ProjectionSpec):
+        n = spec.n
+        self.m0 = m0
         self.big_v = big_v
         self.n = n
         self.r = big_v.shape[1]
+        self.b = spec.delta * spec.target
+        self.cap = n - n / spec.k
+        self.shift_coord = n / spec.k
+        proj = big_v.T @ m0.v
+        c_u = (proj * np.diag(m0.c)) @ proj.T / norm_m0
+        self.c_u = (c_u + c_u.T) / 2.0
         self.axes = np.array(sorted(axes), dtype=np.int64)
         self.in_axes = np.zeros(n, dtype=bool)
         self.in_axes[self.axes] = True
         row_norms = np.linalg.norm(big_v, axis=1)
         other = ~self.in_axes
         self.mv_free = float(row_norms[other].max()) if other.any() else 0.0
-        self.row_norms = row_norms
 
     def entry_rows(self, c, alpha, rows):
         """Exact rows of the dense matrix for the given row indices."""
@@ -322,181 +393,110 @@ class _SubspaceState:
         ii, jj = np.nonzero(over)
         return float(np.max(np.abs(rows[ii, jj])) - 1.0), (cand[ii], jj), rows[ii, jj]
 
+    def zero(self):
+        return _Coords(np.zeros((self.r, self.r)), 0.0)
 
-def _subspace_sweeps(state, c_u, b, n, k, tol, max_iters):
-    r = state.r
-    shift_coord = n / k  # (1/k) J = (n/k) v0 v0^T in coordinates
-    cap = n - n / k
-    big_v = state.big_v
+    def halfspace(self, y):
+        val = float(np.sum(self.c_u * y.c))
+        if val < self.b:
+            return _Coords(y.c + (self.b - val) * self.c_u, y.alpha)
+        return y
 
-    c = np.zeros((r, r))
-    alpha = 0.0
-    corr_c = [np.zeros((r, r)) for _ in range(4)]
-    corr_a = [0.0] * 4
-    half_hist = []
+    def box(self, y):
+        viol, pairs, vals_over = self.box_violations(y.c, y.alpha)
+        if viol == 0.0:
+            return y
+        ii, jj = pairs
+        outside = np.unique(np.concatenate([ii[~self.in_axes[ii]], jj[~self.in_axes[jj]]]))
+        if outside.size:
+            raise _ExtendNeeded(outside.tolist())
+        c = y.c.copy()
+        seen = set()
+        for i, j, v in zip(ii, jj, vals_over):
+            a_, b_ = (i, j) if i <= j else (j, i)
+            if (a_, b_) in seen:
+                continue
+            seen.add((a_, b_))
+            excess = v - math.copysign(1.0, v)
+            wi, wj = self.big_v[a_], self.big_v[b_]
+            if a_ == b_:
+                c -= excess * np.outer(wi, wi)
+            else:
+                c -= excess * (np.outer(wi, wj) + np.outer(wj, wi))
+        return _Coords(c, y.alpha)
 
-    iters = 0
-    for sweep in range(1, max_iters + 1):
-        iters = sweep
-        c_prev, a_prev = c, alpha
-
-        # halfspace
-        y_c, y_a = c + corr_c[0], alpha + corr_a[0]
-        val = float(np.sum(c_u * y_c))
-        c = y_c + (b - val) * c_u if val < b else y_c
-        alpha = y_a
-        corr_c[0], corr_a[0] = y_c - c, y_a - alpha
-
-        # box: clip within the family; pairs outside the axis set force a restart
-        y_c, y_a = c + corr_c[1], alpha + corr_a[1]
-        viol, pairs, vals_over = state.box_violations(y_c, y_a)
-        if viol > 0.0:
-            ii, jj = pairs
-            outside = np.unique(np.concatenate([ii[~state.in_axes[ii]], jj[~state.in_axes[jj]]]))
-            if outside.size:
-                raise _ExtendNeeded(outside.tolist())
-            c = y_c.copy()
-            seen = set()
-            for i, j, v in zip(ii, jj, vals_over):
-                a_, b_ = (i, j) if i <= j else (j, i)
-                if (a_, b_) in seen:
-                    continue
-                seen.add((a_, b_))
-                excess = v - math.copysign(1.0, v)
-                wi, wj = big_v[a_], big_v[b_]
-                if a_ == b_:
-                    c -= excess * np.outer(wi, wi)
-                else:
-                    c -= excess * (np.outer(wi, wj) + np.outer(wj, wi))
-        else:
-            c = y_c
-        alpha = y_a
-        corr_c[1], corr_a[1] = y_c - c, y_a - alpha
-
-        # trace
-        y_c, y_a = c + corr_c[2], alpha + corr_a[2]
-        excess = float(np.trace(y_c)) + y_a * (n - r) - cap
+    def trace(self, y):
+        excess = float(np.trace(y.c)) + y.alpha * (self.n - self.r) - self.cap
         if excess > 0:
-            beta = excess / n
-            c = y_c - beta * np.eye(r)
-            alpha = y_a - beta
-        else:
-            c, alpha = y_c, y_a
-        corr_c[2], corr_a[2] = y_c - c, y_a - alpha
+            beta = excess / self.n
+            return _Coords(y.c - beta * np.eye(self.r), y.alpha - beta)
+        return y
 
-        # psd shift
-        y_c, y_a = c + corr_c[3], alpha + corr_a[3]
-        bmat = y_c.copy()
-        bmat[0, 0] += shift_coord
+    def psd_shift(self, y):
+        bmat = y.c.copy()
+        bmat[0, 0] += self.shift_coord
         w, q = np.linalg.eigh(bmat)
         c = (q * np.maximum(w, 0.0)) @ q.T
-        c[0, 0] -= shift_coord
-        c = (c + c.T) / 2.0
-        alpha = max(y_a, 0.0)
-        corr_c[3], corr_a[3] = y_c - c, y_a - alpha
+        c[0, 0] -= self.shift_coord
+        return _Coords((c + c.T) / 2.0, max(y.alpha, 0.0))
 
-        box_res, _, _ = state.box_violations(c, alpha)
-        trace_res = max(0.0, (float(np.trace(c)) + alpha * (n - r) - cap) / n)
-        half_res = max(0.0, (b - float(np.sum(c_u * c))) / max(b, 1.0))
-        residuals = (box_res, trace_res, half_res)
-        move = math.sqrt(
-            float(np.linalg.norm(c - c_prev)) ** 2 + (alpha - a_prev) ** 2 * (n - r)
-        )
-        scale = math.sqrt(float(np.linalg.norm(c)) ** 2 + alpha**2 * (n - r))
-        half_hist.append(half_res)
-        _raise_if_stalled(half_hist, (box_res, 0.0, trace_res, half_res), tol)
-        if _check_stop(residuals, tol, move, scale):
-            break
-    else:
-        raise ProjectionDidNotConverge(
-            f"max residual {max(residuals):.3e} after {max_iters} sweeps"
-        )
+    def residuals(self, x):
+        box_res, _, _ = self.box_violations(x.c, x.alpha)
+        excess = float(np.trace(x.c)) + x.alpha * (self.n - self.r) - self.cap
+        trace_res = max(0.0, excess / self.n)
+        half_res = max(0.0, (self.b - float(np.sum(self.c_u * x.c))) / max(self.b, 1.0))
+        return box_res, trace_res, half_res
 
-    return Factored(big_v, c, alpha), iters, max(residuals)
+    def norm(self, x):
+        return math.sqrt(float(np.linalg.norm(x.c)) ** 2 + x.alpha**2 * (self.n - self.r))
+
+    def solution(self, x):
+        n_mat = Factored(self.big_v, x.c, x.alpha)
+        return n_mat, n_mat.norm(), self.m0.inner(n_mat)
 
 
-_MAX_AXES = 64
+def _dykstra_subspace(m0: Factored, norm_m0: float, spec: ProjectionSpec) -> ProjectionReport:
+    """Fast solver for low-rank M0 given by its eigenpairs.
 
-
-def _dykstra_subspace(vals, vecs, b, n, k, tol, max_iters):
-    """Fast solver for low-rank M0.
-
-    Runs Dykstra in the invariant family x = V C V^T + alpha (I - V V^T)
-    where V spans the eigenvectors of M0 and the all-ones direction.  Entry
-    bound violations are clipped inside the family once the affected vertex
-    axes are adjoined to V; the subspace is grown on demand and the solve
-    restarts.  Falls back to the dense solver if the axis set gets large.
+    Runs Dykstra on the subspace state, V spanning the eigenvectors of M0
+    and the all-ones direction.  When the box step needs vertex axes off V,
+    they are adjoined and the solve restarts; past _MAX_AXES axes it raises
+    _BoxFallback, and the caller solves on the dense state.
     """
-    norm_m0 = float(np.linalg.norm(vals))
     axes: list[int] = []
     while True:
-        big_v = _subspace_basis(vals, vecs, n)
+        big_v = _subspace_basis(m0.v, spec.n)
         if axes:
-            big_v = _extend_basis(big_v, axes, n)
-        state = _SubspaceState(big_v, axes, n)
-        proj = big_v.T @ vecs
-        c_u = (proj * vals) @ proj.T / norm_m0
-        c_u = (c_u + c_u.T) / 2.0
+            big_v = _extend_basis(big_v, axes, spec.n)
+        state = _SubspaceState(m0, norm_m0, big_v, axes, spec)
         try:
-            return _subspace_sweeps(state, c_u, b, n, k, tol, max_iters)
+            return _dykstra(state, spec)
         except _ExtendNeeded as grow:
             axes.extend(v for v in grow.vertices if v not in axes)
             if len(axes) > _MAX_AXES:
                 raise _BoxFallback from None
 
 
-def corr_preserving_projection(
-    m_hat0: np.ndarray | None,
-    spec: ProjectionSpec,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ProjectionReport:
+def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) -> ProjectionReport:
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
-    `factors` may carry an exact eigenpair factorization (vals, vecs) of
-    m_hat0, enabling the low-rank backend; m_hat0 itself may then be None.
+    A `Factored` M0 must hold eigenpairs, as `Factored.from_eig` builds them
+    (alpha 0, scale 1, diagonal C); it runs on the subspace backend.  A dense
+    M0 runs on the dense backend.
     """
-    n, k = spec.n, spec.k
-    if factors is not None:
-        vals, vecs = factors
+    if isinstance(m0, Factored):
+        vals = np.diag(m0.c)
+        if m0.alpha != 0.0 or m0.scale != 1.0 or not np.array_equal(m0.c, np.diag(vals)):
+            raise ValueError("a factored projection input must hold eigenpairs (Factored.from_eig)")
         norm_m0 = float(np.linalg.norm(vals))
     else:
-        if m_hat0 is None:
-            raise ValueError("need m_hat0 or its factorization")
-        m_hat0 = np.asarray(m_hat0, dtype=float)
-        norm_m0 = float(np.linalg.norm(m_hat0))
+        m0 = np.asarray(m0, dtype=float)
+        norm_m0 = float(np.linalg.norm(m0))
     if norm_m0 <= 0.0:
         raise ValueError("projection input must be nonzero")
-    b = spec.delta * spec.target
-
-    if factors is not None:
+    if isinstance(m0, Factored):
         try:
-            x, iters, max_res = _dykstra_subspace(
-                vals, vecs, b, n, k, spec.tol, spec.max_iters
-            )
+            return _dykstra_subspace(m0, norm_m0, spec)
         except _BoxFallback:
-            m_hat0 = (vecs * vals) @ vecs.T
-        else:
-            n_norm = x.norm()
-            if n_norm <= 0.0:
-                raise ProjectionDidNotConverge("solver returned the zero matrix")
-            return ProjectionReport(
-                estimate=x.scaled(spec.target / n_norm),
-                iterations=iters,
-                max_violation=max_res,
-                halfspace_value=Factored.from_eig(vals, vecs).inner(x),
-                n_norm=n_norm,
-                backend="subspace",
-            )
-
-    x, iters, max_res = _dykstra_dense(m_hat0 / norm_m0, b, n, k, spec.tol, spec.max_iters)
-    n_norm = float(np.linalg.norm(x))
-    if n_norm <= 0.0:
-        raise ProjectionDidNotConverge("solver returned the zero matrix")
-    return ProjectionReport(
-        estimate=(spec.target / n_norm) * x,
-        iterations=iters,
-        max_violation=max_res,
-        halfspace_value=float(np.sum(m_hat0 * x)),
-        n_norm=n_norm,
-        backend="dense",
-    )
+            m0 = (m0.v * vals) @ m0.v.T
+    return _dykstra(_DenseState(m0, norm_m0, spec), spec)

@@ -25,7 +25,7 @@ class RecoveryResult:
     """Estimate of the membership matrix as eigenpairs, plus how it was produced."""
 
     method: str
-    factors: tuple[np.ndarray, np.ndarray]  # (vals, vecs), vecs n x r orthonormal
+    estimate: Factored  # Factored.from_eig(vals, vecs), vecs n x r orthonormal
     rate: float | None = None
 
 
@@ -49,13 +49,13 @@ def recovery_rate(m: np.ndarray | Factored, m_true: np.ndarray | Factored) -> fl
     """Normalized correlation <M, M*> / (|M|_F |M*|_F), diagonal excluded.
 
     Two `Factored` arguments are evaluated in factored form, without n x n
-    arrays; otherwise both must be dense.
+    arrays; a lone `Factored` beside a dense argument is densified.
     """
     if isinstance(m, Factored) and isinstance(m_true, Factored):
         inner, nm, nt = m.offdiag_inner(m_true), m.offdiag_norm(), m_true.offdiag_norm()
     else:
-        m = np.asarray(m, dtype=float)
-        m_true = np.asarray(m_true, dtype=float)
+        m = m.dense() if isinstance(m, Factored) else np.asarray(m, dtype=float)
+        m_true = m_true.dense() if isinstance(m_true, Factored) else np.asarray(m_true, dtype=float)
         if m.shape != m_true.shape:
             raise ValueError("matrices must have equal shape")
         inner, nm, nt = offdiag_inner(m, m_true), offdiag_norm(m), offdiag_norm(m_true)
@@ -120,8 +120,8 @@ def run_recovery(
 ) -> RecoveryResult:
     """Dispatch a recovery baseline; attaches rate when true labels are given.
 
-    The estimate stays in eigenpair form, and the rate is computed from the
-    factors, so no n x n array is built.
+    The estimate stays in eigenpair form, a `Factored`, and the rate is
+    computed from the factors, so no n x n array is built.
     """
     if method == "spectral":
         d_used = estimate_degree(y1) if d_hat is None else d_hat
@@ -138,8 +138,8 @@ def run_recovery(
         factors = membership_factors(labels)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
+    estimate = Factored.from_eig(*factors)
     rate = None
     if labels is not None:
-        truth = Factored.from_eig(*membership_factors(labels))
-        rate = recovery_rate(Factored.from_eig(*factors), truth)
-    return RecoveryResult(method=method, factors=factors, rate=rate)
+        rate = recovery_rate(estimate, Factored.from_eig(*membership_factors(labels)))
+    return RecoveryResult(method=method, estimate=estimate, rate=rate)

@@ -145,7 +145,7 @@ def recovery_test_statistic(
     side["recovery_rate"] = rec.rate
     center = params.eta * (estimate_degree(y) if center_estimated else params.d) / params.n
     try:
-        rep = corr_preserving_projection(None, spec, factors=rec.factors)
+        rep = corr_preserving_projection(rec.estimate, spec)
     except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
         return _degenerate_report(threshold, side, f"projection: {exc}")
     side["projection"] = {

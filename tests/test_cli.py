@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbmlab.cli
+import sbmlab.harness
 from sbmlab.cli import main
-from sbmlab.model import SbmParams, read_edge_list, read_labels, sample_ssbm, write_edge_list
+from sbmlab.harness import SWEEP_CSV_COLUMNS
+from sbmlab.model import (
+    SbmParams,
+    map_trials,
+    read_edge_list,
+    read_labels,
+    sample_ssbm,
+    write_edge_list,
+)
 from sbmlab.split import read_edge_split
 
 
@@ -131,6 +144,48 @@ def test_check_verb(capsys):
     assert lines[0] == "max_norm,mean_norm,bound,max_ratio,trials"
     vals = lines[1].split(",")
     assert float(vals[0]) <= float(vals[2])
+
+
+def test_check_and_learn_honour_threads(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(evaluate, params, arm, trials, seed, stream, workers=1):
+        seen.append((stream, workers))
+        return map_trials(evaluate, params, arm, trials, seed, stream, workers)
+
+    monkeypatch.setattr(sbmlab.cli, "map_trials", spy)
+    monkeypatch.setattr(sbmlab.harness, "map_trials", spy)
+    out = {}
+    for threads in ("1", "2"):
+        for verb in (["check"], ["learn", "--graphon-out", str(tmp_path / f"w{threads}.txt")]):
+            path = tmp_path / f"{verb[0]}{threads}.csv"
+            assert main(
+                ["--n", "300", "--d", "20", "--eps", "0.8", "--seed", "13", "--trials", "3",
+                 "--threads", threads, "--out", str(path), *verb]
+            ) == 0
+            out[verb[0], threads] = path.read_bytes()
+    assert seen == [("concentration", 1), ("cli-learn", 1), ("concentration", 2), ("cli-learn", 2)]
+    assert out["check", "1"] == out["check", "2"]
+    assert out["learn", "1"] == out["learn", "2"]
+    assert (tmp_path / "w1.txt").read_bytes() == (tmp_path / "w2.txt").read_bytes()
+
+
+def test_scripts_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for script, args, header, rows in (
+        ("run_phase_sweep.py", ["--n", "200", "--trials", "3", "--grid", "0.5,2"],
+         ",".join(SWEEP_CSV_COLUMNS), 2),
+        ("run_ldlr_curves.py", ["--ells", "1,2", "--points", "3"], "n,d,k,ell,eps,snr,norm", 6),
+    ):
+        out = tmp_path / f"{script}.csv"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / script), *args, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == header and len(lines) == rows + 1
 
 
 def test_usage_errors_exit_code_one():

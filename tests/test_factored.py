@@ -60,14 +60,14 @@ def _check_trial(g, p, seed, method, labels):
         split.y1, p, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
     )
     spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=2000)
-    rep = corr_preserving_projection(None, spec, factors=rec.factors)
+    rep = corr_preserving_projection(rec.estimate, spec)
     assert rep.backend == "subspace" and isinstance(rep.estimate, Factored)
     center = p.eta * p.d / p.n
     g_fact = statistic_from_m_hat(rep.estimate, split.y2, center)
     # the pipeline scores exactly this factored estimate
     assert recovery_test_statistic(g, p, seed, method=method, labels=labels).statistic == g_fact
 
-    vals, vecs = rec.factors
+    vals, vecs = np.diag(rec.estimate.c), rec.estimate.v
     m0 = (vecs * vals) @ vecs.T
     m0 = (m0 + m0.T) / 2.0
     assert rec.rate == pytest.approx(recovery_rate(m0, membership_matrix(labels)), rel=REL)

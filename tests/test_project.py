@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import sbmlab.project
+from sbmlab.factored import Factored
 from sbmlab.model import SbmParams, membership_matrix, sample_labels
 from sbmlab.project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
     ProjectionSpec,
-    _dykstra_dense,
-    _dykstra_subspace,
     corr_preserving_projection,
     k_residuals,
     project_constraints,
@@ -123,18 +123,25 @@ def test_norm_converges_monotonically_with_tol():
     assert norms[2] - norms[0] <= 1e-3 * norms[2]
 
 
-def test_infeasible_halfspace_detected():
+@pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+def test_infeasible_halfspace_detected(factored):
     # anti-correlated input: no psd-shifted matrix can meet the constraint
     p = SbmParams(60, 2.0, k=2, delta=0.5)
     lab = sample_labels(p, seed=11, balanced=True)
     m_true = membership_matrix(lab)
+    vals, vecs = membership_factors(lab)
     spec = ProjectionSpec(delta=0.5, k=2, n=60, max_iters=3000)
     with pytest.raises(ProjectionInfeasibleError):
-        corr_preserving_projection(-m_true, spec)
+        corr_preserving_projection(Factored.from_eig(-vals, vecs) if factored else -m_true, spec)
 
 
-def test_nonconvergence_raises():
+@pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+def test_nonconvergence_raises(factored):
     m_true, m0 = noisy_instance(100, sigma=20.0, seed=13)
+    if factored:  # the rank-10 truncation runs on the subspace state without restarts
+        vals, vecs = np.linalg.eigh(m0)
+        top = np.argsort(-np.abs(vals))[:10]
+        m0 = Factored.from_eig(vals[top], vecs[:, top])
     spec = ProjectionSpec(delta=0.35, k=2, n=100, tol=1e-10, max_iters=2)
     with pytest.raises(ProjectionDidNotConverge):
         corr_preserving_projection(m0, spec)
@@ -144,6 +151,20 @@ def test_zero_input_rejected():
     spec = ProjectionSpec(delta=0.5, k=2, n=10)
     with pytest.raises(ValueError):
         corr_preserving_projection(np.zeros((10, 10)), spec)
+    with pytest.raises(ValueError, match="nonzero"):
+        corr_preserving_projection(Factored.from_eig(np.zeros(2), np.eye(10)[:, :2]), spec)
+
+
+def test_factored_input_must_hold_eigenpairs():
+    spec = ProjectionSpec(delta=0.5, k=2, n=10)
+    v = np.eye(10)[:, :2]
+    for m0 in (
+        Factored(v, np.ones((2, 2))),
+        Factored(v, np.eye(2), alpha=0.1),
+        Factored.from_eig(np.ones(2), v).scaled(2.0),
+    ):
+        with pytest.raises(ValueError, match="eigenpairs"):
+            corr_preserving_projection(m0, spec)
 
 
 def test_subspace_matches_dense_low_rank():
@@ -154,14 +175,14 @@ def test_subspace_matches_dense_low_rank():
     vals, vecs = membership_factors(lab)
     spec = ProjectionSpec(delta=0.3, k=3, n=150, tol=1e-9, max_iters=4000)
     dense = corr_preserving_projection(m0, spec)
-    fast = corr_preserving_projection(None, spec, factors=(vals, vecs))
+    fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert fast.backend == "subspace"
     assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-7
     assert dense.iterations == fast.iterations
 
 
-def test_subspace_matches_dense_with_active_entry_bound():
-    # localized spike forces the entry bound to bind; solvers must agree
+def spike_instance():
+    """Rank-2 input whose localized spike makes the entry bound bind (n = 120)."""
     rng = stream_rng(3, "adversarial")
     n = 120
     v1 = rng.standard_normal(n)
@@ -173,11 +194,28 @@ def test_subspace_matches_dense_with_active_entry_bound():
     v2 /= np.linalg.norm(v2)
     vals = np.array([9.0, 6.0])
     vecs = np.column_stack([v1, v2])
-    m0 = (vecs * vals) @ vecs.T
-    u = m0 / np.linalg.norm(m0)
-    b = 0.35 * (n * 0.5)
-    xd, itd, _ = _dykstra_dense(u, b, n, 2, 1e-8, 8000)
-    xs, its, _ = _dykstra_subspace(vals, vecs, b, n, 2, 1e-8, 8000)
-    assert np.abs(xd).max() > 1.0 - 1e-6  # bound is genuinely active
-    assert np.max(np.abs(xd - xs.dense())) <= 1e-9
-    assert itd == its
+    # b = delta * target = 0.35 * (n / 2)
+    return vals, vecs, ProjectionSpec(delta=0.35, k=2, n=n, tol=1e-8, max_iters=8000)
+
+
+def test_subspace_matches_dense_with_active_entry_bound():
+    # localized spike forces the entry bound to bind; solvers must agree
+    vals, vecs, spec = spike_instance()
+    dense = corr_preserving_projection((vecs * vals) @ vecs.T, spec)
+    fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
+    assert dense.backend == "dense" and fast.backend == "subspace"
+    # bound is genuinely active on the unscaled solution N
+    assert np.abs(dense.m_hat).max() * dense.n_norm / spec.target > 1.0 - 1e-6
+    assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-9
+    assert dense.iterations == fast.iterations
+
+
+def test_subspace_falls_back_to_dense(monkeypatch):
+    # past _MAX_AXES adjoined axes the factored input is solved on the dense state
+    vals, vecs, spec = spike_instance()
+    monkeypatch.setattr(sbmlab.project, "_MAX_AXES", 0)
+    dense = corr_preserving_projection((vecs * vals) @ vecs.T, spec)
+    fallback = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
+    assert fallback.backend == "dense"
+    assert fallback.iterations == dense.iterations
+    assert np.max(np.abs(fallback.m_hat - dense.m_hat)) <= 1e-9
