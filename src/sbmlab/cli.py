@@ -36,9 +36,14 @@ from .model import (
     write_edge_list,
     write_labels,
 )
-from .project import ProjectionSpec, corr_preserving_projection
+from .project import (
+    ProjectionDidNotConverge,
+    ProjectionInfeasibleError,
+    ProjectionSpec,
+    corr_preserving_projection,
+)
 from .recover import membership_factors, recovery_rate, run_recovery
-from .reduce import write_trial_csv
+from .reduce import projection_outcome, write_trial_csv
 from .seeds import derive_seed
 from .split import subsample_edges, write_edge_split
 
@@ -189,14 +194,18 @@ def main(argv=None) -> int:
         g, labels = sample_ssbm(p, cfg.seed)
         res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
         spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=2000)
-        rep = corr_preserving_projection(res.estimate, spec)
-        rate_after = recovery_rate(rep.estimate, Factored.from_eig(*membership_factors(labels)))
+        try:
+            rep = corr_preserving_projection(res.estimate, spec)
+        except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
+            _log(f"project: {exc}")
+            solved, status = ",,,,", projection_outcome(exc)["status"]
+        else:
+            rate_after = recovery_rate(rep.estimate, Factored.from_eig(*membership_factors(labels)))
+            solved = f"{rate_after!r},{rep.iterations},{rep.max_violation!r},{rep.n_norm!r},{rep.backend}"
+            status = "ok"
         with _open_out(args) as fh:
-            fh.write("method,rate_before,rate_after,iterations,max_violation,n_norm,backend\n")
-            fh.write(
-                f"{res.method},{res.rate!r},{rate_after!r},{rep.iterations},"
-                f"{rep.max_violation!r},{rep.n_norm!r},{rep.backend}\n"
-            )
+            fh.write("method,rate_before,rate_after,iterations,max_violation,n_norm,backend,status\n")
+            fh.write(f"{res.method},{res.rate!r},{solved},{status}\n")
         return 0
 
     if cmd == "test":

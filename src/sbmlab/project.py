@@ -11,24 +11,26 @@ least delta with a member Y of K' scaled to norm_target, the output keeps at
 least half that correlation with Y, and |N|_F >= delta * norm_target holds by
 Cauchy-Schwarz.  The rescaled output lands in the 1/delta-inflated set K.
 
-The search runs Dykstra's alternating projections over the four sets in one
-loop, `_dykstra`, which owns the corrections, residuals, stall test, stopping
-rule and sweep cap.  It runs over one of two states, each fixing the point
-representation and the closed-form projections.  The dense state holds X as
-an n x n array (one symmetric eigendecomposition per sweep); it serves dense
-inputs, is the fallback when too many vertex axes are adjoined, and remains
-the reference implementation.  The subspace state serves a low-rank M0 given
-as a `Factored` of its eigenpairs: every Dykstra iterate then lives in
-span{eigenvectors of M0, all-ones, adjoined vertex axes} plus a multiple of
-the complementary identity, so it holds coordinates (C, alpha) and a sweep
-costs O(n r^2).  Entry-bound violations are detected by a certified row scan
-and clipped inside the family once the affected vertex axes are adjoined.
+The search runs Dykstra's alternating projections over three sets in one
+loop, `_dykstra`: the halfspace, the entry box, and the spectraplex
+{M = N + J/k psd, Tr M <= n}, projected exactly by one eigendecomposition and
+a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  A solve ends
+converged, certified infeasible before any sweep, or at the sweep cap.  The
+certificate: every N in K' has <U, N> <= n max(lambda_max(U), 0) - <U, J>/k
+for U = M0 / |M0|_F, so a bound below b = delta * norm_target proves that no
+point of K' meets the halfspace.
 
-The subspace backend's report carries a `Factored` estimate
-s (V C V^T + alpha (I - V V^T)), with |N|_F and <M0, N> computed from the
-coordinates, so the pipeline scores it without building an n x n array; the
-dense `m_hat` is materialised only when a caller reads it.  The dense
-backend's estimate is dense.
+The loop runs over one of two states.  The dense state holds X as an n x n
+array (one eigendecomposition per sweep); it serves dense inputs, is the
+fallback when too many vertex axes are adjoined, and remains the reference.
+The subspace state serves a low-rank M0 given as a `Factored` of its
+eigenpairs: every iterate lives in span{eigenvectors of M0, all-ones,
+adjoined vertex axes} plus a multiple of the complementary identity, so it
+holds coordinates (C, alpha), a sweep costs O(n r^2), and its report carries
+a `Factored` estimate s (V C V^T + alpha (I - V V^T)) that the pipeline
+scores without an n x n array.  Entry-bound violations are found by a
+certified row scan and clipped inside the family once the affected vertex
+axes are adjoined.
 """
 
 from __future__ import annotations
@@ -43,7 +45,11 @@ from .factored import Factored
 
 
 class ProjectionInfeasibleError(RuntimeError):
-    """No point of K' meets the correlation constraint (delta set too high)."""
+    """Certificate: <U, N> <= bound < b on all of K', so no point meets the halfspace."""
+
+    def __init__(self, bound: float, b: float):
+        super().__init__(f"certified infeasible: <U, N> <= {bound:.6e} < b = {b:.6e} on K'")
+        self.bound, self.b = bound, b
 
 
 class ProjectionDidNotConverge(RuntimeError):
@@ -57,6 +63,8 @@ class ProjectionSpec:
     delta: target rate (entry bound 1/delta, psd shift 1/(k delta), trace cap
     n/delta); norm_target: proxy for the Frobenius norm of the ground-truth
     membership matrix, default n sqrt(k-1)/k (exact for balanced labels).
+    A solve runs Dykstra over halfspace, box and spectraplex until residuals
+    fall below tol; it raises at max_iters sweeps, or before any when infeasible.
     """
 
     delta: float
@@ -71,6 +79,8 @@ class ProjectionSpec:
             raise ValueError("delta must be in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.norm_target is not None and self.norm_target <= 0:
             raise ValueError("norm_target must be positive")
 
@@ -111,24 +121,33 @@ def _project_box(m: np.ndarray, bound: float) -> np.ndarray:
     return np.clip(m, -bound, bound)
 
 
-def _project_psd_shift(m: np.ndarray, shift: float) -> np.ndarray:
-    """Project onto {M : M + shift * J psd}."""
+def _capped_shift(w: np.ndarray, cap: float, mult: np.ndarray | None = None) -> float:
+    """theta >= 0 with max(w - theta, 0) the projection of w onto {x >= 0, sum mult x <= cap}.
+
+    theta is 0 unless the cap binds; mult holds multiplicities (default 1)."""
+    mult = np.ones_like(w) if mult is None else mult
+    if float(np.sum(mult * np.maximum(w, 0.0))) <= cap:
+        return 0.0
+    order = np.argsort(-w)
+    ws, ms = w[order], mult[order]
+    thetas = (np.cumsum(ms * ws) - cap) / np.cumsum(ms)
+    return float(thetas[np.flatnonzero(ws > thetas)[-1]])
+
+
+def _project_spectraplex(m: np.ndarray, shift: float, cap: float) -> np.ndarray:
+    """Project onto {M : M + shift J psd, Tr(M + shift J) <= cap}.
+
+    B = M + shift J = sum w v v^T goes to B - sum_{w < theta} (w - theta) v v^T - theta I.
+    """
     b = m + shift
     w, v = np.linalg.eigh(b)
-    if w[0] >= 0.0:
+    theta = _capped_shift(w, cap)
+    if theta == 0.0 and w[0] >= 0.0:
         return m
-    neg = w < 0
-    clipped = b - (v[:, neg] * w[neg]) @ v[:, neg].T
-    return clipped - shift
-
-
-def _project_trace(m: np.ndarray, shift: float, cap: float) -> np.ndarray:
-    """Project onto {M : Tr(M + shift * J) <= cap} (uniform diagonal shrink)."""
-    n = m.shape[0]
-    excess = np.trace(m) + shift * n - cap
-    if excess <= 0:
-        return m
-    return m - (excess / n) * np.eye(n)
+    lo = w < theta
+    out = b - (v[:, lo] * (w[lo] - theta)) @ v[:, lo].T
+    out[np.diag_indices_from(out)] -= theta
+    return out - shift
 
 
 def _project_halfspace(m: np.ndarray, p: np.ndarray, b: float) -> np.ndarray:
@@ -145,8 +164,7 @@ def project_constraints(
     """Projections of m onto each constraint family of K(delta), separately."""
     out = {
         "box": _project_box(m, 1.0 / spec.delta),
-        "psd_shift": _project_psd_shift(m, 1.0 / (spec.k * spec.delta)),
-        "trace": _project_trace(m, 1.0 / (spec.k * spec.delta), spec.n / spec.delta),
+        "spectraplex": _project_spectraplex(m, 1.0 / (spec.k * spec.delta), spec.n / spec.delta),
     }
     if halfspace is not None:
         out["halfspace"] = _project_halfspace(m, *halfspace)
@@ -167,7 +185,6 @@ def k_residuals(m: np.ndarray, spec: ProjectionSpec) -> dict[str, float]:
 # Dykstra's alternating projections: one loop over a dense or a subspace state
 
 
-_STALL_WINDOW = 50
 _MAX_AXES = 64
 
 
@@ -180,43 +197,18 @@ class _ExtendNeeded(Exception):
         self.vertices = vertices
 
 
-def _check_stop(residuals, tol, move, scale):
-    return max(residuals) <= tol and move <= 10 * tol * max(1.0, scale)
-
-
-def _raise_if_stalled(half_hist, residuals, tol):
-    """Infeasibility: K' satisfied but the halfspace residual stalls high.
-
-    Requires a residual that is both large in absolute terms and essentially
-    flat over the window, so slow-but-feasible solves are never misdeclared
-    (those run into the sweep cap instead).
-    """
-    if len(half_hist) < _STALL_WINDOW:
-        return
-    box_res, trace_res, half_res = residuals
-    if box_res > tol or trace_res > tol or half_res <= tol:
-        half_hist.clear()
-        return
-    window = half_hist[-_STALL_WINDOW:]
-    if window[-1] > max(1e-3, tol) and window[-1] >= 0.999 * window[0]:
-        raise ProjectionInfeasibleError(
-            f"halfspace residual stalled at {window[-1]:.3e}; "
-            "no point of K' meets the correlation constraint"
-        )
-
-
 def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
-    """Dykstra from zero over the state's four projections, then the report.
+    """Dykstra from zero over the state's three projections, then the report.
 
-    The state fixes the point representation (supporting + and -), the
-    halfspace, box, trace and psd-shift projections, the residuals
-    (box, trace, halfspace), the norm behind the stopping rule, and the
-    unscaled solution N with |N|_F and <M0, N>.
+    The state fixes the point representation (supporting + and -), the three
+    projections, the residuals (box, halfspace: the exact last step satisfies
+    the spectraplex), the norm behind the stopping rule, and the unscaled
+    solution N with |N|_F and <M0, N>.
     """
-    steps = (state.halfspace, state.box, state.trace, state.psd_shift)
+    tol = spec.tol
+    steps = (state.halfspace, state.box, state.spectraplex)
     x = state.zero()
     corr = [state.zero() for _ in steps]
-    half_hist = []
     for sweep in range(1, spec.max_iters + 1):
         x_prev = x
         for i, project in enumerate(steps):
@@ -224,14 +216,10 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
             x = project(y)
             corr[i] = y - x
         residuals = state.residuals(x)
-        half_hist.append(residuals[2])
-        _raise_if_stalled(half_hist, residuals, spec.tol)
-        if _check_stop(residuals, spec.tol, state.norm(x - x_prev), state.norm(x)):
+        if max(residuals) <= tol and state.norm(x - x_prev) <= 10 * tol * max(1.0, state.norm(x)):
             break
     else:
-        raise ProjectionDidNotConverge(
-            f"max residual {max(residuals):.3e} after {spec.max_iters} sweeps"
-        )
+        raise ProjectionDidNotConverge(f"max residual {max(residuals):.3e} after {spec.max_iters} sweeps")
     solution, n_norm, halfspace_value = state.solution(x)
     if n_norm <= 0.0:
         raise ProjectionDidNotConverge("solver returned the zero matrix")
@@ -257,7 +245,6 @@ class _DenseState:
         self.b = spec.delta * spec.target
         self.n = spec.n
         self.shift = 1.0 / spec.k
-        self.cap = spec.n - spec.n / spec.k
 
     def zero(self):
         return np.zeros((self.n, self.n))
@@ -268,16 +255,12 @@ class _DenseState:
     def box(self, y):
         return _project_box(y, 1.0)
 
-    def trace(self, y):
-        return _project_trace(y, self.shift, self.n)
-
-    def psd_shift(self, y):
-        return _project_psd_shift(y, self.shift)
+    def spectraplex(self, y):
+        return _project_spectraplex(y, self.shift, self.n)
 
     def residuals(self, x):
         return (
             max(0.0, float(np.max(np.abs(x))) - 1.0),
-            max(0.0, (float(np.trace(x)) - self.cap) / self.n),
             max(0.0, (self.b - float(np.sum(self.u * x))) / max(self.b, 1.0)),
         )
 
@@ -292,13 +275,10 @@ def _subspace_basis(vecs, n):
     """Orthonormal [ones/sqrt(n) | complement of vecs], ones exactly first."""
     v0 = np.full(n, 1.0 / math.sqrt(n))
     w = vecs - np.outer(v0, v0 @ vecs)
-    if w.size:
-        uu, ss, _ = np.linalg.svd(w, full_matrices=False)
-        keep = ss > 1e-12 * max(ss[0], 1.0)
-        basis = np.column_stack([v0, uu[:, keep]])
-    else:
-        basis = v0[:, None]
-    return basis
+    if not w.size:
+        return v0[:, None]
+    uu, ss, _ = np.linalg.svd(w, full_matrices=False)
+    return np.column_stack([v0, uu[:, ss > 1e-12 * max(ss[0], 1.0)]])
 
 
 def _extend_basis(big_v, vertices, n):
@@ -349,8 +329,8 @@ class _SubspaceState:
         self.n = n
         self.r = big_v.shape[1]
         self.b = spec.delta * spec.target
-        self.cap = n - n / spec.k
         self.shift_coord = n / spec.k
+        self.mult = np.r_[n - self.r, np.ones(self.r)]  # of alpha, then of C's eigenvalues
         proj = big_v.T @ m0.v
         c_u = (proj * np.diag(m0.c)) @ proj.T / norm_m0
         self.c_u = (c_u + c_u.T) / 2.0
@@ -379,8 +359,7 @@ class _SubspaceState:
         t_norms = np.linalg.norm(self.big_v @ c, axis=1)
         slack = abs(alpha) * (1.0 + self.mv_free**2)
         cand = np.flatnonzero(t_norms * self.mv_free + slack > 1.0)
-        cand = np.union1d(cand[~self.in_axes[cand]], self.axes)
-        return cand
+        return np.union1d(cand[~self.in_axes[cand]], self.axes)
 
     def box_violations(self, c, alpha):
         cand = self.box_scan(c, alpha)
@@ -425,27 +404,19 @@ class _SubspaceState:
                 c -= excess * (np.outer(wi, wj) + np.outer(wj, wi))
         return _Coords(c, y.alpha)
 
-    def trace(self, y):
-        excess = float(np.trace(y.c)) + y.alpha * (self.n - self.r) - self.cap
-        if excess > 0:
-            beta = excess / self.n
-            return _Coords(y.c - beta * np.eye(self.r), y.alpha - beta)
-        return y
-
-    def psd_shift(self, y):
+    def spectraplex(self, y):
         bmat = y.c.copy()
         bmat[0, 0] += self.shift_coord
         w, q = np.linalg.eigh(bmat)
-        c = (q * np.maximum(w, 0.0)) @ q.T
+        theta = _capped_shift(np.append(y.alpha, w), self.n, self.mult)
+        c = (q * np.maximum(w - theta, 0.0)) @ q.T
         c[0, 0] -= self.shift_coord
-        return _Coords((c + c.T) / 2.0, max(y.alpha, 0.0))
+        return _Coords((c + c.T) / 2.0, max(y.alpha - theta, 0.0))
 
     def residuals(self, x):
         box_res, _, _ = self.box_violations(x.c, x.alpha)
-        excess = float(np.trace(x.c)) + x.alpha * (self.n - self.r) - self.cap
-        trace_res = max(0.0, excess / self.n)
         half_res = max(0.0, (self.b - float(np.sum(self.c_u * x.c))) / max(self.b, 1.0))
-        return box_res, trace_res, half_res
+        return box_res, half_res
 
     def norm(self, x):
         return math.sqrt(float(np.linalg.norm(x.c)) ** 2 + x.alpha**2 * (self.n - self.r))
@@ -477,6 +448,33 @@ def _dykstra_subspace(m0: Factored, norm_m0: float, spec: ProjectionSpec) -> Pro
                 raise _BoxFallback from None
 
 
+def _certify_infeasible(m0: np.ndarray | Factored, norm_m0: float, spec: ProjectionSpec):
+    """Raise ProjectionInfeasibleError when n max(lambda_max(U), 0) - <U, J>/k < b.
+
+    A dense U needs mu = (b + <U, J>/k) / n > 0 and a Cholesky factorization of
+    (mu - 2 err) I - U, which proves lambda_max(U) <= mu - err (err bounds the
+    backward error, as |U|_2 <= 1)."""
+    n, b = spec.n, spec.delta * spec.target
+    if isinstance(m0, Factored):
+        vals = np.diag(m0.c) / norm_m0
+        u_j = float(vals @ m0.v.sum(axis=0) ** 2)
+        lam = float(vals.max()) if vals.size == n else max(float(vals.max()), 0.0)
+    else:
+        u_j = float(np.sum(m0)) / norm_m0
+        mu = (b + u_j / spec.k) / n
+        if mu <= 0.0:
+            return
+        err = n * (n + 1) * np.finfo(float).eps * (mu + 1.0)
+        try:
+            np.linalg.cholesky((mu - 2.0 * err) * np.eye(n) - m0 / norm_m0)
+        except np.linalg.LinAlgError:
+            return
+        lam = mu - err
+    bound = n * max(lam, 0.0) - u_j / spec.k
+    if bound < b:
+        raise ProjectionInfeasibleError(bound, b)
+
+
 def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) -> ProjectionReport:
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
@@ -494,6 +492,7 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
         norm_m0 = float(np.linalg.norm(m0))
     if norm_m0 <= 0.0:
         raise ValueError("projection input must be nonzero")
+    _certify_infeasible(m0, norm_m0, spec)
     if isinstance(m0, Factored):
         try:
             return _dykstra_subspace(m0, norm_m0, spec)

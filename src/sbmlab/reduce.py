@@ -13,7 +13,10 @@ O((m + n) r^2), with no n x n array.  The learning route's estimate is dense.
 
 When the projection degenerates (infeasible correlation constraint, solver
 non-convergence, or a zero estimate) the report carries M_hat = 0, hence
-g = 0 exactly, with the reason recorded in the side channel.
+g = 0 exactly, with the reason recorded in the side channel.  Every trial
+that reaches the projection names its outcome in
+side_channel["projection"]["status"]: ok, infeasible (with the certificate's
+bound), no_convergence, or invalid (the projection rejected its input).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .model import BlockGraphon, Graph, Labels, SbmParams, map_trials
 from .project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
+    ProjectionReport,
     ProjectionSpec,
     corr_preserving_projection,
 )
@@ -96,6 +100,23 @@ def statistic_from_m_hat(m_hat: np.ndarray | Factored, y2: Graph, center: float)
     return edge_part - center * float(off.sum())
 
 
+def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
+    """The side channel's projection record for a report or a raised exception."""
+    if isinstance(outcome, ProjectionReport):
+        return {
+            "status": "ok",
+            "iterations": outcome.iterations,
+            "max_violation": outcome.max_violation,
+            "n_norm": outcome.n_norm,
+            "backend": outcome.backend,
+        }
+    if isinstance(outcome, ProjectionInfeasibleError):
+        return {"status": "infeasible", "bound": outcome.bound}
+    if isinstance(outcome, ProjectionDidNotConverge):
+        return {"status": "no_convergence"}
+    return {"status": "invalid"}
+
+
 def _degenerate_report(threshold: float, side: dict, reason: str) -> TestReport:
     side = dict(side, error=reason)
     return TestReport(
@@ -147,13 +168,9 @@ def recovery_test_statistic(
     try:
         rep = corr_preserving_projection(rec.estimate, spec)
     except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
+        side["projection"] = projection_outcome(exc)
         return _degenerate_report(threshold, side, f"projection: {exc}")
-    side["projection"] = {
-        "iterations": rep.iterations,
-        "max_violation": rep.max_violation,
-        "n_norm": rep.n_norm,
-        "backend": rep.backend,
-    }
+    side["projection"] = projection_outcome(rep)
     g = statistic_from_m_hat(rep.estimate, split.y2, center)
     return TestReport(
         statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
@@ -184,13 +201,9 @@ def learning_test_statistic(
     try:
         rep = corr_preserving_projection(m0, spec)
     except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
+        side["projection"] = projection_outcome(exc)
         return _degenerate_report(threshold, side, f"projection: {exc}")
-    side["projection"] = {
-        "iterations": rep.iterations,
-        "max_violation": rep.max_violation,
-        "n_norm": rep.n_norm,
-        "backend": rep.backend,
-    }
+    side["projection"] = projection_outcome(rep)
     g = statistic_from_m_hat(rep.estimate, split.y2, center)
     return TestReport(
         statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side

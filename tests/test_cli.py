@@ -68,6 +68,33 @@ def test_recover_and_project_rows(tmp_path, capsys):
     assert out[0].startswith("method,rate_before,rate_after")
     fields = out[1].split(",")
     assert float(fields[2]) > 0.1  # rate preserved after projection
+    assert fields[-1] == "ok"
+
+
+PROJECT_EXAMPLE = ["--n", "200", "--d", "12", "--eps", "0.9", "--delta", "0.2", "project"]
+
+
+def test_project_row_at_the_sweep_cap(capsys):
+    # README's example at seed 3 ends at the sweep cap: a row, a log line, exit 0
+    assert main(PROJECT_EXAMPLE + ["--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    assert header.split(",")[-1] == "status"
+    fields = row.split(",")
+    assert fields[0] == "spectral" and float(fields[1]) > 0.0
+    assert fields[2:] == ["", "", "", "", "", "no_convergence"]
+    assert "after 2000 sweeps" in captured.err
+
+
+def test_project_row_when_certified_infeasible(capsys, monkeypatch):
+    def certified(m0, spec):
+        raise sbmlab.cli.ProjectionInfeasibleError(0.25, 20.0)
+
+    monkeypatch.setattr(sbmlab.cli, "corr_preserving_projection", certified)
+    assert main(PROJECT_EXAMPLE) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].split(",")[2:] == ["", "", "", "", "", "infeasible"]
+    assert "certified infeasible" in captured.err
 
 
 def test_test_verb_byte_stable(tmp_path):

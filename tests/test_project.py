@@ -5,7 +5,7 @@ import pytest
 
 import sbmlab.project
 from sbmlab.factored import Factored
-from sbmlab.model import SbmParams, membership_matrix, sample_labels
+from sbmlab.model import SbmParams, membership_matrix, sample_labels, sample_ssbm
 from sbmlab.project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
@@ -14,7 +14,7 @@ from sbmlab.project import (
     k_residuals,
     project_constraints,
 )
-from sbmlab.recover import membership_factors, recovery_rate
+from sbmlab.recover import membership_factors, recovery_rate, run_recovery
 from sbmlab.seeds import stream_rng
 
 
@@ -31,14 +31,38 @@ def noisy_instance(n, sigma, seed, k=2):
 def test_project_constraints_identities():
     spec = ProjectionSpec(delta=0.5, k=2, n=4)
     inside = np.diag([0.5, 0.5, -0.25, -0.25])
-    out = project_constraints(inside, spec)
-    # box and trace leave an interior point alone
-    assert np.array_equal(out["box"], inside)
-    assert np.array_equal(out["trace"], inside)
-    # psd-shift is the identity on a matrix already satisfying the shift
+    # the box leaves an interior point alone
+    assert np.array_equal(project_constraints(inside, spec)["box"], inside)
+    # the spectraplex step is the identity on a matrix meeting the shift and the cap
     lab = sample_labels(SbmParams(4, 1.0, k=2), seed=0, balanced=True)
     m = membership_matrix(lab)
-    assert np.allclose(project_constraints(m, spec)["psd_shift"], m, atol=1e-12)
+    assert np.allclose(project_constraints(m, spec)["spectraplex"], m, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectraplex_step_with_binding_cap(seed):
+    # the trace cap binds (theta > 0): the output lies in the set, meets the
+    # cap with equality, and satisfies the variational inequality of a projection
+    n, spec = 30, ProjectionSpec(delta=0.5, k=3, n=30)
+    shift, cap = 1.0 / (spec.k * spec.delta), spec.n / spec.delta
+    rng = stream_rng(seed, "spectraplex")
+    g = rng.standard_normal((n, n))
+    y = 2.0 * (g + g.T) + 4.0 * np.eye(n)
+    assert np.sum(np.maximum(np.linalg.eigvalsh(y + shift), 0.0)) > 2 * cap
+    out = project_constraints(y, spec)["spectraplex"]
+    res = k_residuals(out, spec)
+    assert res["psd"] <= 1e-9 and res["trace"] <= 1e-9
+    assert np.trace(out) + n * shift == pytest.approx(cap, rel=1e-12)
+    for _ in range(20):
+        h = rng.standard_normal((n, n))
+        z = h @ h.T
+        z *= rng.uniform(0.0, 1.0) * cap / np.trace(z)
+        assert np.sum((y - out) * (z - shift - out)) <= 1e-9
+
+
+def test_max_iters_must_be_positive():
+    with pytest.raises(ValueError, match="max_iters"):
+        ProjectionSpec(delta=0.5, k=2, n=4, max_iters=0)
 
 
 def test_project_constraints_box_clamp():
@@ -124,15 +148,37 @@ def test_norm_converges_monotonically_with_tol():
 
 
 @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
-def test_infeasible_halfspace_detected(factored):
-    # anti-correlated input: no psd-shifted matrix can meet the constraint
+def test_infeasible_halfspace_detected(factored, monkeypatch):
+    # anti-correlated input: no psd-shifted matrix can meet the constraint, and
+    # the certificate proves it before any sweep runs
     p = SbmParams(60, 2.0, k=2, delta=0.5)
     lab = sample_labels(p, seed=11, balanced=True)
     m_true = membership_matrix(lab)
     vals, vecs = membership_factors(lab)
     spec = ProjectionSpec(delta=0.5, k=2, n=60, max_iters=3000)
-    with pytest.raises(ProjectionInfeasibleError):
+    sweeps = []
+    dykstra = sbmlab.project._dykstra
+    monkeypatch.setattr(sbmlab.project, "_dykstra", lambda *a: sweeps.append(1) or dykstra(*a))
+    with pytest.raises(ProjectionInfeasibleError) as err:
         corr_preserving_projection(Factored.from_eig(-vals, vecs) if factored else -m_true, spec)
+    assert not sweeps
+    assert err.value.b == spec.delta * spec.target
+    assert err.value.bound < err.value.b
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_and_oracle_inputs_pass_the_certificate(seed):
+    # a planted graph's spectral estimate and the oracle's membership factors
+    # are feasible inputs: neither form trips the infeasibility certificate
+    p = SbmParams(400, 30.0, eps=0.6, k=2, eta=0.1, delta=0.1)
+    graph, lab = sample_ssbm(p, seed)
+    spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n)
+    spectral = run_recovery(graph, p, method="spectral", seed=seed).estimate
+    oracle = Factored.from_eig(*membership_factors(lab))
+    for m0 in (spectral, oracle):
+        for form in (m0, m0.dense()):
+            norm = form.norm() if isinstance(form, Factored) else float(np.linalg.norm(form))
+            sbmlab.project._certify_infeasible(form, norm, spec)
 
 
 @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
@@ -167,18 +213,38 @@ def test_factored_input_must_hold_eigenpairs():
             corr_preserving_projection(m0, spec)
 
 
-def test_subspace_matches_dense_low_rank():
-    # low-rank input solved both ways gives the same matrix
+def membership_instance():
     p = SbmParams(150, 4.0, k=3, delta=0.3)
     lab = sample_labels(p, seed=17, balanced=True)
-    m0 = membership_matrix(lab)
     vals, vecs = membership_factors(lab)
     spec = ProjectionSpec(delta=0.3, k=3, n=150, tol=1e-9, max_iters=4000)
+    return membership_matrix(lab), vals, vecs, spec
+
+
+def truncation_instance():
+    """Rank-10 truncation of a noisy input; the trace cap binds at the minimizer."""
+    _, m0 = noisy_instance(100, sigma=20.0, seed=13)
+    vals, vecs = np.linalg.eigh(m0)
+    top = np.argsort(-np.abs(vals))[:10]
+    vals, vecs = vals[top], vecs[:, top]
+    spec = ProjectionSpec(delta=0.5, k=2, n=100, tol=1e-9, max_iters=4000)
+    return (vecs * vals) @ vecs.T, vals, vecs, spec
+
+
+@pytest.mark.parametrize(
+    "instance", [membership_instance, truncation_instance], ids=["membership", "truncation"]
+)
+def test_subspace_matches_dense_low_rank(instance):
+    # low-rank input solved both ways gives the same matrix
+    m0, vals, vecs, spec = instance()
     dense = corr_preserving_projection(m0, spec)
     fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert fast.backend == "subspace"
     assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-7
     assert dense.iterations == fast.iterations
+    # the trace cap Tr(N + J/k) <= n binds on the truncation only
+    n_mat = fast.m_hat * fast.n_norm / spec.target
+    assert (np.trace(n_mat) + spec.n / spec.k > spec.n - 1e-6) == (instance is truncation_instance)
 
 
 def spike_instance():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sbmlab.reduce
 from sbmlab.learn import svd_theta
 from sbmlab.model import (
     BlockGraphon,
@@ -130,7 +131,29 @@ def test_pipeline_determinism():
     r2 = recovery_test_statistic(g, p, seed=99, method="spectral", labels=lab, threshold=1.0)
     assert r1 == r2
     assert r1.side_channel["projection"] == r2.side_channel["projection"]
+    assert r1.side_channel["projection"]["status"] == "ok"
     assert r1.decision == int(r1.statistic >= 1.0)
+
+
+def test_side_channel_names_the_projection_outcome(monkeypatch):
+    # a null trial at the C4 point whose infeasibility is certified records the
+    # certificate's bound; other failures record their status alone
+    p = SbmParams(2000, 60.0, eps=math.sqrt(16.0 / 60.0), k=2, eta=0.1, delta=0.1)
+    g = sample_er(p.n, p.d, derive_seed(12345, "probe", 0))
+    rep = recovery_test_statistic(g, p, seed=derive_seed(12345, "probe-stat", 0))
+    proj = rep.side_channel["projection"]
+    assert rep.statistic == 0.0 and proj["status"] == "infeasible"
+    assert proj["bound"] < p.delta * ProjectionSpec(delta=p.delta, k=p.k, n=p.n).target
+    for exc, status in (
+        (sbmlab.reduce.ProjectionDidNotConverge("cap"), "no_convergence"),
+        (ValueError("projection input must be nonzero"), "invalid"),
+    ):
+        def fail(m0, spec, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(sbmlab.reduce, "corr_preserving_projection", fail)
+        rep = recovery_test_statistic(g, p, seed=derive_seed(12345, "probe-stat", 0))
+        assert rep.statistic == 0.0 and rep.side_channel["projection"] == {"status": status}
 
 
 def test_calibrate_threshold_properties():
