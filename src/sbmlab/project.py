@@ -20,17 +20,21 @@ certificate: every N in K' has <U, N> <= n max(lambda_max(U), 0) - <U, J>/k
 for U = M0 / |M0|_F, so a bound below b = delta * norm_target proves that no
 point of K' meets the halfspace.
 
-The loop runs over one of two states.  The dense state holds X as an n x n
-array (one eigendecomposition per sweep); it serves dense inputs, is the
-fallback when too many vertex axes are adjoined, and remains the reference.
-The subspace state serves a low-rank M0 given as a `Factored` of its
-eigenpairs: every iterate lives in span{eigenvectors of M0, all-ones,
-adjoined vertex axes} plus a multiple of the complementary identity, so it
-holds coordinates (C, alpha), a sweep costs O(n r^2), and its report carries
-a `Factored` estimate s (V C V^T + alpha (I - V V^T)) that the pipeline
-scores without an n x n array.  Entry-bound violations are found by a
-certified row scan and clipped inside the family once the affected vertex
-axes are adjoined.
+The loop runs over one of two states.  The subspace state holds M0 as a
+`Factored` of its eigenpairs (a dense symmetric M0 is eigendecomposed once,
+eigenvalues at rounding level dropped): every iterate lives in
+span{eigenvectors of M0, all-ones, adjoined vertex axes} plus a multiple of
+the complementary identity, so it holds coordinates (C, alpha), a sweep
+costs O(n r^2), and its report carries a `Factored` estimate
+s (V C V^T + alpha (I - V V^T)) that the pipeline scores without an n x n
+array.  Entry-bound violations are found by a certified row scan and
+clipped inside the family once the affected vertex axes are adjoined.  The
+dense state holds X as an n x n array (one eigendecomposition per sweep) and
+remains the reference.  One width rule picks the state, at entry and each
+time axes are adjoined: the subspace state runs while its basis width r
+(all-ones, eigenvectors, axes) satisfies 2 r <= n, past which an O(n r^2)
+sweep no longer undercuts an n x n eigendecomposition; the dense state then
+solves the original input.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class ProjectionSpec:
 class ProjectionReport:
     """Solver output: rescaled estimate plus the feasibility certificate.
 
-    `estimate` is factored on the subspace backend and dense on the dense one.
+    `estimate` is factored on the subspace backend and dense on the dense one;
+    `width` is the basis width on the subspace backend and n on the dense one.
     """
 
     estimate: np.ndarray | Factored
@@ -104,6 +109,7 @@ class ProjectionReport:
     halfspace_value: float  # achieved <M0, N>
     n_norm: float  # |N|_F of the pre-rescaling solution
     backend: str
+    width: int
 
     @cached_property
     def m_hat(self) -> np.ndarray:
@@ -185,13 +191,6 @@ def k_residuals(m: np.ndarray, spec: ProjectionSpec) -> dict[str, float]:
 # Dykstra's alternating projections: one loop over a dense or a subspace state
 
 
-_MAX_AXES = 64
-
-
-class _BoxFallback(Exception):
-    pass
-
-
 class _ExtendNeeded(Exception):
     def __init__(self, vertices):
         self.vertices = vertices
@@ -231,6 +230,7 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
         halfspace_value=halfspace_value,
         n_norm=n_norm,
         backend=state.backend,
+        width=state.width,
     )
 
 
@@ -243,7 +243,7 @@ class _DenseState:
         self.m0 = m0
         self.u = m0 / norm_m0
         self.b = spec.delta * spec.target
-        self.n = spec.n
+        self.n = self.width = spec.n
         self.shift = 1.0 / spec.k
 
     def zero(self):
@@ -282,7 +282,12 @@ def _subspace_basis(vecs, n):
 
 
 def _extend_basis(big_v, vertices, n):
-    """Append standard-basis axes e_v (orthonormalized) to the subspace."""
+    """Append standard-basis axes e_v (orthonormalized) to the subspace.
+
+    An axis nearly inside the span (residual below 1/2) gets a second
+    Gram-Schmidt pass; if its residual is then at rounding level it already
+    lies in the span and adds no column.
+    """
     cols = [big_v]
     for v in vertices:
         w = np.zeros(n)
@@ -290,10 +295,19 @@ def _extend_basis(big_v, vertices, n):
         for block in cols:
             w -= block @ (block.T @ w)
         nw = float(np.linalg.norm(w))
-        if nw < 0.5:  # axis nearly inside the span already; give up on the fast path
-            raise _BoxFallback
+        if nw < 0.5:
+            for block in cols:
+                w -= block @ (block.T @ w)
+            nw = float(np.linalg.norm(w))
+            if nw <= n * np.finfo(float).eps:
+                continue
         cols.append((w / nw)[:, None])
     return np.column_stack(cols)
+
+
+def _fits_subspace(width: int, n: int) -> bool:
+    """The width rule: a basis of this width runs on the subspace state."""
+    return 2 * width <= n
 
 
 class _Coords:
@@ -327,7 +341,7 @@ class _SubspaceState:
         self.m0 = m0
         self.big_v = big_v
         self.n = n
-        self.r = big_v.shape[1]
+        self.r = self.width = big_v.shape[1]
         self.b = spec.delta * spec.target
         self.shift_coord = n / spec.k
         self.mult = np.r_[n - self.r, np.ones(self.r)]  # of alpha, then of C's eigenvalues
@@ -426,26 +440,35 @@ class _SubspaceState:
         return n_mat, n_mat.norm(), self.m0.inner(n_mat)
 
 
-def _dykstra_subspace(m0: Factored, norm_m0: float, spec: ProjectionSpec) -> ProjectionReport:
-    """Fast solver for low-rank M0 given by its eigenpairs.
+def _dykstra_subspace(m0: Factored, norm_m0: float, spec: ProjectionSpec) -> ProjectionReport | None:
+    """Solver for M0 given by its eigenpairs, or None when the width rule rejects it.
 
     Runs Dykstra on the subspace state, V spanning the eigenvectors of M0
     and the all-ones direction.  When the box step needs vertex axes off V,
-    they are adjoined and the solve restarts; past _MAX_AXES axes it raises
-    _BoxFallback, and the caller solves on the dense state.
+    they are adjoined and the solve restarts, as long as the grown basis
+    passes the width rule.
     """
+    if not _fits_subspace(m0.r, spec.n):  # the basis is at least r wide
+        return None
     axes: list[int] = []
     while True:
         big_v = _subspace_basis(m0.v, spec.n)
         if axes:
             big_v = _extend_basis(big_v, axes, spec.n)
+        if not _fits_subspace(big_v.shape[1], spec.n):
+            return None
         state = _SubspaceState(m0, norm_m0, big_v, axes, spec)
         try:
             return _dykstra(state, spec)
         except _ExtendNeeded as grow:
             axes.extend(v for v in grow.vertices if v not in axes)
-            if len(axes) > _MAX_AXES:
-                raise _BoxFallback from None
+
+
+def _eigenpairs(m0: np.ndarray) -> Factored:
+    """A symmetric M0 by its eigenpairs, |w| <= n eps max|w| dropped (as matrix_rank)."""
+    w, v = np.linalg.eigh(m0)
+    keep = np.abs(w) > m0.shape[0] * np.finfo(float).eps * np.abs(w).max()
+    return Factored.from_eig(w[keep], v[:, keep])
 
 
 def _certify_infeasible(m0: np.ndarray | Factored, norm_m0: float, spec: ProjectionSpec):
@@ -479,8 +502,10 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
     A `Factored` M0 must hold eigenpairs, as `Factored.from_eig` builds them
-    (alpha 0, scale 1, diagonal C); it runs on the subspace backend.  A dense
-    M0 runs on the dense backend.
+    (alpha 0, scale 1, diagonal C).  A dense M0 that equals its transpose is
+    eigendecomposed once after the certificate; any other runs on the dense
+    backend.  Eigenpairs run on the subspace backend while the width rule
+    admits their basis, and the dense backend solves the input otherwise.
     """
     if isinstance(m0, Factored):
         vals = np.diag(m0.c)
@@ -494,8 +519,12 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
         raise ValueError("projection input must be nonzero")
     _certify_infeasible(m0, norm_m0, spec)
     if isinstance(m0, Factored):
-        try:
-            return _dykstra_subspace(m0, norm_m0, spec)
-        except _BoxFallback:
-            m0 = (m0.v * vals) @ m0.v.T
+        rep = _dykstra_subspace(m0, norm_m0, spec)
+        if rep is not None:
+            return rep
+        m0 = (m0.v * vals) @ m0.v.T
+    elif np.array_equal(m0, m0.T):
+        rep = _dykstra_subspace(_eigenpairs(m0), norm_m0, spec)
+        if rep is not None:
+            return rep
     return _dykstra(_DenseState(m0, norm_m0, spec), spec)

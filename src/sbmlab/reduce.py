@@ -9,7 +9,10 @@ against a threshold, by default a null-calibrated quantile.
 
 On the recovery route the estimate stays factored from the eigenpairs of
 the recovery step to the score: g is evaluated from the factors in
-O((m + n) r^2), with no n x n array.  The learning route's estimate is dense.
+O((m + n) r^2), with no n x n array.  The learning route's estimate
+theta_hat - (d/n) J is dense; the projection eigendecomposes it once and,
+when its numerical rank is low, returns a factored estimate scored the same
+way.
 
 When the projection degenerates (infeasible correlation constraint, solver
 non-convergence, or a zero estimate) the report carries M_hat = 0, hence
@@ -109,6 +112,7 @@ def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
             "max_violation": outcome.max_violation,
             "n_norm": outcome.n_norm,
             "backend": outcome.backend,
+            "width": outcome.width,
         }
     if isinstance(outcome, ProjectionInfeasibleError):
         return {"status": "infeasible", "bound": outcome.bound}
@@ -194,6 +198,8 @@ def learning_test_statistic(
         raise ValueError("learner must return an n x n matrix")
     if theta_hat.min() < 0.0 or theta_hat.max() > 1.0:
         raise ValueError("learner output must have entries in [0, 1]")
+    if not np.array_equal(theta_hat, theta_hat.T):
+        raise ValueError("learner output must be symmetric")
     m0 = theta_hat - params.d / params.n
     center = params.eta * params.d / params.n
     if float(np.linalg.norm(m0)) < 1e-12:

@@ -132,6 +132,9 @@ def test_scaling_invariance():
     rep1 = corr_preserving_projection(m0, spec)
     rep2 = corr_preserving_projection(3.7 * m0, spec)
     assert np.max(np.abs(rep1.m_hat - rep2.m_hat)) <= 1e-8
+    # the symmetric input is full rank, too wide for the subspace state
+    assert np.array_equal(m0, m0.T)
+    assert rep1.backend == "dense" and rep1.width == spec.n
 
 
 def test_norm_converges_monotonically_with_tol():
@@ -213,6 +216,12 @@ def test_factored_input_must_hold_eigenpairs():
             corr_preserving_projection(m0, spec)
 
 
+def dense_reference(m0, spec):
+    """The dense state reached explicitly, whatever route the input would take."""
+    state = sbmlab.project._DenseState(m0, float(np.linalg.norm(m0)), spec)
+    return sbmlab.project._dykstra(state, spec)
+
+
 def membership_instance():
     p = SbmParams(150, 4.0, k=3, delta=0.3)
     lab = sample_labels(p, seed=17, balanced=True)
@@ -237,9 +246,9 @@ def truncation_instance():
 def test_subspace_matches_dense_low_rank(instance):
     # low-rank input solved both ways gives the same matrix
     m0, vals, vecs, spec = instance()
-    dense = corr_preserving_projection(m0, spec)
+    dense = dense_reference(m0, spec)
     fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
-    assert fast.backend == "subspace"
+    assert dense.backend == "dense" and fast.backend == "subspace"
     assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-7
     assert dense.iterations == fast.iterations
     # the trace cap Tr(N + J/k) <= n binds on the truncation only
@@ -267,7 +276,7 @@ def spike_instance():
 def test_subspace_matches_dense_with_active_entry_bound():
     # localized spike forces the entry bound to bind; solvers must agree
     vals, vecs, spec = spike_instance()
-    dense = corr_preserving_projection((vecs * vals) @ vecs.T, spec)
+    dense = dense_reference((vecs * vals) @ vecs.T, spec)
     fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert dense.backend == "dense" and fast.backend == "subspace"
     # bound is genuinely active on the unscaled solution N
@@ -277,11 +286,69 @@ def test_subspace_matches_dense_with_active_entry_bound():
 
 
 def test_subspace_falls_back_to_dense(monkeypatch):
-    # past _MAX_AXES adjoined axes the factored input is solved on the dense state
+    # once adjoined axes widen the basis past the width rule, the factored
+    # input is solved on the dense state
     vals, vecs, spec = spike_instance()
-    monkeypatch.setattr(sbmlab.project, "_MAX_AXES", 0)
-    dense = corr_preserving_projection((vecs * vals) @ vecs.T, spec)
+    monkeypatch.setattr(sbmlab.project, "_fits_subspace", lambda width, n: width <= 1 + len(vals))
+    dense = dense_reference((vecs * vals) @ vecs.T, spec)
     fallback = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert fallback.backend == "dense"
     assert fallback.iterations == dense.iterations
     assert np.max(np.abs(fallback.m_hat - dense.m_hat)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [membership_instance, truncation_instance, spike_instance],
+    ids=["membership", "truncation", "spike"],
+)
+def test_symmetric_low_rank_dense_input_runs_on_subspace(instance):
+    # an exactly symmetric dense input of low rank is eigendecomposed and
+    # solved on the subspace state (the spike adjoins vertex axes), in step
+    # with the dense reference
+    *_, vals, vecs, spec = instance()
+    m0 = Factored.from_eig(vals, vecs).dense()
+    fast = corr_preserving_projection(m0, spec)
+    dense = dense_reference(m0, spec)
+    assert fast.backend == "subspace" and 1 + len(vals) <= fast.width <= spec.n // 2
+    assert np.max(np.abs(fast.m_hat - dense.m_hat)) <= 1e-9
+    assert fast.iterations == dense.iterations
+
+
+def test_extend_basis_adjoins_an_axis_near_the_span():
+    # e_3 has residual below 1/2 against V, so it takes a second Gram-Schmidt
+    # pass; the grown basis stays orthonormal and contains e_3
+    n = 50
+    rng = stream_rng(5, "near-axis")
+    v = 0.05 * rng.standard_normal(n)
+    v[3] = 1.0
+    big_v = sbmlab.project._subspace_basis(v[:, None], n)
+    e3 = np.eye(n)[3]
+    assert np.linalg.norm(e3 - big_v @ (big_v.T @ e3)) < 0.5
+    grown = sbmlab.project._extend_basis(big_v, [3], n)
+    assert grown.shape[1] == big_v.shape[1] + 1
+    assert np.max(np.abs(grown.T @ grown - np.eye(grown.shape[1]))) <= 1e-12
+    assert np.linalg.norm(e3 - grown @ (grown.T @ e3)) <= 1e-12
+    # an axis already inside the span adds no column
+    inside = sbmlab.project._extend_basis(grown, [3], n)
+    assert inside.shape == grown.shape
+
+
+def test_sparse_planted_input_stays_on_subspace(monkeypatch):
+    # a planted graph in the sparse regime whose spectral estimate adjoins 75
+    # vertex axes: the solve stays on the subspace state, keeps in step with
+    # the dense reference and ends at the sweep cap with the same residual
+    p = SbmParams(400, 7.0, eps=0.9, k=2, delta=0.2)
+    graph, lab = sample_ssbm(p, 23)
+    m0 = run_recovery(graph, p, method="spectral", seed=23, labels=lab).estimate
+    spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=200)
+    with pytest.raises(ProjectionDidNotConverge) as dense:
+        dense_reference(m0.dense(), spec)
+
+    def no_dense(*args):
+        raise AssertionError("the solve reached the dense state")
+
+    monkeypatch.setattr(sbmlab.project, "_DenseState", no_dense)
+    with pytest.raises(ProjectionDidNotConverge) as fast:
+        corr_preserving_projection(m0, spec)
+    assert str(fast.value) == str(dense.value)

@@ -136,6 +136,19 @@ def test_pipeline_determinism():
 
 
 def test_side_channel_names_the_projection_outcome(monkeypatch):
+    # a solved trial records its backend and basis width: a rank-2 learner
+    # output runs on the subspace state, a full-rank one on the dense state
+    p = SbmParams(120, 20.0, eps=0.8, k=2, eta=0.1, delta=0.1)
+    g, lab = sample_ssbm(p, seed=3)
+    theta = edge_prob_matrix(p, lab) * (1 - p.eta)
+    h = stream_rng(3, "noise").uniform(0.0, 0.05, (p.n, p.n))
+    for learner, backend, width in (
+        (lambda y1: theta, "subspace", 2),
+        (lambda y1: np.clip(theta + (h + h.T) / 2.0, 0.0, 1.0), "dense", p.n),
+    ):
+        proj = learning_test_statistic(g, p, learner, seed=5).side_channel["projection"]
+        assert proj["status"] == "ok"
+        assert (proj["backend"], proj["width"]) == (backend, width)
     # a null trial at the C4 point whose infeasibility is certified records the
     # certificate's bound; other failures record their status alone
     p = SbmParams(2000, 60.0, eps=math.sqrt(16.0 / 60.0), k=2, eta=0.1, delta=0.1)
@@ -247,6 +260,10 @@ def test_learning_validates_learner_output():
         learning_test_statistic(g, p, lambda y1: np.full((p.n, p.n), 1.5), seed=0)
     with pytest.raises(ValueError):
         learning_test_statistic(g, p, lambda y1: np.zeros((3, 3)), seed=0)
+    lopsided = np.full((p.n, p.n), p.d / p.n)
+    lopsided[0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        learning_test_statistic(g, p, lambda y1: lopsided, seed=0)
 
 
 def test_graphon_test_values():
