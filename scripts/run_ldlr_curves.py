@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Low-degree likelihood ratio norm curves on small instances.
+"""Low-degree likelihood ratio norm curves.
 
 For each degree bound ell, traces the exact norm against the signal-to-noise
-ratio eps^2 d / k^2 on an n-vertex instance.  The qualitative picture at desk
-scale: flat near 1 at low SNR, growing with SNR, faster for larger ell.
+ratio eps^2 d / k^2 on an n-vertex instance.  The qualitative picture: flat
+near 1 at low SNR, growing with SNR, faster for larger ell.
 
 Usage: python scripts/run_ldlr_curves.py [--n 8] [--d 4] [--k 2]
        [--ells 1,2,3] [--points 9] [--out curves.csv]

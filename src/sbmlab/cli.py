@@ -28,7 +28,6 @@ from .harness import (
 from .learn import graphon_from_theta, svd_theta, write_graphon
 from .ldlr import exact_ldlr_norm, write_ldlr_csv
 from .model import (
-    SbmParams,
     edge_prob_matrix,
     map_trials,
     sample_er,
@@ -39,11 +38,10 @@ from .model import (
 from .project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
-    ProjectionSpec,
     corr_preserving_projection,
 )
 from .recover import membership_factors, recovery_rate, run_recovery
-from .reduce import projection_outcome, write_trial_csv
+from .reduce import projection_outcome, recovery_projection_spec, write_trial_csv
 from .seeds import derive_seed
 from .split import subsample_edges, write_edge_split
 
@@ -126,7 +124,7 @@ def _load_config(args) -> ExperimentConfig:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     else:
-        cfg = ExperimentConfig(params=SbmParams(400, 16.0, eps=0.5, k=2))
+        cfg = parse_config("")
     params = cfg.params
     updates = {}
     for name in ("n", "d", "eps", "k", "eta", "delta"):
@@ -193,9 +191,8 @@ def main(argv=None) -> int:
     if cmd == "project":
         g, labels = sample_ssbm(p, cfg.seed)
         res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
-        spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=2000)
         try:
-            rep = corr_preserving_projection(res.estimate, spec)
+            rep = corr_preserving_projection(res.estimate, recovery_projection_spec(p))
         except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
             _log(f"project: {exc}")
             solved, status = ",,,,", projection_outcome(exc)["status"]
@@ -239,7 +236,11 @@ def main(argv=None) -> int:
 
     if cmd == "ldlr":
         ell = args.ell if args.ell is not None else cfg.ell
-        res = exact_ldlr_norm(p, ell)
+        try:
+            res = exact_ldlr_norm(p, ell)
+        except ValueError as exc:
+            _log(f"ldlr: {exc}")
+            return 1
         with _open_out(args) as fh:
             write_ldlr_csv(res, fh)
         return 0

@@ -81,28 +81,33 @@ class ExperimentConfig:
         return self.params.n**0.51 * math.sqrt(self.params.d)
 
 
+# dotted config key -> (field, type), in write_config's line order; a
+# "params." key names an SbmParams field, any other an ExperimentConfig field
 _CONFIG_KEYS = {
-    "params.n": int,
-    "params.d": float,
-    "params.eps": float,
-    "params.k": int,
-    "params.eta": float,
-    "params.delta": float,
-    "trials": int,
-    "seed": int,
-    "pipeline": str,
-    "threshold.policy": str,
-    "threshold.quantile": float,
-    "threshold.value": float,
-    "recovery.method": str,
-    "eta.policy": str,
-    "ldlr.ell": int,
-    "threads": int,
+    "params.n": ("n", int),
+    "params.d": ("d", float),
+    "params.eps": ("eps", float),
+    "params.k": ("k", int),
+    "params.eta": ("eta", float),
+    "params.delta": ("delta", float),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "pipeline": ("pipeline", str),
+    "threshold.policy": ("threshold_policy", str),
+    "threshold.quantile": ("threshold_quantile", float),
+    "threshold.value": ("threshold_value", float),
+    "recovery.method": ("recovery_method", str),
+    "eta.policy": ("eta_policy", str),
+    "ldlr.ell": ("ell", int),
+    "threads": ("threads", int),
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat 'key = value' lines with dotted keys; unknown keys error."""
+    """Parse flat 'key = value' lines with dotted keys; unknown keys error.
+
+    ``parse_config("")`` is the default config.
+    """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -116,47 +121,19 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = _CONFIG_KEYS[key](value.strip())
-    params = SbmParams(
-        n=raw.pop("params.n", 400),
-        d=raw.pop("params.d", 16.0),
-        eps=raw.pop("params.eps", 0.5),
-        k=raw.pop("params.k", 2),
-        eta=raw.pop("params.eta", 0.1),
-        delta=raw.pop("params.delta", 0.1),
-    )
-    rename = {
-        "threshold.policy": "threshold_policy",
-        "threshold.quantile": "threshold_quantile",
-        "threshold.value": "threshold_value",
-        "recovery.method": "recovery_method",
-        "eta.policy": "eta_policy",
-        "ldlr.ell": "ell",
-    }
-    kwargs = {rename.get(k, k): v for k, v in raw.items()}
-    return ExperimentConfig(params=params, **kwargs)
+        raw[key] = _CONFIG_KEYS[key][1](value.strip())
+    params = {"n": 400, "d": 16.0, "eps": 0.5, "k": 2}
+    top = {}
+    for key, value in raw.items():
+        (params if key.startswith("params.") else top)[_CONFIG_KEYS[key][0]] = value
+    return ExperimentConfig(params=SbmParams(**params), **top)
 
 
 def write_config(cfg: ExperimentConfig) -> str:
-    p = cfg.params
-    lines = [
-        f"params.n = {p.n}",
-        f"params.d = {p.d!r}",
-        f"params.eps = {p.eps!r}",
-        f"params.k = {p.k}",
-        f"params.eta = {p.eta!r}",
-        f"params.delta = {p.delta!r}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"pipeline = {cfg.pipeline}",
-        f"threshold.policy = {cfg.threshold_policy}",
-        f"threshold.quantile = {cfg.threshold_quantile!r}",
-        f"threshold.value = {cfg.threshold_value!r}",
-        f"recovery.method = {cfg.recovery_method}",
-        f"eta.policy = {cfg.eta_policy}",
-        f"ldlr.ell = {cfg.ell}",
-        f"threads = {cfg.threads}",
-    ]
+    lines = []
+    for key, (field, typ) in _CONFIG_KEYS.items():
+        value = getattr(cfg.params if key.startswith("params.") else cfg, field)
+        lines.append(f"{key} = {value!r}" if typ is float else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

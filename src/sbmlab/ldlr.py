@@ -1,4 +1,4 @@
-"""Exact low-degree likelihood ratio norm on small instances.
+"""Exact low-degree likelihood ratio norm at any n.
 
 Works in the p-biased character basis of the null law G(n, p), p = d/n: each
 edge variable contributes chi_e(Y) = (Y_e - p) / sqrt(p (1-p)), and chi_S is
@@ -9,14 +9,27 @@ the sum of squared coefficients
     mu_hat(S) = (eps p)^{|S|} (p (1-p))^{-|S|/2} E_label[ prod_{e in S} M_e ],
 
 where M_e = 1{x_u = x_v} - 1/k and the expectation runs over i.i.d. uniform
-labels.  The label expectation factorizes over the vertex support of S, so
-the enumeration is over k^{|support|} assignments rather than k^n (an exact
-shortcut).  Per-degree masses accumulate with compensated summation, making
-the reported norm independent of enumeration order to the last bit.
+labels.  The label expectation factorizes over the vertex support of S, so it
+is exact enumeration over k^{|support|} assignments rather than k^n.
+
+A vertex of degree 1 in S makes the moment exactly 0: conditioned on its
+neighbour's label, its one factor M_e has mean 0.  So only supports whose
+every vertex has degree >= 2 count, which forces v <= t for a t-edge support
+on v vertices, and the moment depends on S only up to relabeling.  Grouping
+the t-edge subsets of K_n by their v-vertex support gives
+
+    mass_t = base^{2t} sum_{v <= t} C(n, v) B_k(v, t),
+    base = eps p / sqrt(p (1-p)),
+
+where B_k(v, t) sums moment^2 over the t-edge subsets of K_v that touch
+every vertex with degree >= 2.  The table B_k depends on neither n, d nor
+eps; it is built once per entry and cached in the process.  It is empty
+below t = 3.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +40,9 @@ from .model import Graph, SbmParams, map_trials
 from .seeds import stream_rng
 
 _SUPPORT_LIMIT = 16  # k^support enumeration cap
-DEFAULT_WORK_BUDGET = 5e8
+# cap on sum_{t <= ell} C(C(ell, 2), t) k^ell, the subsets-times-labelings
+# cost of the support table; admits ell = 7 for k <= 3 and ell = 6 for k <= 6
+_TABLE_LIMIT = 5e8
 
 LDLR_CSV_COLUMNS = ("n", "d", "eps", "k", "ell", "degree", "mass", "cumulative_norm")
 
@@ -48,16 +63,6 @@ class LdlrResult:
 def all_edges(n: int) -> list[tuple[int, int]]:
     """Vertex pairs of K_n in lexicographic order (the edge index space)."""
     return list(itertools.combinations(range(n), 2))
-
-
-def colex_subsets(m: int, t: int):
-    """t-subsets of range(m) in colexicographic order."""
-    if t == 0:
-        yield ()
-        return
-    for last in range(t - 1, m):
-        for rest in colex_subsets(last, t - 1):
-            yield rest + (last,)
 
 
 def label_moment(edges: tuple, k: int) -> float:
@@ -94,53 +99,40 @@ def fourier_coefficient(edges: tuple, params: SbmParams) -> float:
     return base * label_moment(edges, params.k)
 
 
-def character(adjacency: np.ndarray, edges: tuple, p: float) -> float:
-    """chi_S(Y): product of normalized edge indicators over the subset."""
-    scale = math.sqrt(p * (1.0 - p))
-    out = 1.0
-    for u, v in edges:
-        out *= (adjacency[u, v] - p) / scale
-    return out
+@functools.cache
+def support_sum(k: int, v: int, t: int) -> float:
+    """B_k(v, t): moment^2 summed over t-edge subsets of K_v with min degree 2."""
+    squares = []
+    for sub in itertools.combinations(all_edges(v), t):
+        degree = [0] * v
+        for a, b in sub:
+            degree[a] += 1
+            degree[b] += 1
+        if min(degree, default=0) >= 2:
+            squares.append(label_moment(sub, k) ** 2)
+    return math.fsum(squares)
 
 
-def enumeration_work(n: int, k: int, ell: int) -> float:
-    """Cost model for the exact norm: subsets times label assignments."""
-    m = n * (n - 1) // 2
-    return float(
-        sum(math.comb(m, t) * k ** min(2 * t, n) for t in range(ell + 1))
-    )
-
-
-def exact_ldlr_norm(
-    params: SbmParams, ell: int, work_budget: float = DEFAULT_WORK_BUDGET
-) -> LdlrResult:
-    """Sum mu_hat(S)^2 over all edge subsets of size at most ell."""
+def exact_ldlr_norm(params: SbmParams, ell: int) -> LdlrResult:
+    """Sum mu_hat(S)^2 over all edge subsets of size at most ell, by the table."""
     if ell < 0:
         raise ValueError("degree bound must be nonnegative")
-    work = enumeration_work(params.n, params.k, ell)
-    if work > work_budget:
+    k = params.k
+    work = sum(math.comb(math.comb(ell, 2), t) for t in range(ell + 1)) * k**ell
+    if work > _TABLE_LIMIT:
         raise ValueError(
-            f"enumeration needs ~{work:.2e} operations, budget is {work_budget:.2e}"
+            f"support table for k={k}, ell={ell} needs ~{work:.2e} operations, "
+            f"limit is {_TABLE_LIMIT:.0e}"
         )
-    edges = all_edges(params.n)
-    m = len(edges)
     p = params.d / params.n
     if not 0.0 < p < 1.0:
         raise ValueError("null edge probability must lie strictly in (0, 1)")
-    per_degree = []
-    for t in range(ell + 1):
-        if t == 0:
-            per_degree.append(1.0)
-            continue
-        base = (params.eps * p / math.sqrt(p * (1.0 - p))) ** t
-        if base == 0.0:
-            per_degree.append(0.0)
-            continue
-        squares = []
-        for sub in colex_subsets(m, t):
-            c = base * label_moment(tuple(edges[i] for i in sub), params.k)
-            squares.append(c * c)
-        per_degree.append(math.fsum(squares))
+    base = params.eps * p / math.sqrt(p * (1.0 - p))
+    per_degree = [1.0]
+    for t in range(1, ell + 1):
+        b = base**t
+        terms = [math.comb(params.n, v) * support_sum(k, v, t) for v in range(3, t + 1)]
+        per_degree.append(b * b * math.fsum(terms))
     norm = math.sqrt(math.fsum(per_degree))
     return LdlrResult(
         norm=norm,

@@ -128,7 +128,8 @@ def _degenerate_report(threshold: float, side: dict, reason: str) -> TestReport:
     )
 
 
-def _default_recovery_spec(params: SbmParams) -> ProjectionSpec:
+def recovery_projection_spec(params: SbmParams) -> ProjectionSpec:
+    """The recovery route's projection: tolerance 1e-6, at most 2000 sweeps."""
     return ProjectionSpec(
         delta=params.delta, k=params.k, n=params.n, tol=1e-6, max_iters=2000
     )
@@ -152,7 +153,7 @@ def recovery_test_statistic(
     center_estimated: bool = False,
 ) -> TestReport:
     """Full testing-from-recovery pipeline on one graph."""
-    spec = proj if proj is not None else _default_recovery_spec(params)
+    spec = proj if proj is not None else recovery_projection_spec(params)
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
     side = {"eta": params.eta, "method": method, "recovery_rate": None, "projection": None}
     d_hat = (1.0 - params.eta) * params.d if use_true_degree else None

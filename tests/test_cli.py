@@ -150,6 +150,13 @@ def test_ldlr_verb(tmp_path):
     assert len(lines) == 5
 
 
+def test_ldlr_verb_rejects_an_oversized_table(tmp_path, capsys):
+    out = tmp_path / "ldlr.csv"
+    assert main(["--n", "8", "--d", "4", "--out", str(out), "ldlr", "--ell", "8"]) == 1
+    assert capsys.readouterr().err.startswith("ldlr: support table")
+    assert not out.exists()
+
+
 def test_sweep_verb(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from sbmlab.harness import (
+    _CONFIG_KEYS,
     ExperimentConfig,
     centered_operator_norm,
     check_spectral_concentration,
@@ -37,6 +39,23 @@ def test_config_roundtrip():
     assert parse_config(text) == cfg
     # twice through the text form is lossless too
     assert write_config(parse_config(text)) == text
+
+
+def test_config_keys_name_every_field_once():
+    # the one key table drives parse_config and write_config, so a field it
+    # misses could not round-trip
+    def named(cls, prefix):
+        return sorted(
+            (prefix, f.name, getattr(f.type, "__name__", f.type))
+            for f in dataclasses.fields(cls)
+            if f.name != "params"
+        )
+
+    table = sorted(
+        ("params." if key.startswith("params.") else "", field, typ.__name__)
+        for key, (field, typ) in _CONFIG_KEYS.items()
+    )
+    assert table == sorted(named(SbmParams, "params.") + named(ExperimentConfig, ""))
 
 
 def test_config_rejects_unknown_and_malformed():

@@ -11,13 +11,11 @@ from sbmlab.ldlr import (
     all_edges,
     bipartite_quadratic_statistic,
     bipartite_partition,
-    character,
-    colex_subsets,
-    enumeration_work,
     exact_ldlr_norm,
     fourier_coefficient,
     label_moment,
     mc_moments,
+    support_sum,
     write_ldlr_csv,
 )
 from sbmlab.model import SbmParams, edge_prob_matrix, membership_matrix, sample_er, sample_ssbm
@@ -48,13 +46,6 @@ def brute_force_per_degree(params, ell):
             total += (base * moment) ** 2
         per_degree.append(total)
     return per_degree
-
-
-def test_colex_order():
-    subs = list(colex_subsets(4, 2))
-    assert subs == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    assert list(colex_subsets(3, 0)) == [()]
-    assert len(list(colex_subsets(6, 3))) == math.comb(6, 3)
 
 
 def test_label_moment_hand_values():
@@ -128,17 +119,63 @@ def test_exact_norm_monotone():
 
 def test_exact_norm_against_brute_force():
     # independent oracle: full k^n labeling enumeration
-    for params in (SbmParams(5, 2.5, eps=0.8, k=2), SbmParams(5, 2.0, eps=0.6, k=3)):
-        res = exact_ldlr_norm(params, ell=3)
-        oracle = brute_force_per_degree(params, 3)
+    for params, ell in (
+        (SbmParams(5, 2.5, eps=0.8, k=2), 3),
+        (SbmParams(5, 2.0, eps=0.6, k=3), 3),
+        (SbmParams(6, 3.0, eps=0.7, k=2), 4),
+    ):
+        res = exact_ldlr_norm(params, ell)
+        oracle = brute_force_per_degree(params, ell)
         for got, want in zip(res.per_degree, oracle):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
-def test_exact_norm_work_budget():
-    with pytest.raises(ValueError, match="budget"):
-        exact_ldlr_norm(SbmParams(12, 5.0, eps=0.5, k=2), ell=3, work_budget=10.0)
-    assert enumeration_work(8, 2, 3) < 5e8
+def test_exact_norm_table_guard():
+    # the table's size depends on (k, ell) alone, so n no longer limits the norm
+    with pytest.raises(ValueError, match="support table"):
+        exact_ldlr_norm(SbmParams(12, 5.0, eps=0.5, k=2), ell=8)
+    res = exact_ldlr_norm(SbmParams(12, 5.0, eps=0.5, k=2), ell=3)
+    assert res.norm > 1.0 and len(res.per_degree) == 4
+
+
+def test_support_sum_cycle_identity():
+    # a 2-regular spanning graph on at most 5 vertices is one v-cycle; K_v has
+    # (v-1)!/2 of them, and a t-cycle has moment (k-1)/k^t
+    for k in (2, 3):
+        for v in (3, 4, 5):
+            want = math.factorial(v - 1) / 2 * ((k - 1) / k**v) ** 2
+            assert support_sum(k, v, v) == pytest.approx(want, rel=1e-14)
+        # below three edges no support has minimum degree 2
+        assert support_sum(k, 2, 1) == support_sum(k, 2, 2) == 0.0
+
+
+def test_exact_norm_pinned_values():
+    # norms of the K_n subset enumeration this table replaced
+    for (k, n, d, ell, eps), want in (
+        ((2, 8, 4.0, 3, 0.25), 1.000106805819696),
+        ((2, 8, 4.0, 3, 0.6), 1.0202078219657011),
+        ((2, 8, 4.0, 3, 1.0), 1.3693063937629153),
+        ((3, 7, 3.5, 3, 0.8), 1.0248625054156575),
+        ((2, 6, 3.0, 4, 0.5), 1.0027808624060455),
+        ((2, 7, 3.5, 4, 0.8), 1.1009871933860085),
+        ((3, 5, 2.0, 3, 0.6), 1.0003791873677295),
+        ((2, 6, 3.0, 2, 0.5), 1.0),
+    ):
+        got = exact_ldlr_norm(SbmParams(n, d, eps=eps, k=k), ell).norm
+        assert got == pytest.approx(want, rel=1e-12), (k, n, ell, eps)
+
+
+def test_exact_norm_shape_at_experiment_scale():
+    # n = 2000, d = 60: masses decay in t below the Kesten-Stigum point and
+    # grow above it
+    def masses(snr):
+        eps = math.sqrt(snr * 4 / 60.0)
+        return exact_ldlr_norm(SbmParams(2000, 60.0, eps=eps, k=2), ell=6).per_degree[3:]
+
+    assert exact_ldlr_norm(SbmParams(2000, 60.0, eps=0.0, k=2), ell=6).norm == 1.0
+    low, high = masses(0.5), masses(2.0)
+    assert all(a > b for a, b in zip(low, low[1:]))
+    assert all(a < b for a, b in zip(high, high[1:]))
 
 
 def test_coefficients_match_planted_monte_carlo():
@@ -182,16 +219,6 @@ def test_character_orthonormality_under_null():
         se = float(np.std(prod, ddof=1)) / math.sqrt(trials) + 1e-12
         want = 1.0 if s == t else 0.0
         assert abs(est - want) <= 4 * se
-
-
-def test_character_helper_consistency():
-    params = SbmParams(8, 4.0, eps=0.5, k=2)
-    g, _ = sample_ssbm(params, seed=3)
-    a = g.adjacency()
-    sub = ((0, 1), (2, 5))
-    p = params.d / params.n
-    direct = ((a[0, 1] - p) / math.sqrt(p * (1 - p))) * ((a[2, 5] - p) / math.sqrt(p * (1 - p)))
-    assert character(a, sub, p) == pytest.approx(direct, rel=1e-14)
 
 
 def test_bipartite_statistic_zero_plugin():
