@@ -28,15 +28,20 @@ def main():
     args = ap.parse_args()
 
     ells = [int(tok) for tok in args.ells.split(",")]
+    rows = []
+    try:  # every ell is computed before the first row is written
+        for ell in ells:
+            for i in range(args.points):
+                eps = i / (args.points - 1)
+                norm = exact_ldlr_norm(SbmParams(args.n, args.d, eps=eps, k=args.k), ell).norm
+                snr = eps**2 * args.d / args.k**2
+                rows.append(f"{args.n},{args.d!r},{args.k},{ell},{eps!r},{snr!r},{norm!r}\n")
+    except ValueError as exc:
+        print(f"run_ldlr_curves: {exc}", file=sys.stderr)
+        sys.exit(1)
     fh = open(args.out, "w") if args.out else sys.stdout
     fh.write("n,d,k,ell,eps,snr,norm\n")
-    for ell in ells:
-        for i in range(args.points):
-            eps = i / (args.points - 1)
-            params = SbmParams(args.n, args.d, eps=eps, k=args.k)
-            res = exact_ldlr_norm(params, ell)
-            snr = eps**2 * args.d / args.k**2
-            fh.write(f"{args.n},{args.d!r},{args.k},{ell},{eps!r},{snr!r},{res.norm!r}\n")
+    fh.writelines(rows)
     if args.out:
         fh.close()
         print(f"wrote {args.out}", file=sys.stderr)

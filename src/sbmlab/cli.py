@@ -180,17 +180,17 @@ def main(argv=None) -> int:
         _log(f"split {g.edge_count} edges into {sp.y1.edge_count} + {sp.y2.edge_count}")
         return 0
 
-    if cmd == "recover":
+    if cmd in ("recover", "project"):
         g, labels = sample_ssbm(p, cfg.seed)
-        res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
-        with _open_out(args) as fh:
-            fh.write("method,rate\n")
-            fh.write(f"{res.method},{res.rate!r}\n")
-        return 0
-
-    if cmd == "project":
-        g, labels = sample_ssbm(p, cfg.seed)
-        res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
+        try:
+            res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
+        except ValueError as exc:
+            _log(f"{cmd}: {exc}")
+            return 1
+        if cmd == "recover":
+            with _open_out(args) as fh:
+                fh.write(f"method,rate\n{res.method},{res.rate!r}\n")
+            return 0
         try:
             rep = corr_preserving_projection(res.estimate, recovery_projection_spec(p))
         except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:

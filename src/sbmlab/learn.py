@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from .model import DENSE_EIG_LIMIT, BlockGraphon, Graph
-from .seeds import stream_rng, unit_vector
+from .model import BlockGraphon, Graph
+from .recover import spectral_factors
+from .seeds import stream_rng
 
 _EXACT_GW_LIMIT = 8
 
@@ -23,21 +24,19 @@ _EXACT_GW_LIMIT = 8
 def svd_theta(y: Graph | np.ndarray, k: int) -> np.ndarray:
     """Best rank-k approximation of the adjacency matrix, clipped to [0, 1].
 
-    Clipping is the entrywise projection onto [0,1]^{n x n}, which contains
-    the true edge probability matrix, so it never increases the error.
+    A `Graph`'s top-k eigenpairs come from `spectral_factors` uncentered, an
+    array's from a dense eigh.  Clipping is the entrywise projection onto
+    [0,1]^{n x n}, which contains the true edge probability matrix, so it
+    never increases the error.
     """
-    a = y.adjacency() if isinstance(y, Graph) else np.asarray(y, dtype=float)
-    n = a.shape[0]
-    if k >= n:
-        raise ValueError("truncation rank must be below n")
-    if n <= DENSE_EIG_LIMIT or k > n // 10:
-        vals, vecs = np.linalg.eigh(a)
+    if isinstance(y, Graph):
+        vals, vecs = spectral_factors(y, k, 0.0)
+    else:
+        if k >= len(y):
+            raise ValueError("truncation rank must be below n")
+        vals, vecs = np.linalg.eigh(np.asarray(y, dtype=float))
         top = np.argsort(np.abs(vals))[::-1][:k]
         vals, vecs = vals[top], vecs[:, top]
-    else:
-        import scipy.sparse.linalg as spla
-
-        vals, vecs = spla.eigsh(a, k=k, which="LM", v0=unit_vector(n, "svd-start"), tol=1e-10)
     theta = (vecs * vals) @ vecs.T
     theta = (theta + theta.T) / 2.0
     return np.clip(theta, 0.0, 1.0)

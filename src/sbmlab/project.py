@@ -15,14 +15,16 @@ The search runs Dykstra's alternating projections over three sets in one
 loop, `_dykstra`: the halfspace, the entry box, and the spectraplex
 {M = N + J/k psd, Tr M <= n}, projected exactly by one eigendecomposition and
 a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  A solve ends
-converged, certified infeasible before any sweep, or at the sweep cap.  The
-certificate: every N in K' has <U, N> <= n max(lambda_max(U), 0) - <U, J>/k
-for U = M0 / |M0|_F, so a bound below b = delta * norm_target proves that no
-point of K' meets the halfspace.
+converged, certified infeasible before any sweep, or at the sweep cap.
+
+Every input becomes eigenpairs first: a `Factored` holds them, and a dense
+M0, which must equal its transpose, is eigendecomposed once (eigenvalues at
+rounding level dropped).  The certificate reads them: every N in K' has
+<U, N> <= n max(lambda_max(U), 0) - <U, J>/k for U = M0 / |M0|_F, so a bound
+below b = delta * norm_target proves that no point of K' meets the halfspace.
 
 The loop runs over one of two states.  The subspace state holds M0 as a
-`Factored` of its eigenpairs (a dense symmetric M0 is eigendecomposed once,
-eigenvalues at rounding level dropped): every iterate lives in
+`Factored` of its eigenpairs: every iterate lives in
 span{eigenvectors of M0, all-ones, adjoined vertex axes} plus a multiple of
 the complementary identity, so it holds coordinates (C, alpha), a sweep
 costs O(n r^2), and its report carries a `Factored` estimate
@@ -34,7 +36,7 @@ remains the reference.  One width rule picks the state, at entry and each
 time axes are adjoined: the subspace state runs while its basis width r
 (all-ones, eigenvectors, axes) satisfies 2 r <= n, past which an O(n r^2)
 sweep no longer undercuts an n x n eigendecomposition; the dense state then
-solves the original input.
+solves the matrix rebuilt from the eigenpairs.
 """
 
 from __future__ import annotations
@@ -471,29 +473,15 @@ def _eigenpairs(m0: np.ndarray) -> Factored:
     return Factored.from_eig(w[keep], v[:, keep])
 
 
-def _certify_infeasible(m0: np.ndarray | Factored, norm_m0: float, spec: ProjectionSpec):
+def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):
     """Raise ProjectionInfeasibleError when n max(lambda_max(U), 0) - <U, J>/k < b.
 
-    A dense U needs mu = (b + <U, J>/k) / n > 0 and a Cholesky factorization of
-    (mu - 2 err) I - U, which proves lambda_max(U) <= mu - err (err bounds the
-    backward error, as |U|_2 <= 1)."""
-    n, b = spec.n, spec.delta * spec.target
-    if isinstance(m0, Factored):
-        vals = np.diag(m0.c) / norm_m0
-        u_j = float(vals @ m0.v.sum(axis=0) ** 2)
-        lam = float(vals.max()) if vals.size == n else max(float(vals.max()), 0.0)
-    else:
-        u_j = float(np.sum(m0)) / norm_m0
-        mu = (b + u_j / spec.k) / n
-        if mu <= 0.0:
-            return
-        err = n * (n + 1) * np.finfo(float).eps * (mu + 1.0)
-        try:
-            np.linalg.cholesky((mu - 2.0 * err) * np.eye(n) - m0 / norm_m0)
-        except np.linalg.LinAlgError:
-            return
-        lam = mu - err
-    bound = n * max(lam, 0.0) - u_j / spec.k
+    U = M0 / norm_m0 is read from M0's eigenpairs: lambda_max from diag C,
+    <U, J> from V^T 1."""
+    b = spec.delta * spec.target
+    vals = np.diag(m0.c) / norm_m0
+    u_j = float(vals @ m0.v.sum(axis=0) ** 2)
+    bound = spec.n * max(float(vals.max()), 0.0) - u_j / spec.k
     if bound < b:
         raise ProjectionInfeasibleError(bound, b)
 
@@ -501,11 +489,12 @@ def _certify_infeasible(m0: np.ndarray | Factored, norm_m0: float, spec: Project
 def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) -> ProjectionReport:
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
-    A `Factored` M0 must hold eigenpairs, as `Factored.from_eig` builds them
-    (alpha 0, scale 1, diagonal C).  A dense M0 that equals its transpose is
-    eigendecomposed once after the certificate; any other runs on the dense
-    backend.  Eigenpairs run on the subspace backend while the width rule
-    admits their basis, and the dense backend solves the input otherwise.
+    M0 comes as eigenpairs, a `Factored` as `Factored.from_eig` builds them
+    (alpha 0, scale 1, diagonal C), or as a dense array equal to its
+    transpose, which is eigendecomposed once.  The certificate reads the
+    eigenpairs; they run on the subspace backend while the width rule admits
+    their basis, and the dense backend solves the matrix rebuilt from them
+    otherwise.
     """
     if isinstance(m0, Factored):
         vals = np.diag(m0.c)
@@ -514,17 +503,13 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
         norm_m0 = float(np.linalg.norm(vals))
     else:
         m0 = np.asarray(m0, dtype=float)
+        if not np.array_equal(m0, m0.T):
+            raise ValueError("a dense projection input must be symmetric")
         norm_m0 = float(np.linalg.norm(m0))
+        m0 = _eigenpairs(m0)
     if norm_m0 <= 0.0:
         raise ValueError("projection input must be nonzero")
     _certify_infeasible(m0, norm_m0, spec)
-    if isinstance(m0, Factored):
-        rep = _dykstra_subspace(m0, norm_m0, spec)
-        if rep is not None:
-            return rep
-        m0 = (m0.v * vals) @ m0.v.T
-    elif np.array_equal(m0, m0.T):
-        rep = _dykstra_subspace(_eigenpairs(m0), norm_m0, spec)
-        if rep is not None:
-            return rep
-    return _dykstra(_DenseState(m0, norm_m0, spec), spec)
+    return _dykstra_subspace(m0, norm_m0, spec) or _dykstra(
+        _DenseState((m0.v * np.diag(m0.c)) @ m0.v.T, norm_m0, spec), spec
+    )

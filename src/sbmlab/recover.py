@@ -15,8 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .factored import Factored
-from .model import DENSE_EIG_LIMIT as _DENSE_EIG_LIMIT  # module global: tests lower it
-from .model import Graph, Labels, SbmParams, sample_labels
+from .model import DENSE_EIG_LIMIT, Graph, Labels, SbmParams, sample_labels
 from .seeds import unit_vector
 
 
@@ -67,16 +66,16 @@ def recovery_rate(m: np.ndarray | Factored, m_true: np.ndarray | Factored) -> fl
 def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs by magnitude of A - (d_hat/n) J.
 
-    Dense solve below _DENSE_EIG_LIMIT vertices, Lanczos with a fixed
-    deterministic start vector above it.
+    Dense solve up to DENSE_EIG_LIMIT vertices, Lanczos with a fixed
+    deterministic start vector above it.  d_hat = 0 leaves A uncentered.
     """
-    if d_hat <= 0:
-        raise ValueError("centering degree must be positive")
+    if d_hat < 0:
+        raise ValueError("centering degree must be nonnegative")
     n = y1.n
     if k >= n:
         raise ValueError("truncation rank must be below n")
     c = d_hat / n
-    if n <= _DENSE_EIG_LIMIT:
+    if n <= DENSE_EIG_LIMIT:
         centered = y1.adjacency() - c
         vals, vecs = np.linalg.eigh(centered)
         top = np.argsort(np.abs(vals))[::-1][:k]
@@ -116,7 +115,6 @@ def run_recovery(
     method: str = "spectral",
     seed: int = 0,
     labels: Labels | None = None,
-    d_hat: float | None = None,
 ) -> RecoveryResult:
     """Dispatch a recovery baseline; attaches rate when true labels are given.
 
@@ -124,7 +122,7 @@ def run_recovery(
     computed from the factors, so no n x n array is built.
     """
     if method == "spectral":
-        d_used = estimate_degree(y1) if d_hat is None else d_hat
+        d_used = estimate_degree(y1)
         if d_used <= 0:
             raise ValueError("empty graph: cannot center the adjacency")
         factors = spectral_factors(y1, params.k, d_used)

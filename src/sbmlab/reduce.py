@@ -7,12 +7,12 @@ excluded).  The learning route replaces the recovery step with an edge
 probability learner and projects theta_hat - (d/n) J.  Decisions compare g
 against a threshold, by default a null-calibrated quantile.
 
-On the recovery route the estimate stays factored from the eigenpairs of
-the recovery step to the score: g is evaluated from the factors in
-O((m + n) r^2), with no n x n array.  The learning route's estimate
-theta_hat - (d/n) J is dense; the projection eigendecomposes it once and,
-when its numerical rank is low, returns a factored estimate scored the same
-way.
+Both routes end in one project-and-score step.  The projection turns its
+input into eigenpairs first: the recovery route already hands it eigenpairs,
+the learning route the dense theta_hat - (d/n) J, eigendecomposed once.
+When the eigenpairs are few the projected estimate comes back factored and g
+is evaluated from the factors in O((m + n) r^2), with no n x n array; the
+recovery route then builds none from the recovery step to the score.
 
 When the projection degenerates (infeasible correlation constraint, solver
 non-convergence, or a zero estimate) the report carries M_hat = 0, hence
@@ -40,7 +40,7 @@ from .project import (
     ProjectionSpec,
     corr_preserving_projection,
 )
-from .recover import estimate_degree, run_recovery
+from .recover import run_recovery
 from .seeds import derive_seed
 from .split import subsample_edges
 
@@ -141,6 +141,22 @@ def _default_learning_spec(params: SbmParams) -> ProjectionSpec:
     )
 
 
+def _project_and_score(
+    m0: np.ndarray | Factored, spec: ProjectionSpec, y2: Graph, params: SbmParams, threshold: float, side: dict
+) -> TestReport:
+    """Both routes' last step: project M0, then score g on the held-out part Y2."""
+    try:
+        rep = corr_preserving_projection(m0, spec)
+    except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
+        side["projection"] = projection_outcome(exc)
+        return _degenerate_report(threshold, side, f"projection: {exc}")
+    side["projection"] = projection_outcome(rep)
+    g = statistic_from_m_hat(rep.estimate, y2, params.eta * params.d / params.n)
+    return TestReport(
+        statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
+    )
+
+
 def recovery_test_statistic(
     y: Graph,
     params: SbmParams,
@@ -149,37 +165,19 @@ def recovery_test_statistic(
     threshold: float = 0.0,
     labels: Labels | None = None,
     proj: ProjectionSpec | None = None,
-    use_true_degree: bool = False,
-    center_estimated: bool = False,
 ) -> TestReport:
     """Full testing-from-recovery pipeline on one graph."""
     spec = proj if proj is not None else recovery_projection_spec(params)
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
     side = {"eta": params.eta, "method": method, "recovery_rate": None, "projection": None}
-    d_hat = (1.0 - params.eta) * params.d if use_true_degree else None
     try:
         rec = run_recovery(
-            split.y1,
-            params,
-            method=method,
-            seed=derive_seed(seed, "pipeline-recovery"),
-            labels=labels,
-            d_hat=d_hat,
+            split.y1, params, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
         )
     except ValueError as exc:
         return _degenerate_report(threshold, side, f"recovery: {exc}")
     side["recovery_rate"] = rec.rate
-    center = params.eta * (estimate_degree(y) if center_estimated else params.d) / params.n
-    try:
-        rep = corr_preserving_projection(rec.estimate, spec)
-    except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
-        side["projection"] = projection_outcome(exc)
-        return _degenerate_report(threshold, side, f"projection: {exc}")
-    side["projection"] = projection_outcome(rep)
-    g = statistic_from_m_hat(rep.estimate, split.y2, center)
-    return TestReport(
-        statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
-    )
+    return _project_and_score(rec.estimate, spec, split.y2, params, threshold, side)
 
 
 def learning_test_statistic(
@@ -202,19 +200,9 @@ def learning_test_statistic(
     if not np.array_equal(theta_hat, theta_hat.T):
         raise ValueError("learner output must be symmetric")
     m0 = theta_hat - params.d / params.n
-    center = params.eta * params.d / params.n
     if float(np.linalg.norm(m0)) < 1e-12:
         return _degenerate_report(threshold, side, "learning: centered estimate is zero")
-    try:
-        rep = corr_preserving_projection(m0, spec)
-    except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
-        side["projection"] = projection_outcome(exc)
-        return _degenerate_report(threshold, side, f"projection: {exc}")
-    side["projection"] = projection_outcome(rep)
-    g = statistic_from_m_hat(rep.estimate, split.y2, center)
-    return TestReport(
-        statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
-    )
+    return _project_and_score(m0, spec, split.y2, params, threshold, side)
 
 
 def calibrate_threshold(

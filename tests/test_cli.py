@@ -220,6 +220,29 @@ def test_scripts_run(tmp_path):
         assert proc.returncode == 0, proc.stderr
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == header and len(lines) == rows + 1
+    # an ell past the table guard is rejected before any row is written
+    out = tmp_path / "rejected.csv"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_ldlr_curves.py"),
+         "--ells", "3,8", "--points", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("run_ldlr_curves: ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["recover", "project"])
+def test_recovery_failure_exits_one_without_traceback(verb):
+    # at d = 0.01 the draw has no edges, so recovery cannot center the adjacency
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sbmlab.cli", "--n", "30", "--d", "0.01", "--seed", "1", verb],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"{verb}: empty graph: cannot center the adjacency\n"
+    assert proc.stdout == ""
 
 
 def test_usage_errors_exit_code_one():

@@ -169,19 +169,52 @@ def test_infeasible_halfspace_detected(factored, monkeypatch):
     assert err.value.bound < err.value.b
 
 
+def test_certificate_bound_agrees_across_input_forms():
+    # an anti-correlated input with unequal blocks (so <U, J> != 0 and the
+    # bound is off zero) gets one certificate as a dense array and as eigenpairs
+    p = SbmParams(60, 2.0, k=3, delta=0.5)
+    lab = sample_labels(p, seed=11)
+    vals, vecs = membership_factors(lab)
+    spec = ProjectionSpec(delta=0.5, k=3, n=60)
+    bounds = []
+    for m0 in (-membership_matrix(lab), Factored.from_eig(-vals, vecs)):
+        with pytest.raises(ProjectionInfeasibleError) as err:
+            corr_preserving_projection(m0, spec)
+        bounds.append(err.value.bound)
+    assert bounds[1] > 0.0
+    assert bounds[0] == pytest.approx(bounds[1], rel=1e-12)
+
+
+def test_nonsymmetric_dense_input_rejected():
+    m0 = np.diag([3.0, 2.0, 1.0, 0.5])
+    m0[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        corr_preserving_projection(m0, ProjectionSpec(delta=0.5, k=2, n=4))
+
+
+class _SweepsReached(Exception):
+    pass
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_planted_and_oracle_inputs_pass_the_certificate(seed):
+def test_planted_and_oracle_inputs_pass_the_certificate(seed, monkeypatch):
     # a planted graph's spectral estimate and the oracle's membership factors
-    # are feasible inputs: neither form trips the infeasibility certificate
+    # are feasible inputs: neither form trips the infeasibility certificate,
+    # so both reach the sweeps
     p = SbmParams(400, 30.0, eps=0.6, k=2, eta=0.1, delta=0.1)
     graph, lab = sample_ssbm(p, seed)
     spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n)
     spectral = run_recovery(graph, p, method="spectral", seed=seed).estimate
     oracle = Factored.from_eig(*membership_factors(lab))
+
+    def reached(*args):
+        raise _SweepsReached
+
+    monkeypatch.setattr(sbmlab.project, "_dykstra", reached)
     for m0 in (spectral, oracle):
         for form in (m0, m0.dense()):
-            norm = form.norm() if isinstance(form, Factored) else float(np.linalg.norm(form))
-            sbmlab.project._certify_infeasible(form, norm, spec)
+            with pytest.raises(_SweepsReached):
+                corr_preserving_projection(form, spec)
 
 
 @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])

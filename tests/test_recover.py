@@ -130,21 +130,21 @@ def test_spectral_membership_above_threshold():
     assert np.median(rates) >= 0.1
 
 
-def test_spectral_factors_sparse_dense_agree():
-    # same truncation from both solver paths
+def test_spectral_factors_sparse_dense_agree(monkeypatch):
+    # same truncation from both solver paths, centered or not (d_hat = 0)
     g, _ = sample_ssbm(SbmParams(300, 12.0, eps=0.7, k=2), seed=11)
-    vals_d, vecs_d = spectral_factors(g, 2, d_hat=12.0)
     import sbmlab.recover as rec
 
-    old = rec._DENSE_EIG_LIMIT
-    rec._DENSE_EIG_LIMIT = 10
-    try:
-        vals_s, vecs_s = spectral_factors(g, 2, d_hat=12.0)
-    finally:
-        rec._DENSE_EIG_LIMIT = old
-    m_d = (vecs_d * vals_d) @ vecs_d.T
-    m_s = (vecs_s * vals_s) @ vecs_s.T
-    assert np.allclose(m_d, m_s, atol=1e-7)
+    for d_hat in (12.0, 0.0):
+        vals_d, vecs_d = spectral_factors(g, 2, d_hat=d_hat)
+        with monkeypatch.context() as m:
+            m.setattr(rec, "DENSE_EIG_LIMIT", 10)
+            vals_s, vecs_s = spectral_factors(g, 2, d_hat=d_hat)
+        m_d = (vecs_d * vals_d) @ vecs_d.T
+        m_s = (vecs_s * vals_s) @ vecs_s.T
+        assert np.allclose(m_d, m_s, atol=1e-7)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectral_factors(g, 2, d_hat=-1.0)
 
 
 def test_membership_factors_exact():
