@@ -154,7 +154,11 @@ def _open_out(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _load_config(args)
+    try:
+        cfg = _load_config(args)
+    except (ValueError, OSError) as exc:
+        _log(f"sbmlab: {exc}")
+        return 1
     p = cfg.params
     cmd = args.command
 

@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.threshold_policy not in ("calibrated", "fixed", "asymptotic"):
             raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
+        if not 0.5 < self.threshold_quantile < 1.0:
+            raise ValueError(f"threshold quantile {self.threshold_quantile} is not in (0.5, 1)")
         if self.eta_policy not in ("fixed", "slack"):
             raise ValueError(f"unknown eta policy {self.eta_policy!r}")
 
@@ -157,7 +159,7 @@ class PhasePoint:
 def pipeline_statistic(cfg: ExperimentConfig):
     """cfg's per-trial statistic, (graph, stat_seed, labels) -> TestReport.
 
-    Scores with eta from cfg.effective_eta(); the reports carry threshold 0.
+    Scores with eta from cfg.effective_eta(); run_two_arms decides.
     The ldlr pipeline has its own verb and is rejected with ValueError.
     """
     if cfg.pipeline == "ldlr":
@@ -183,7 +185,7 @@ def pipeline_statistic(cfg: ExperimentConfig):
             val = gw_constant(graphon_from_theta(learner(g)), params.d / params.n)
         else:
             val = bipartite_quadratic_statistic(g, learner, params, s)
-        return TestReport(val, 0.0, int(val >= 0.0), {"pipeline": cfg.pipeline})
+        return TestReport(val, {"pipeline": cfg.pipeline})
 
     return stat
 
@@ -207,7 +209,7 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, seed_p: int):
         tau = float(np.quantile(np.array([r.statistic for r in rows_q]), cfg.threshold_quantile))
 
     def decide(rows):
-        return [replace(r, threshold=tau, decision=int(r.statistic >= tau)) for r in rows]
+        return [replace(r, threshold=tau) for r in rows]
 
     return tau, decide(rows_p), decide(rows_q)
 

@@ -4,8 +4,8 @@ The recovery route subsamples the graph, runs a recovery baseline on the kept
 part Y1, regularizes the estimate with the correlation-preserving projection,
 and scores g(Y) = <M_hat, Y2 - (eta d / n) J> on the held-out part (diagonal
 excluded).  The learning route replaces the recovery step with an edge
-probability learner and projects theta_hat - (d/n) J.  Decisions compare g
-against a threshold, by default a null-calibrated quantile.
+probability learner and projects theta_hat - (d/n) J.  Both return g alone;
+harness.run_two_arms calibrates the threshold and decides every trial.
 
 Both routes end in one project-and-score step.  The projection turns its
 input into eigenpairs first: the recovery route already hands it eigenpairs,
@@ -57,21 +57,12 @@ TRIAL_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class TestReport:
-    """One pipeline evaluation: statistic, threshold and the 0/1 decision."""
+    """One pipeline evaluation: the statistic g and its side channel."""
 
     __test__ = False  # not a pytest class
 
     statistic: float
-    threshold: float
-    decision: int
     side_channel: dict
-
-    def __post_init__(self):
-        if self.decision != int(self.statistic >= self.threshold):
-            raise ValueError(
-                f"decision {self.decision} disagrees with statistic {self.statistic} "
-                f"against threshold {self.threshold}"
-            )
 
 
 @dataclass(frozen=True)
@@ -121,13 +112,6 @@ def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
     return {"status": "invalid"}
 
 
-def _degenerate_report(threshold: float, side: dict, reason: str) -> TestReport:
-    side = dict(side, error=reason)
-    return TestReport(
-        statistic=0.0, threshold=threshold, decision=int(0.0 >= threshold), side_channel=side
-    )
-
-
 def recovery_projection_spec(params: SbmParams) -> ProjectionSpec:
     """The recovery route's projection: tolerance 1e-6, at most 2000 sweeps."""
     return ProjectionSpec(
@@ -142,19 +126,17 @@ def _default_learning_spec(params: SbmParams) -> ProjectionSpec:
 
 
 def _project_and_score(
-    m0: np.ndarray | Factored, spec: ProjectionSpec, y2: Graph, params: SbmParams, threshold: float, side: dict
+    m0: np.ndarray | Factored, spec: ProjectionSpec, y2: Graph, params: SbmParams, side: dict
 ) -> TestReport:
     """Both routes' last step: project M0, then score g on the held-out part Y2."""
     try:
         rep = corr_preserving_projection(m0, spec)
     except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
         side["projection"] = projection_outcome(exc)
-        return _degenerate_report(threshold, side, f"projection: {exc}")
+        return TestReport(0.0, dict(side, error=f"projection: {exc}"))
     side["projection"] = projection_outcome(rep)
     g = statistic_from_m_hat(rep.estimate, y2, params.eta * params.d / params.n)
-    return TestReport(
-        statistic=g, threshold=threshold, decision=int(g >= threshold), side_channel=side
-    )
+    return TestReport(g, side)
 
 
 def recovery_test_statistic(
@@ -162,7 +144,6 @@ def recovery_test_statistic(
     params: SbmParams,
     seed: int,
     method: str = "spectral",
-    threshold: float = 0.0,
     labels: Labels | None = None,
     proj: ProjectionSpec | None = None,
 ) -> TestReport:
@@ -175,9 +156,9 @@ def recovery_test_statistic(
             split.y1, params, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
         )
     except ValueError as exc:
-        return _degenerate_report(threshold, side, f"recovery: {exc}")
+        return TestReport(0.0, dict(side, error=f"recovery: {exc}"))
     side["recovery_rate"] = rec.rate
-    return _project_and_score(rec.estimate, spec, split.y2, params, threshold, side)
+    return _project_and_score(rec.estimate, spec, split.y2, params, side)
 
 
 def learning_test_statistic(
@@ -185,7 +166,6 @@ def learning_test_statistic(
     params: SbmParams,
     learner,
     seed: int,
-    threshold: float = 0.0,
     proj: ProjectionSpec | None = None,
 ) -> TestReport:
     """Testing-from-learning pipeline: project theta_hat - (d/n) J, then score."""
@@ -201,54 +181,14 @@ def learning_test_statistic(
         raise ValueError("learner output must be symmetric")
     m0 = theta_hat - params.d / params.n
     if float(np.linalg.norm(m0)) < 1e-12:
-        return _degenerate_report(threshold, side, "learning: centered estimate is zero")
-    return _project_and_score(m0, spec, split.y2, params, threshold, side)
-
-
-def calibrate_threshold(
-    statistic_fn,
-    params: SbmParams,
-    trials: int,
-    quantile: float,
-    seed: int,
-) -> float:
-    """Empirical null quantile of g over fresh G(n, d/n) draws.
-
-    statistic_fn(graph, trial_seed, labels) must return a TestReport (its
-    threshold is ignored here; labels is always None under the null).
-    """
-    if trials < 50:
-        raise ValueError("need at least 50 null trials to calibrate")
-    if not 0.5 < quantile < 1.0:
-        raise ValueError("quantile must lie in (0.5, 1)")
-
-    def statistic(g, s, labels):
-        return statistic_fn(g, s, labels).statistic
-
-    values = np.array(map_trials(statistic, params, "Q", trials, seed, "calibrate"))
-    if np.all(values == values[0]):
-        raise ValueError("degenerate null sample: all statistics equal")
-    return float(np.quantile(values, quantile))
+        return TestReport(0.0, dict(side, error="learning: centered estimate is zero"))
+    return _project_and_score(m0, spec, split.y2, params, side)
 
 
 def graphon_test(w_hat: BlockGraphon, params: SbmParams) -> int:
     """1 iff the estimate sits within the testing radius of the flat graphon."""
     radius = (params.d / (3.0 * params.n)) * math.sqrt(params.k / params.d)
     return int(gw_constant(w_hat, params.d / params.n) <= radius)
-
-
-def empirical_r(statistic_fn, params: SbmParams, trials: int, seed: int) -> RScore:
-    """Monte-Carlo estimate of R_{P,Q}(f) for a scalar statistic f.
-
-    statistic_fn(graph, trial_seed) -> float; the P arm draws from the
-    planted model, the Q arm from G(n, d/n).
-    """
-    if trials < 50:
-        raise ValueError("need at least 50 trials per arm")
-    return le_cam_score(
-        map_trials(lambda g, s, _: statistic_fn(g, s), params, "P", trials, seed, "r-planted"),
-        map_trials(lambda g, s, _: statistic_fn(g, s), params, "Q", trials, seed, "r-null"),
-    )
 
 
 def le_cam_score(p_vals, q_vals) -> RScore:
@@ -273,13 +213,18 @@ def le_cam_score(p_vals, q_vals) -> RScore:
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One trial's statistic; its decision follows from the threshold it is held to."""
+
     seed: int
     arm: str
     statistic: float
-    threshold: float
-    decision: int
     recovery_rate: float | None
     wall_time_ms: float
+    threshold: float = 0.0
+
+    @property
+    def decision(self) -> int:
+        return int(self.statistic >= self.threshold)
 
 
 def run_test_trials(
@@ -305,8 +250,6 @@ def run_test_trials(
             seed=derive_seed(seed, stream, t),
             arm=arm,
             statistic=report.statistic,
-            threshold=report.threshold,
-            decision=report.decision,
             recovery_rate=report.side_channel.get("recovery_rate"),
             wall_time_ms=wall,
         )

@@ -30,7 +30,6 @@ class EdgeSplit:
     y1: Graph
     y2: Graph
     eta: float
-    ytilde2: np.ndarray | None = None
 
 
 def subsample_edges(y: Graph, eta: float, seed: int) -> EdgeSplit:
@@ -42,13 +41,13 @@ def subsample_edges(y: Graph, eta: float, seed: int) -> EdgeSplit:
     return EdgeSplit(Graph(y.n, y.edges[keep]), Graph(y.n, y.edges[~keep]), eta)
 
 
-def decouple(split: EdgeSplit, p: np.ndarray, eta: float | None = None) -> np.ndarray:
+def decouple(split: EdgeSplit, p: np.ndarray) -> np.ndarray:
     """Dense decoupled surrogate for Y2 given the true pair probabilities p.
 
     Off-diagonal entries follow the formula in the module docstring; the
     diagonal is zero (no self-loops anywhere in the pipeline).
     """
-    eta = split.eta if eta is None else eta
+    eta = split.eta
     n = split.y1.n
     p = np.asarray(p, dtype=float)
     if p.shape != (n, n):

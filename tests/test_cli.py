@@ -255,11 +255,24 @@ def test_usage_errors_exit_code_one():
     assert main(["accept", "--suite", "nonsense"]) == 1
 
 
-def test_bad_config_file(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("unknown.key = 1\n")
-    with pytest.raises(ValueError):
-        main(["--config", str(cfg), "sample"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "{bad}", "sample"], "line 1: unknown key 'unknown.key'"),
+        (["--trials", "0", "test"], "need at least one trial"),
+        (["--n", "1", "sample"], "need at least 2 vertices, got n=1"),
+        (["--config", "{missing}", "sample"], "No such file or directory"),
+    ],
+    ids=["unknown-key", "zero-trials", "one-vertex", "missing-file"],
+)
+def test_bad_config_file(tmp_path, capsys, argv, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("unknown.key = 1\n")
+    paths = {"bad": bad, "missing": tmp_path / "missing.cfg"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sbmlab: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_test_verb_pipelines(tmp_path):

@@ -67,6 +67,10 @@ def test_config_rejects_unknown_and_malformed():
         parse_config("trials = 3\ntrials = 4\n")
     with pytest.raises(ValueError, match="pipeline"):
         parse_config("pipeline = nonsense\n")
+    # a calibrated threshold is an upper quantile of the null statistics
+    for q in ("0.3", "0.5", "1.0", "1.5"):
+        with pytest.raises(ValueError, match="quantile"):
+            parse_config(f"threshold.quantile = {q}\n")
 
 
 def test_config_comments_and_defaults():

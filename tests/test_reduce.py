@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import sbmlab.reduce
+from sbmlab.harness import ExperimentConfig, run_two_arms
 from sbmlab.learn import svd_theta
 from sbmlab.model import (
     BlockGraphon,
@@ -19,12 +21,9 @@ from sbmlab.model import (
 from sbmlab.project import ProjectionSpec
 from sbmlab.recover import recovery_rate
 from sbmlab.reduce import (
-    RScore,
-    TestReport,
     TrialRow,
-    calibrate_threshold,
-    empirical_r,
     graphon_test,
+    le_cam_score,
     learning_test_statistic,
     recovery_test_statistic,
     run_test_trials,
@@ -57,12 +56,12 @@ def test_statistic_matches_dense_formula():
     assert statistic_from_m_hat(m, g, c) == pytest.approx(dense, rel=1e-12)
 
 
-def test_report_rejects_inconsistent_decision():
-    assert TestReport(2.0, 1.0, 1, {}).decision == 1
-    with pytest.raises(ValueError):
-        TestReport(2.0, 1.0, 0, {})
-    with pytest.raises(ValueError):
-        TestReport(0.5, 1.0, 1, {})
+def test_trial_row_decision_follows_threshold():
+    row = TrialRow(seed=1, arm="Q", statistic=2.0, recovery_rate=None, wall_time_ms=0.0)
+    assert (row.threshold, row.decision) == (0.0, 1)
+    assert dataclasses.replace(row, threshold=2.0).decision == 1  # a tie rejects
+    assert dataclasses.replace(row, threshold=2.5).decision == 0
+    assert dataclasses.replace(row, threshold=-1.0).decision == 1
 
 
 def test_decision_scale_invariance():
@@ -127,12 +126,11 @@ def test_oracle_recovery_separation():
 def test_pipeline_determinism():
     p = SbmParams(500, 20.0, eps=0.6, k=2, eta=0.15, delta=0.1)
     g, lab = sample_ssbm(p, seed=23)
-    r1 = recovery_test_statistic(g, p, seed=99, method="spectral", labels=lab, threshold=1.0)
-    r2 = recovery_test_statistic(g, p, seed=99, method="spectral", labels=lab, threshold=1.0)
+    r1 = recovery_test_statistic(g, p, seed=99, method="spectral", labels=lab)
+    r2 = recovery_test_statistic(g, p, seed=99, method="spectral", labels=lab)
     assert r1 == r2
     assert r1.side_channel["projection"] == r2.side_channel["projection"]
     assert r1.side_channel["projection"]["status"] == "ok"
-    assert r1.decision == int(r1.statistic >= 1.0)
 
 
 def test_side_channel_names_the_projection_outcome(monkeypatch):
@@ -172,40 +170,35 @@ def test_side_channel_names_the_projection_outcome(monkeypatch):
 def test_calibrate_threshold_properties():
     p = SbmParams(300, 12.0, eps=0.0, k=2, eta=0.1, delta=0.2)
 
-    def stat(g, s, labels=None):
-        return recovery_test_statistic(g, p, seed=s, method="random")
+    def calibrate(quantile):
+        cfg = ExperimentConfig(
+            params=p, trials=50, threshold_quantile=quantile, recovery_method="random"
+        )
+        tau, _, rows_q = run_two_arms(cfg, derive_seed(31, "calibrate"), derive_seed(31, "planted"))
+        return tau, [r.statistic for r in rows_q]
 
-    taus = [calibrate_threshold(stat, p, trials=50, quantile=q, seed=31) for q in (0.6, 0.9, 0.99)]
+    taus = [calibrate(q)[0] for q in (0.6, 0.9, 0.99)]
     assert taus[0] <= taus[1] <= taus[2]
     # reproducible bit-for-bit
-    assert taus[2] == calibrate_threshold(stat, p, trials=50, quantile=0.99, seed=31)
+    assert taus[2] == calibrate(0.99)[0]
     # near-median quantile of a symmetric null sits near zero
-    vals = []
-    for t in range(50):
-        g = sample_er(p.n, p.d, derive_seed(31, "calibrate", t))
-        vals.append(stat(g, derive_seed(31, "calibrate-stat", t), None).statistic)
-    tau_mid = calibrate_threshold(stat, p, trials=50, quantile=0.501, seed=31)
+    tau_mid, vals = calibrate(0.501)
     se_med = 1.2533 * np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(tau_mid) <= 4 * se_med
-    with pytest.raises(ValueError):
-        calibrate_threshold(stat, p, trials=10, quantile=0.9, seed=0)
-    with pytest.raises(ValueError):
-        calibrate_threshold(stat, p, trials=50, quantile=0.4, seed=0)
 
 
 def test_null_calibrated_size():
-    # decisions on fresh null draws reject at most ~1 - quantile of the time
-    p = SbmParams(400, 16.0, eps=0.0, k=2, eta=0.1, delta=0.15)
-
-    def stat(g, s, threshold=0.0):
-        return recovery_test_statistic(g, p, seed=s, method="spectral", threshold=threshold)
-
-    tau = calibrate_threshold(lambda g, s, labels: stat(g, s), p, trials=50, quantile=0.99, seed=37)
-    rejections = 0
-    for t in range(40):
-        g = sample_er(p.n, p.d, derive_seed(37, "size", t))
-        rejections += stat(g, derive_seed(37, "size-stat", t), threshold=tau).decision
-    assert rejections / 40 <= 0.05
+    # at eps = 0 the P arm is the null law drawn from an independent stream,
+    # so its decisions against the calibrated threshold reject at most
+    # ~1 - quantile of the time
+    cfg = ExperimentConfig(
+        params=SbmParams(400, 16.0, eps=0.0, k=2, eta=0.1, delta=0.15),
+        trials=50,
+        threshold_quantile=0.99,
+        recovery_method="spectral",
+    )
+    _, rows_p, _ = run_two_arms(cfg, derive_seed(37, "calibrate"), derive_seed(37, "size"))
+    assert sum(r.decision for r in rows_p) / len(rows_p) <= 0.05
 
 
 def test_learning_oracle_separation():
@@ -279,28 +272,22 @@ def test_graphon_test_values():
 
 
 def test_empirical_r_flags_and_null():
-    p = SbmParams(100, 8.0, eps=0.5, k=2)
-    const = empirical_r(lambda g, s: 1.0, p, trials=50, seed=3)
+    const = le_cam_score([1.0] * 50, [1.0] * 50)
     assert const.degenerate and math.isnan(const.r_value)
+    shifted = le_cam_score([2.0] * 50, [1.0] * 50)
+    assert shifted.degenerate and shifted.r_value == math.inf
 
-    def coin(g, s):
-        return float(stream_rng(s, "coin").integers(0, 2))
-
-    fair = empirical_r(coin, p, trials=60, seed=5)
-    assert not fair.degenerate
+    coins = stream_rng(5, "coin").integers(0, 2, 120).astype(float)
+    fair = le_cam_score(coins[:60], coins[60:])
+    assert not fair.degenerate and fair.trials == 60
     assert abs(fair.r_value) <= 4.0 / math.sqrt(60)  # null correlation scale
-
-    with pytest.raises(ValueError):
-        empirical_r(coin, p, trials=10, seed=0)
 
 
 def test_empirical_r_pipeline_above_threshold():
     p = SbmParams(600, 40.0, eps=math.sqrt(16.0 / 40.0), k=2, eta=0.1, delta=0.1)
-
-    def stat(g, s):
-        return recovery_test_statistic(g, p, seed=s, method="spectral").statistic
-
-    score = empirical_r(stat, p, trials=50, seed=53)
+    cfg = ExperimentConfig(params=p, trials=50)
+    _, rows_p, rows_q = run_two_arms(cfg, derive_seed(53, "r-null"), derive_seed(53, "r-planted"))
+    score = le_cam_score([r.statistic for r in rows_p], [r.statistic for r in rows_q])
     assert score.r_value >= 3.0
 
 
@@ -308,7 +295,7 @@ def test_run_trials_and_csv(tmp_path):
     p = SbmParams(200, 10.0, eps=0.7, k=2, eta=0.1, delta=0.1)
 
     def stat(g, s, labels=None):
-        return recovery_test_statistic(g, p, seed=s, method="spectral", threshold=0.5, labels=labels)
+        return recovery_test_statistic(g, p, seed=s, method="spectral", labels=labels)
 
     rows = run_test_trials(stat, p, "P", trials=5, seed=59)
     assert len(rows) == 5
@@ -344,7 +331,6 @@ def test_worker_pool_matches_sequential():
 def test_empty_graph_degenerates():
     p = SbmParams(50, 5.0, eps=0.5, k=2, eta=0.1, delta=0.1)
     empty = __import__("sbmlab.model", fromlist=["Graph"]).Graph(50, np.empty((0, 2), dtype=np.int64))
-    rep = recovery_test_statistic(empty, p, seed=1, method="spectral", threshold=1.0)
+    rep = recovery_test_statistic(empty, p, seed=1, method="spectral")
     assert rep.statistic == 0.0
-    assert rep.decision == 0
     assert "recovery" in rep.side_channel["error"]

@@ -185,16 +185,13 @@ def test_split_serialization_roundtrip(tmp_path):
     assert np.array_equal(sp2.y2.edges, sp.y2.edges)
 
 
-def test_edge_split_carries_decoupled_matrix():
-    import dataclasses
-
-    from sbmlab.model import SbmParams, edge_prob_matrix, sample_labels, sample_ssbm
+def test_decouple_on_a_split_is_symmetric():
+    from sbmlab.model import SbmParams, edge_prob_matrix, sample_ssbm
 
     p = SbmParams(40, 5.0, eps=0.5, k=2)
     g, lab = sample_ssbm(p, seed=2)
     sp = subsample_edges(g, 0.2, seed=3)
-    assert sp.ytilde2 is None
-    theta = edge_prob_matrix(p, lab)
-    full = dataclasses.replace(sp, ytilde2=decouple(sp, theta))
-    assert full.ytilde2.shape == (p.n, p.n)
-    assert np.allclose(full.ytilde2, full.ytilde2.T)
+    yt = decouple(sp, edge_prob_matrix(p, lab))
+    assert yt.shape == (p.n, p.n)
+    assert np.array_equal(yt, yt.T)
+    assert not np.any(np.diag(yt))
