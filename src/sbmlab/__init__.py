@@ -6,7 +6,6 @@ from .model import (
     Labels,
     SbmParams,
     edge_prob_matrix,
-    ks_snr,
     membership_matrix,
     sample_er,
     sample_labels,
@@ -22,7 +21,6 @@ __all__ = [
     "SbmParams",
     "derive_seed",
     "edge_prob_matrix",
-    "ks_snr",
     "membership_matrix",
     "sample_er",
     "sample_labels",

@@ -144,10 +144,7 @@ def _c3_projection_certificate(seed, n=200, instances=20, sigma=26.0):
         m0 = m_true + sigma * (g + g.T) / (2.0 * math.sqrt(n))
         d0 = recovery_rate(m0, m_true)
         min_d0 = min(min_d0, d0)
-        spec = ProjectionSpec(
-            delta=d0, k=2, n=n, tol=1e-7, max_iters=4000,
-            norm_target=float(np.linalg.norm(m_true)),
-        )
+        spec = ProjectionSpec(delta=d0, k=2, n=n, tol=1e-7, max_iters=4000)
         rep = corr_preserving_projection(m0, spec)
         worst_residual = max(worst_residual, max(k_residuals(rep.m_hat, spec).values()))
         min_margin = min(min_margin, recovery_rate(rep.m_hat, m_true) - (d0 / 2 - 1e-3))
@@ -199,7 +196,7 @@ def _c6_graphon_distances(seed):
         wm = BlockGraphon((b + b.T) / 2.0)
         c = float(rng.random())
         target = BlockGraphon(np.full((1, 1), c))
-        if abs(gw_distance(wm, target, mode="exact") - gw_constant(wm, c)) > 1e-12:
+        if abs(gw_distance(wm, target) - gw_constant(wm, c)) > 1e-12:
             part2 = False
 
     worst_slack = math.inf
@@ -209,9 +206,9 @@ def _c6_graphon_distances(seed):
         for _ in range(3):
             b = rng.random((m, m))
             ws.append(BlockGraphon((b + b.T) / 2.0))
-        d12 = gw_distance(ws[0], ws[1], mode="exact")
-        d23 = gw_distance(ws[1], ws[2], mode="exact")
-        d13 = gw_distance(ws[0], ws[2], mode="exact")
+        d12 = gw_distance(ws[0], ws[1])
+        d23 = gw_distance(ws[1], ws[2])
+        d13 = gw_distance(ws[0], ws[2])
         worst_slack = min(worst_slack, d12 + d23 - d13)
     part3 = worst_slack >= -1e-10
     return part1 and part2 and part3, {

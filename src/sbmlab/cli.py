@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .acceptance import SUITES, acceptance_csv, run_acceptance
+from .acceptance import acceptance_csv, run_acceptance
 from .factored import Factored
 from .harness import (
     ExperimentConfig,
@@ -25,9 +25,10 @@ from .harness import (
     sweep_phase,
     write_sweep_csv,
 )
-from .learn import graphon_from_theta, svd_theta, write_graphon
+from .learn import svd_theta, write_graphon
 from .ldlr import exact_ldlr_norm, write_ldlr_csv
 from .model import (
+    BlockGraphon,
     edge_prob_matrix,
     map_trials,
     sample_er,
@@ -159,6 +160,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _log(f"sbmlab: {exc}")
         return 1
+    try:
+        return _run_verb(args, cfg)
+    except ValueError as exc:
+        _log(f"{args.command}: {exc}")
+        return 1
+
+
+def _run_verb(args, cfg: ExperimentConfig) -> int:
     p = cfg.params
     cmd = args.command
 
@@ -186,11 +195,7 @@ def main(argv=None) -> int:
 
     if cmd in ("recover", "project"):
         g, labels = sample_ssbm(p, cfg.seed)
-        try:
-            res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
-        except ValueError as exc:
-            _log(f"{cmd}: {exc}")
-            return 1
+        res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
         if cmd == "recover":
             with _open_out(args) as fh:
                 fh.write(f"method,rate\n{res.method},{res.rate!r}\n")
@@ -210,13 +215,9 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "test":
-        try:
-            tau, rows_p, rows_q = run_two_arms(
-                cfg, derive_seed(cfg.seed, "cli-q"), derive_seed(cfg.seed, "cli-p")
-            )
-        except ValueError as exc:
-            _log(f"test: {exc}")
-            return 1
+        tau, rows_p, rows_q = run_two_arms(
+            cfg, derive_seed(cfg.seed, "cli-q"), derive_seed(cfg.seed, "cli-p")
+        )
         with _open_out(args) as fh:
             write_trial_csv(rows_p + rows_q, fh, timing=not args.no_timing)
         _log(f"threshold {tau} under policy {cfg.threshold_policy}")
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
         def error(g, s, labels):
             theta_hat = svd_theta(g, p.k)
             if args.graphon_out and s == first:
-                write_graphon(graphon_from_theta(theta_hat), args.graphon_out)
+                write_graphon(BlockGraphon(theta_hat), args.graphon_out)
             return float(np.linalg.norm(theta_hat - edge_prob_matrix(p, labels)) ** 2)
 
         errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn", cfg.threads)
@@ -240,11 +241,7 @@ def main(argv=None) -> int:
 
     if cmd == "ldlr":
         ell = args.ell if args.ell is not None else cfg.ell
-        try:
-            res = exact_ldlr_norm(p, ell)
-        except ValueError as exc:
-            _log(f"ldlr: {exc}")
-            return 1
+        res = exact_ldlr_norm(p, ell)
         with _open_out(args) as fh:
             write_ldlr_csv(res, fh)
         return 0
@@ -253,13 +250,8 @@ def main(argv=None) -> int:
         try:
             grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
         except ValueError:
-            _log("sweep: grid must be comma-separated numbers")
-            return 1
-        try:
-            points = sweep_phase(cfg, grid)
-        except ValueError as exc:
-            _log(f"sweep: {exc}")
-            return 1
+            raise ValueError("grid must be comma-separated numbers") from None
+        points = sweep_phase(cfg, grid)
         with _open_out(args) as fh:
             write_sweep_csv(points, cfg.trials, fh, timing=not args.no_timing)
         return 0
@@ -274,9 +266,6 @@ def main(argv=None) -> int:
         return 0
 
     if cmd == "accept":
-        if args.suite not in SUITES:
-            _log(f"accept: unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-            return 1
         seed = cfg.seed if args.seed is not None else None
         results = (
             run_acceptance(args.suite, seed=seed) if seed is not None else run_acceptance(args.suite)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .learn import graphon_from_theta, gw_constant, svd_theta
+from .learn import gw_constant, svd_theta
 from .ldlr import bipartite_quadratic_statistic
-from .model import Graph, SbmParams, edge_prob_matrix, map_trials
+from .model import BlockGraphon, Graph, SbmParams, edge_prob_matrix, map_trials
 from .reduce import (
     TestReport,
     le_cam_score,
@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"threshold quantile {self.threshold_quantile} is not in (0.5, 1)")
         if self.eta_policy not in ("fixed", "slack"):
             raise ValueError(f"unknown eta policy {self.eta_policy!r}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def effective_eta(self) -> float:
         """eta = 0.001 (1 - snr) under the 'slack' policy, else params.eta."""
@@ -182,7 +184,7 @@ def pipeline_statistic(cfg: ExperimentConfig):
             # distance of the estimated graphon to the flat one.  The fixed
             # radius of graphon_test presumes an estimator below the achievable
             # error floor, so desk-scale runs calibrate instead.
-            val = gw_constant(graphon_from_theta(learner(g)), params.d / params.n)
+            val = gw_constant(BlockGraphon(learner(g)), params.d / params.n)
         else:
             val = bipartite_quadratic_statistic(g, learner, params, s)
         return TestReport(val, {"pipeline": cfg.pipeline})

@@ -209,5 +209,5 @@ def mc_moments(statistic_fn, params: SbmParams, arm: str, trials: int, seed: int
         raise ValueError("need at least 30 trials")
     vals = map_trials(lambda g, s, _: statistic_fn(g, s), params, arm, trials, seed, f"mc-{arm}")
     mean = float(np.mean(vals))
-    var = float(np.var(vals, ddof=1)) if trials > 1 else 0.0
+    var = float(np.var(vals, ddof=1))
     return McMoments(mean=mean, var=var, std_error=math.sqrt(var / trials), trials=trials)

@@ -2,8 +2,7 @@
 
 Graphon distance for equal-mass step functions reduces to a quadratic
 assignment over block permutations after refining both step functions to a
-common grid.  Exact enumeration is limited to small refinements; a
-pairwise-swap local search provides an upper bound otherwise.  Against a
+common grid, solved by exact enumeration for small refinements.  Against a
 constant target the distance is permutation-free and has a closed form.
 """
 
@@ -16,7 +15,6 @@ import numpy as np
 
 from .model import BlockGraphon, Graph
 from .recover import spectral_factors
-from .seeds import stream_rng
 
 _EXACT_GW_LIMIT = 8
 
@@ -42,11 +40,6 @@ def svd_theta(y: Graph | np.ndarray, k: int) -> np.ndarray:
     return np.clip(theta, 0.0, 1.0)
 
 
-def graphon_from_theta(theta: np.ndarray) -> BlockGraphon:
-    """n-block graphon whose value matrix is theta (one block per vertex)."""
-    return BlockGraphon(np.asarray(theta, dtype=float))
-
-
 def refine(w: BlockGraphon, m: int) -> BlockGraphon:
     """Refine an equal-mass step function to m blocks (w.m must divide m)."""
     if m % w.m != 0:
@@ -68,49 +61,17 @@ def _perm_cost(b1: np.ndarray, b2: np.ndarray, perm: np.ndarray) -> float:
     return float(np.sum(d * d))
 
 
-def gw_distance(
-    w1: BlockGraphon,
-    w2: BlockGraphon,
-    mode: str = "exact",
-    seed: int = 0,
-    starts: int = 20,
-) -> float:
+def gw_distance(w1: BlockGraphon, w2: BlockGraphon) -> float:
     """Graphon distance minimized over block permutations of a common refinement.
 
-    mode 'exact' enumerates all permutations (refined size at most
-    _EXACT_GW_LIMIT); mode 'local-search' runs pairwise-swap descent from
-    `starts` random starts and returns an upper bound on the true distance.
+    Enumerates all permutations, so the refined size is at most _EXACT_GW_LIMIT.
     """
     m = math.lcm(w1.m, w2.m)
+    if m > _EXACT_GW_LIMIT:
+        raise ValueError(f"refined block count {m} too large for exact enumeration")
     b1 = refine(w1, m).b
     b2 = refine(w2, m).b
-    if mode == "exact":
-        if m > _EXACT_GW_LIMIT:
-            raise ValueError(f"refined block count {m} too large for exact enumeration")
-        best = min(
-            _perm_cost(b1, b2, np.array(perm)) for perm in itertools.permutations(range(m))
-        )
-    elif mode == "local-search":
-        rng = stream_rng(seed, "gw-local-search")
-        best = math.inf
-        for _ in range(starts):
-            perm = rng.permutation(m)
-            cost = _perm_cost(b1, b2, perm)
-            improved = True
-            while improved:
-                improved = False
-                for i in range(m - 1):
-                    for j in range(i + 1, m):
-                        perm[i], perm[j] = perm[j], perm[i]
-                        trial = _perm_cost(b1, b2, perm)
-                        if trial < cost - 1e-15:
-                            cost = trial
-                            improved = True
-                        else:
-                            perm[i], perm[j] = perm[j], perm[i]
-            best = min(best, cost)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    best = min(_perm_cost(b1, b2, np.array(perm)) for perm in itertools.permutations(range(m)))
     return float(np.sqrt(best / m**2))
 
 

@@ -78,12 +78,8 @@ class SbmParams:
 
     @property
     def ks_snr(self) -> float:
+        """Signal-to-noise ratio eps^2 d / k^2; the critical threshold sits at 1."""
         return self.eps**2 * self.d / self.k**2
-
-
-def ks_snr(params: SbmParams) -> float:
-    """Signal-to-noise ratio eps^2 d / k^2; the critical threshold sits at 1."""
-    return params.ks_snr
 
 
 @dataclass(frozen=True, eq=False)

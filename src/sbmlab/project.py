@@ -4,11 +4,12 @@ Given a nonzero estimate M0 and a target rate delta, the projector finds the
 minimum-Frobenius-norm symmetric matrix N subject to
 
     N in K' = { |N_ij| <= 1,  N + (1/k) J >= 0 (psd),  Tr(N) <= n - n/k },
-    <M0 / |M0|_F, N>  >=  delta * norm_target,
+    <M0 / |M0|_F, N>  >=  delta * target,
 
-and returns M_hat = (norm_target / |N|_F) N.  When M0 has correlation at
-least delta with a member Y of K' scaled to norm_target, the output keeps at
-least half that correlation with Y, and |N|_F >= delta * norm_target holds by
+and returns M_hat = (target / |N|_F) N, where target = n sqrt(k-1)/k is the
+Frobenius norm of a balanced membership matrix.  When M0 has correlation at
+least delta with a member Y of K' scaled to target, the output keeps at
+least half that correlation with Y, and |N|_F >= delta * target holds by
 Cauchy-Schwarz.  The rescaled output lands in the 1/delta-inflated set K.
 
 The search runs Dykstra's alternating projections over three sets in one
@@ -21,7 +22,7 @@ Every input becomes eigenpairs first: a `Factored` holds them, and a dense
 M0, which must equal its transpose, is eigendecomposed once (eigenvalues at
 rounding level dropped).  The certificate reads them: every N in K' has
 <U, N> <= n max(lambda_max(U), 0) - <U, J>/k for U = M0 / |M0|_F, so a bound
-below b = delta * norm_target proves that no point of K' meets the halfspace.
+below b = delta * target proves that no point of K' meets the halfspace.
 
 The loop runs over one of two states.  The subspace state holds M0 as a
 `Factored` of its eigenpairs: every iterate lives in
@@ -67,8 +68,8 @@ class ProjectionSpec:
     """Constraint-set parameters for the projection.
 
     delta: target rate (entry bound 1/delta, psd shift 1/(k delta), trace cap
-    n/delta); norm_target: proxy for the Frobenius norm of the ground-truth
-    membership matrix, default n sqrt(k-1)/k (exact for balanced labels).
+    n/delta); `target` is n sqrt(k-1)/k, the Frobenius norm of the ground-truth
+    membership matrix for balanced labels.
     A solve runs Dykstra over halfspace, box and spectraplex until residuals
     fall below tol; it raises at max_iters sweeps, or before any when infeasible.
     """
@@ -76,7 +77,6 @@ class ProjectionSpec:
     delta: float
     k: int
     n: int
-    norm_target: float | None = None
     tol: float = 1e-8
     max_iters: int = 500
 
@@ -87,13 +87,9 @@ class ProjectionSpec:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.norm_target is not None and self.norm_target <= 0:
-            raise ValueError("norm_target must be positive")
 
     @property
     def target(self) -> float:
-        if self.norm_target is not None:
-            return self.norm_target
         return self.n * math.sqrt(self.k - 1) / self.k if self.k > 1 else float(self.n)
 
 
@@ -164,19 +160,6 @@ def _project_halfspace(m: np.ndarray, p: np.ndarray, b: float) -> np.ndarray:
     if val >= b:
         return m
     return m + ((b - val) / float(np.sum(p * p))) * p
-
-
-def project_constraints(
-    m: np.ndarray, spec: ProjectionSpec, halfspace: tuple[np.ndarray, float] | None = None
-) -> dict[str, np.ndarray]:
-    """Projections of m onto each constraint family of K(delta), separately."""
-    out = {
-        "box": _project_box(m, 1.0 / spec.delta),
-        "spectraplex": _project_spectraplex(m, 1.0 / (spec.k * spec.delta), spec.n / spec.delta),
-    }
-    if halfspace is not None:
-        out["halfspace"] = _project_halfspace(m, *halfspace)
-    return out
 
 
 def k_residuals(m: np.ndarray, spec: ProjectionSpec) -> dict[str, float]:

@@ -145,10 +145,8 @@ def recovery_test_statistic(
     seed: int,
     method: str = "spectral",
     labels: Labels | None = None,
-    proj: ProjectionSpec | None = None,
 ) -> TestReport:
     """Full testing-from-recovery pipeline on one graph."""
-    spec = proj if proj is not None else recovery_projection_spec(params)
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
     side = {"eta": params.eta, "method": method, "recovery_rate": None, "projection": None}
     try:
@@ -158,18 +156,11 @@ def recovery_test_statistic(
     except ValueError as exc:
         return TestReport(0.0, dict(side, error=f"recovery: {exc}"))
     side["recovery_rate"] = rec.rate
-    return _project_and_score(rec.estimate, spec, split.y2, params, side)
+    return _project_and_score(rec.estimate, recovery_projection_spec(params), split.y2, params, side)
 
 
-def learning_test_statistic(
-    y: Graph,
-    params: SbmParams,
-    learner,
-    seed: int,
-    proj: ProjectionSpec | None = None,
-) -> TestReport:
+def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> TestReport:
     """Testing-from-learning pipeline: project theta_hat - (d/n) J, then score."""
-    spec = proj if proj is not None else _default_learning_spec(params)
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
     side = {"eta": params.eta, "method": "learning", "projection": None}
     theta_hat = np.asarray(learner(split.y1), dtype=float)
@@ -182,7 +173,7 @@ def learning_test_statistic(
     m0 = theta_hat - params.d / params.n
     if float(np.linalg.norm(m0)) < 1e-12:
         return TestReport(0.0, dict(side, error="learning: centered estimate is zero"))
-    return _project_and_score(m0, spec, split.y2, params, side)
+    return _project_and_score(m0, _default_learning_spec(params), split.y2, params, side)
 
 
 def graphon_test(w_hat: BlockGraphon, params: SbmParams) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, SbmParams, edge_prob_matrix, map_trials
+from .model import Graph, SbmParams, edge_prob_matrix, map_trials, read_edge_list, write_edge_list
 from .seeds import stream_rng
 
 
@@ -111,8 +111,6 @@ def decoupling_diagnostics(params: SbmParams, trials: int, seed: int) -> Decoupl
 
 def write_edge_split(split: EdgeSplit, y1_path, y2_path, meta_path, seed: int) -> None:
     """Serialize as two edge-list files plus an 'eta=... seed=...' metadata line."""
-    from .model import write_edge_list
-
     write_edge_list(split.y1, y1_path)
     write_edge_list(split.y2, y2_path)
     with open(meta_path, "w") as fh:
@@ -120,8 +118,6 @@ def write_edge_split(split: EdgeSplit, y1_path, y2_path, meta_path, seed: int) -
 
 
 def read_edge_split(y1_path, y2_path, meta_path) -> tuple[EdgeSplit, int]:
-    from .model import read_edge_list
-
     with open(meta_path) as fh:
         parts = dict(tok.split("=", 1) for tok in fh.readline().split())
     split = EdgeSplit(read_edge_list(y1_path), read_edge_list(y2_path), float(parts["eta"]))

@@ -232,16 +232,30 @@ def test_scripts_run(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["recover", "project"])
-def test_recovery_failure_exits_one_without_traceback(verb):
-    # at d = 0.01 the draw has no edges, so recovery cannot center the adjacency
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        # at d = 0.01 the draw has no edges, so recovery cannot center the adjacency
+        (["--n", "30", "--d", "0.01", "--seed", "1", "recover"],
+         "recover: empty graph: cannot center the adjacency\n"),
+        (["--n", "30", "--d", "0.01", "--seed", "1", "project"],
+         "project: empty graph: cannot center the adjacency\n"),
+        (["--n", "50", "--d", "0.5", "--trials", "2", "check"],
+         "check: need average degree at least 1\n"),
+        (["--n", "3", "--d", "1", "--k", "3", "--trials", "1", "learn"],
+         "learn: truncation rank must be below n\n"),
+    ],
+    ids=["recover", "project", "check", "learn"],
+)
+def test_recovery_failure_exits_one_without_traceback(argv, stderr):
+    # a verb's ValueError ends the run with exit 1 and one stderr line
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "sbmlab.cli", "--n", "30", "--d", "0.01", "--seed", "1", verb],
+        [sys.executable, "-m", "sbmlab.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1
-    assert proc.stderr == f"{verb}: empty graph: cannot center the adjacency\n"
+    assert proc.stderr == stderr
     assert proc.stdout == ""
 
 
@@ -262,8 +276,9 @@ def test_usage_errors_exit_code_one():
         (["--trials", "0", "test"], "need at least one trial"),
         (["--n", "1", "sample"], "need at least 2 vertices, got n=1"),
         (["--config", "{missing}", "sample"], "No such file or directory"),
+        (["--threads", "0", "check"], "threads must be at least 1, got 0"),
     ],
-    ids=["unknown-key", "zero-trials", "one-vertex", "missing-file"],
+    ids=["unknown-key", "zero-trials", "one-vertex", "missing-file", "zero-threads"],
 )
 def test_bad_config_file(tmp_path, capsys, argv, message):
     bad = tmp_path / "bad.cfg"

@@ -16,8 +16,8 @@ from sbmlab.harness import (
     write_config,
     write_sweep_csv,
 )
-from sbmlab.learn import graphon_from_theta, gw_constant, svd_theta
-from sbmlab.model import Graph, SbmParams, sample_ssbm
+from sbmlab.learn import gw_constant, svd_theta
+from sbmlab.model import BlockGraphon, Graph, SbmParams, sample_ssbm
 from sbmlab.seeds import derive_seed
 
 
@@ -202,7 +202,7 @@ def test_sweep_honours_pipeline_and_threshold_policy():
     seed_p = sweep_seed(cfg.seed, "P", 1.0)
     dists = [
         gw_constant(
-            graphon_from_theta(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2)),
+            BlockGraphon(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2)),
             p.d / p.n,
         )
         for t in range(4)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbmlab.learn import (
-    graphon_from_theta,
     gw_constant,
     gw_distance,
     read_graphon,
@@ -89,13 +88,14 @@ def test_svd_theta_error_monotone_in_signal():
 
 
 def test_graphon_from_theta():
-    c = graphon_from_theta(np.full((5, 5), 0.3))
+    # an n x n theta is the n-block graphon with one block per vertex
+    c = BlockGraphon(np.full((5, 5), 0.3))
     assert np.all(c.b == 0.3)
     theta = np.array([[0.2, 0.1], [0.1, 0.2]])
-    w = graphon_from_theta(theta)
+    w = BlockGraphon(theta)
     assert np.array_equal(w.b, theta)
     with pytest.raises(ValueError):
-        graphon_from_theta(np.full((3, 3), 1.5))
+        BlockGraphon(np.full((3, 3), 1.5))
 
 
 def test_graphon_from_theta_matches_block_model():
@@ -103,9 +103,9 @@ def test_graphon_from_theta_matches_block_model():
     p = SbmParams(6, 2.0, eps=1.0, k=2)
     lab = sample_labels(p, seed=4, balanced=True)
     theta = edge_prob_matrix(p, lab)
-    w_vertex = graphon_from_theta(theta)
+    w_vertex = BlockGraphon(theta)
     w_true = sbm_graphon(p)
-    assert gw_distance(w_vertex, w_true, mode="exact") <= 1e-12
+    assert gw_distance(w_vertex, w_true) <= 1e-12
 
 
 def test_gw_constant_values():
@@ -137,9 +137,9 @@ def test_gw_distance_identity_and_symmetry():
     rng = np.random.default_rng(7)
     w1 = random_graphon(4, rng)
     w2 = random_graphon(4, rng)
-    assert gw_distance(w1, w1, mode="exact") == 0.0
-    assert gw_distance(w1, w2, mode="exact") == pytest.approx(
-        gw_distance(w2, w1, mode="exact"), abs=1e-12
+    assert gw_distance(w1, w1) == 0.0
+    assert gw_distance(w1, w2) == pytest.approx(
+        gw_distance(w2, w1), abs=1e-12
     )
 
 
@@ -148,19 +148,9 @@ def test_gw_distance_constant_target_matches_closed_form():
     for m in (2, 3, 6):
         w = random_graphon(m, rng)
         const = BlockGraphon(np.full((1, 1), 0.4))
-        assert gw_distance(w, const, mode="exact") == pytest.approx(
+        assert gw_distance(w, const) == pytest.approx(
             gw_constant(w, 0.4), abs=1e-12
         )
-
-
-def test_gw_local_search_upper_bounds_exact():
-    rng = np.random.default_rng(13)
-    for m in (3, 4, 5, 6):
-        w1 = random_graphon(m, rng)
-        w2 = random_graphon(m, rng)
-        exact = gw_distance(w1, w2, mode="exact")
-        local = gw_distance(w1, w2, mode="local-search", seed=m)
-        assert local >= exact - 1e-12
 
 
 def test_gw_distance_triangle_inequality():
@@ -168,9 +158,9 @@ def test_gw_distance_triangle_inequality():
     for trial in range(30):
         m = int(rng.integers(2, 6))
         w1, w2, w3 = (random_graphon(m, rng) for _ in range(3))
-        d12 = gw_distance(w1, w2, mode="exact")
-        d23 = gw_distance(w2, w3, mode="exact")
-        d13 = gw_distance(w1, w3, mode="exact")
+        d12 = gw_distance(w1, w2)
+        d23 = gw_distance(w2, w3)
+        d13 = gw_distance(w1, w3)
         assert d13 <= d12 + d23 + 1e-10
 
 
@@ -178,13 +168,11 @@ def test_gw_distance_refinement_and_errors():
     w1 = BlockGraphon(np.array([[0.2]]))
     w2 = sbm_graphon(SbmParams(100, 4.0, eps=1.0, k=2))
     # constant refines onto the 2-block grid
-    d = gw_distance(w1, w2, mode="exact")
+    d = gw_distance(w1, w2)
     assert d == pytest.approx(gw_constant(w2, 0.2), abs=1e-15)
     big = BlockGraphon(np.full((9, 9), 0.1))
     with pytest.raises(ValueError):
-        gw_distance(big, big, mode="exact")
-    with pytest.raises(ValueError):
-        gw_distance(w1, w2, mode="nope")
+        gw_distance(big, big)
     with pytest.raises(ValueError):
         refine(sbm_graphon(SbmParams(100, 4.0, eps=0.0, k=3)), 4)
 

@@ -14,7 +14,6 @@ from sbmlab.model import (
     SbmParams,
     block_of,
     edge_prob_matrix,
-    ks_snr,
     map_trials,
     membership_matrix,
     read_edge_list,
@@ -43,11 +42,11 @@ def test_params_validation():
 
 
 def test_ks_snr_values():
-    assert ks_snr(SbmParams(1000, 16.0, eps=0.0, k=2)) == 0.0
+    assert SbmParams(1000, 16.0, eps=0.0, k=2).ks_snr == 0.0
     # hand evaluation: 0.25 * 16 / 4 = 1.0
-    assert ks_snr(SbmParams(1000, 16.0, eps=0.5, k=2)) == 1.0
+    assert SbmParams(1000, 16.0, eps=0.5, k=2).ks_snr == 1.0
     # hand evaluation: 1 * 4 / 4 = 1.0
-    assert ks_snr(SbmParams(1000, 4.0, eps=1.0, k=2)) == 1.0
+    assert SbmParams(1000, 4.0, eps=1.0, k=2).ks_snr == 1.0
 
 
 def test_sample_labels_single_community():

@@ -10,9 +10,11 @@ from sbmlab.project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
     ProjectionSpec,
+    _project_box,
+    _project_halfspace,
+    _project_spectraplex,
     corr_preserving_projection,
     k_residuals,
-    project_constraints,
 )
 from sbmlab.recover import membership_factors, recovery_rate, run_recovery
 from sbmlab.seeds import stream_rng
@@ -29,14 +31,14 @@ def noisy_instance(n, sigma, seed, k=2):
 
 
 def test_project_constraints_identities():
-    spec = ProjectionSpec(delta=0.5, k=2, n=4)
+    # K(delta) at delta 0.5, k 2, n 4: box 1/delta, shift 1/(k delta), cap n/delta
     inside = np.diag([0.5, 0.5, -0.25, -0.25])
     # the box leaves an interior point alone
-    assert np.array_equal(project_constraints(inside, spec)["box"], inside)
+    assert np.array_equal(_project_box(inside, 1.0 / 0.5), inside)
     # the spectraplex step is the identity on a matrix meeting the shift and the cap
     lab = sample_labels(SbmParams(4, 1.0, k=2), seed=0, balanced=True)
     m = membership_matrix(lab)
-    assert np.allclose(project_constraints(m, spec)["spectraplex"], m, atol=1e-12)
+    assert np.allclose(_project_spectraplex(m, 1.0 / (2 * 0.5), 4 / 0.5), m, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -49,7 +51,7 @@ def test_spectraplex_step_with_binding_cap(seed):
     g = rng.standard_normal((n, n))
     y = 2.0 * (g + g.T) + 4.0 * np.eye(n)
     assert np.sum(np.maximum(np.linalg.eigvalsh(y + shift), 0.0)) > 2 * cap
-    out = project_constraints(y, spec)["spectraplex"]
+    out = _project_spectraplex(y, shift, cap)
     res = k_residuals(out, spec)
     assert res["psd"] <= 1e-9 and res["trace"] <= 1e-9
     assert np.trace(out) + n * shift == pytest.approx(cap, rel=1e-12)
@@ -60,22 +62,32 @@ def test_spectraplex_step_with_binding_cap(seed):
         assert np.sum((y - out) * (z - shift - out)) <= 1e-9
 
 
+@pytest.mark.parametrize("k, n", [(2, 8), (2, 12), (2, 200), (3, 12), (3, 201), (4, 200)])
+def test_target_is_the_balanced_membership_norm(k, n):
+    # the projection's fixed target n sqrt(k-1)/k is |M_true|_F of balanced labels
+    m_true = membership_matrix(sample_labels(SbmParams(n, 2.0, k=k), seed=n, balanced=True))
+    target = ProjectionSpec(delta=0.5, k=k, n=n).target
+    if k == 2:
+        assert target == float(np.linalg.norm(m_true))
+    else:
+        assert target == pytest.approx(float(np.linalg.norm(m_true)), rel=1e-12)
+
+
 def test_max_iters_must_be_positive():
     with pytest.raises(ValueError, match="max_iters"):
         ProjectionSpec(delta=0.5, k=2, n=4, max_iters=0)
 
 
 def test_project_constraints_box_clamp():
-    spec = ProjectionSpec(delta=0.5, k=2, n=2)
+    # the box of K(delta) at delta 0.5 bounds entries by 1/delta = 2
     m = np.array([[0.0, 3.0], [3.0, 0.0]])
-    assert project_constraints(m, spec)["box"][0, 1] == 2.0
+    assert _project_box(m, 1.0 / 0.5)[0, 1] == 2.0
 
 
 def test_project_constraints_halfspace():
-    spec = ProjectionSpec(delta=1.0, k=2, n=2)
     p = np.eye(2)
     m = np.zeros((2, 2))
-    out = project_constraints(m, spec, halfspace=(p, 1.0))["halfspace"]
+    out = _project_halfspace(m, p, 1.0)
     # projection adds ((b - <P,m>)/|P|^2) P = 0.5 I
     assert np.allclose(out, 0.5 * np.eye(2), atol=1e-14)
 
@@ -86,13 +98,13 @@ def test_oracle_input_fixed_point():
     p = SbmParams(8, 2.0, k=2, delta=0.5)
     lab = sample_labels(p, seed=1, balanced=True)
     m_true = membership_matrix(lab)
-    spec = ProjectionSpec(delta=0.5, k=2, n=8, norm_target=float(np.linalg.norm(m_true)))
+    spec = ProjectionSpec(delta=0.5, k=2, n=8)
     rep = corr_preserving_projection(m_true, spec)
     assert rep.iterations <= 5
     assert recovery_rate(rep.m_hat, m_true) >= 0.25
     assert np.allclose(rep.m_hat, m_true, atol=1e-7)
     assert max(k_residuals(rep.m_hat, spec).values()) <= 1e-6
-    # n_norm hits the Cauchy-Schwarz floor delta * norm_target exactly
+    # n_norm hits the Cauchy-Schwarz floor delta * target exactly
     assert rep.n_norm == pytest.approx(spec.delta * spec.target, rel=1e-9)
 
 
@@ -101,7 +113,7 @@ def test_feasible_minimizer_is_fixed_point():
     p = SbmParams(12, 2.0, k=2, delta=0.4)
     lab = sample_labels(p, seed=3, balanced=True)
     m_true = membership_matrix(lab)
-    spec = ProjectionSpec(delta=0.4, k=2, n=12, norm_target=float(np.linalg.norm(m_true)))
+    spec = ProjectionSpec(delta=0.4, k=2, n=12)
     first = corr_preserving_projection(m_true, spec)
     again = corr_preserving_projection(0.4 * m_true, spec)
     assert again.iterations <= 5
@@ -112,17 +124,14 @@ def test_noisy_certificate_and_feasibility():
     m_true, m0 = noisy_instance(200, sigma=26.0, seed=5)
     d0 = recovery_rate(m0, m_true)
     assert d0 >= 0.3
-    spec = ProjectionSpec(
-        delta=d0, k=2, n=200, tol=1e-7, max_iters=4000,
-        norm_target=float(np.linalg.norm(m_true)),
-    )
+    spec = ProjectionSpec(delta=d0, k=2, n=200, tol=1e-7, max_iters=4000)
     rep = corr_preserving_projection(m0, spec)
     assert recovery_rate(rep.m_hat, m_true) >= d0 / 2 - 1e-3
     assert max(k_residuals(rep.m_hat, spec).values()) <= 1e-6
     assert rep.max_violation <= spec.tol
-    # Cauchy-Schwarz floor: the halfspace forces |N| >= delta * norm_target
+    # Cauchy-Schwarz floor: the halfspace forces |N| >= delta * target
     assert rep.n_norm >= spec.delta * spec.target * (1 - 1e-6)
-    # halfspace achieved: <M0, N> >= delta * norm_target * |M0|_F
+    # halfspace achieved: <M0, N> >= delta * target * |M0|_F
     assert rep.halfspace_value >= spec.delta * spec.target * np.linalg.norm(m0) * (1 - 1e-6)
 
 

@@ -226,19 +226,20 @@ def test_learning_constant_learner_degenerates():
     assert "zero" in rep.side_channel["error"]
 
 
-def test_learning_svd_separation_z():
+def test_learning_svd_separation_z(monkeypatch):
     # z-score between arms with the rank-k learner plugged in
     p = SbmParams(1000, 50.0, eps=math.sqrt(16.0 / 50.0), k=2, eta=0.1, delta=0.1)
     proj = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-5, max_iters=300)
+    monkeypatch.setattr(sbmlab.reduce, "_default_learning_spec", lambda params: proj)
     planted, null = [], []
     for t in range(40):
         gp, _ = sample_ssbm(p, derive_seed(47, "P", t))
         planted.append(
-            learning_test_statistic(gp, p, lambda y1: svd_theta(y1, p.k), derive_seed(47, "Ps", t), proj=proj).statistic
+            learning_test_statistic(gp, p, lambda y1: svd_theta(y1, p.k), derive_seed(47, "Ps", t)).statistic
         )
         gq = sample_er(p.n, p.d, derive_seed(47, "Q", t))
         null.append(
-            learning_test_statistic(gq, p, lambda y1: svd_theta(y1, p.k), derive_seed(47, "Qs", t), proj=proj).statistic
+            learning_test_statistic(gq, p, lambda y1: svd_theta(y1, p.k), derive_seed(47, "Qs", t)).statistic
         )
     z = (np.mean(planted) - np.mean(null)) / math.sqrt(
         np.var(planted, ddof=1) / len(planted) + np.var(null, ddof=1) / len(null)
