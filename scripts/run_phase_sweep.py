@@ -13,6 +13,7 @@ import sys
 
 from sbmlab.harness import ExperimentConfig, sweep_phase, write_sweep_csv
 from sbmlab.model import SbmParams
+from sbmlab.recover import METHODS
 
 GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
 
@@ -26,7 +27,7 @@ def main():
     ap.add_argument("--delta", type=float, default=0.1)
     ap.add_argument("--trials", type=int, default=40)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--method", default="spectral", choices=("spectral", "random", "oracle"))
+    ap.add_argument("--method", default="spectral", choices=METHODS)
     ap.add_argument("--grid", default=",".join(str(x) for x in GRID))
     ap.add_argument("--out", default=None)
     args = ap.parse_args()

@@ -1,7 +1,9 @@
 """Command-line interface: one verb per module.
 
 Progress and logs go to stderr; data goes to stdout or --out.  Exit codes:
-0 success, 1 usage error, 2 acceptance failure.
+0 success, 1 usage error, 2 acceptance failure.  Every flag that sets a
+config key overrides it in `_load_config`, where the config is checked once;
+the verbs read their settings from the config alone.
 """
 
 from __future__ import annotations
@@ -11,18 +13,19 @@ import functools
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
-from .acceptance import acceptance_csv, run_acceptance
+from .acceptance import DEFAULT_SEED, acceptance_csv, run_acceptance
 from .factored import Factored
 from .harness import (
+    _CONFIG_KEYS,
     ExperimentConfig,
     check_spectral_concentration,
     parse_config,
     run_two_arms,
     sweep_phase,
+    with_keys,
     write_sweep_csv,
 )
 from .learn import svd_theta, write_graphon
@@ -41,7 +44,7 @@ from .project import (
     ProjectionInfeasibleError,
     corr_preserving_projection,
 )
-from .recover import membership_factors, recovery_rate, run_recovery
+from .recover import METHODS, membership_factors, recovery_rate, run_recovery
 from .reduce import projection_outcome, recovery_projection_spec, write_trial_csv
 from .seeds import derive_seed
 from .split import subsample_edges, write_edge_split
@@ -58,17 +61,19 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
+# flag name (its argparse dest) -> the config key it overrides
+_GLOBAL_FLAGS = {
+    "seed": "seed", "trials": "trials", "threads": "threads",
+    **{name: f"params.{name}" for name in ("n", "d", "eps", "k", "eta", "delta")},
+}
+_FLAG_KEYS = {**_GLOBAL_FLAGS, "method": "recovery.method", "ell": "ldlr.ell"}
+
+
 def _add_global_flags(p, default):
-    p.add_argument("--seed", type=int, default=default, help="master seed (overrides config)")
     p.add_argument("--config", default=default, help="flat key=value config file")
     p.add_argument("--out", default=default, help="output path (default stdout)")
-    p.add_argument("--trials", type=int, default=default, help="trials per arm (overrides config)")
-    p.add_argument("--threads", type=int, default=default, help="worker count (overrides config)")
-    for flag, typ in (
-        ("--n", int), ("--d", float), ("--eps", float), ("--k", int),
-        ("--eta", float), ("--delta", float),
-    ):
-        p.add_argument(flag, type=typ, default=default, help=f"override params{flag[1:]}")
+    for name, key in _GLOBAL_FLAGS.items():
+        p.add_argument(f"--{name}", type=_CONFIG_KEYS[key][1], default=default, help=f"overrides {key}")
 
 
 def build_parser() -> _Parser:
@@ -94,10 +99,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--prefix", required=True, help="writes <prefix>.y1 <prefix>.y2 <prefix>.meta")
 
     sp = add_verb("recover", help="run a recovery baseline against the truth")
-    sp.add_argument("--method", default="spectral", choices=("spectral", "random", "oracle"))
+    sp.add_argument("--method", choices=METHODS, help="recovery baseline (overrides config)")
 
     sp = add_verb("project", help="recovery plus correlation-preserving projection")
-    sp.add_argument("--method", default="spectral", choices=("spectral", "random", "oracle"))
+    sp.add_argument("--method", choices=METHODS, help="recovery baseline (overrides config)")
 
     sp = add_verb("test", help="two-arm testing trials, per-trial CSV")
     sp.add_argument("--no-timing", action="store_true", help="zero wall times (byte-stable)")
@@ -106,7 +111,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--graphon-out", default=None, help="also write the first estimate as a graphon")
 
     sp = add_verb("ldlr", help="exact low-degree likelihood ratio norm CSV")
-    sp.add_argument("--ell", type=int, default=None, help="degree bound (overrides config)")
+    sp.add_argument("--ell", type=int, help="degree bound (overrides config)")
 
     sp = add_verb("sweep", help="phase sweep over an SNR grid")
     sp.add_argument("--grid", required=True, help="comma-separated SNR values")
@@ -121,27 +126,14 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The --config file (or the defaults) with every given flag applied, checked once."""
     if args.config is not None:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     else:
         cfg = parse_config("")
-    params = cfg.params
-    updates = {}
-    for name in ("n", "d", "eps", "k", "eta", "delta"):
-        val = getattr(args, name)
-        if val is not None:
-            updates[name] = val
-    if updates:
-        params = replace(params, **updates)
-        cfg = replace(cfg, params=params)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
-    return cfg
+    flags = {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
+    return with_keys(cfg, {key: value for key, value in flags.items() if value is not None})
 
 
 @contextmanager
@@ -162,7 +154,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _run_verb(args, cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _log(f"{args.command}: {exc}")
         return 1
 
@@ -195,7 +187,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
 
     if cmd in ("recover", "project"):
         g, labels = sample_ssbm(p, cfg.seed)
-        res = run_recovery(g, p, method=args.method, seed=cfg.seed, labels=labels)
+        res = run_recovery(g, p, method=cfg.recovery_method, seed=cfg.seed, labels=labels)
         if cmd == "recover":
             with _open_out(args) as fh:
                 fh.write(f"method,rate\n{res.method},{res.rate!r}\n")
@@ -240,8 +232,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         return 0
 
     if cmd == "ldlr":
-        ell = args.ell if args.ell is not None else cfg.ell
-        res = exact_ldlr_norm(p, ell)
+        res = exact_ldlr_norm(p, cfg.ell)
         with _open_out(args) as fh:
             write_ldlr_csv(res, fh)
         return 0
@@ -266,10 +257,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         return 0
 
     if cmd == "accept":
-        seed = cfg.seed if args.seed is not None else None
-        results = (
-            run_acceptance(args.suite, seed=seed) if seed is not None else run_acceptance(args.suite)
-        )
+        results = run_acceptance(args.suite, cfg.seed if args.seed is not None else DEFAULT_SEED)
         with _open_out(args) as fh:
             if args.json:
                 import json

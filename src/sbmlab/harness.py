@@ -1,10 +1,13 @@
 """Experiment configs, phase-diagram sweeps, concentration checks, acceptance.
 
 Configs are flat ``key = value`` text with dotted keys; unknown keys are
-rejected so stale files fail loudly.  All experiment entry points are pure
-functions of (config, master seed): rerunning with the same seed reproduces
-every emitted CSV byte for byte (wall-clock columns are zeroed via
-``timing=False`` wherever byte-stability matters).
+rejected so stale files fail loudly.  Every setting is checked when the
+config is built (``ExperimentConfig`` and ``SbmParams`` validate
+themselves), so a value no trial could run on never reaches one.  All
+experiment entry points are pure functions of (config, master seed):
+rerunning with the same seed reproduces every emitted CSV byte for byte
+(wall-clock columns are zeroed via ``timing=False`` wherever byte-stability
+matters).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import scipy.sparse.linalg as spla
 from .learn import gw_constant, svd_theta
 from .ldlr import bipartite_quadratic_statistic
 from .model import BlockGraphon, Graph, SbmParams, edge_prob_matrix, map_trials
+from .recover import METHODS
 from .reduce import (
     TestReport,
     le_cam_score,
@@ -28,7 +32,7 @@ from .reduce import (
 )
 from .seeds import derive_seed, unit_vector
 
-PIPELINES = ("recovery", "learning", "graphon", "ldlr", "bipartite")
+PIPELINES = ("recovery", "learning", "graphon", "bipartite")
 
 SWEEP_CSV_COLUMNS = (
     "snr",
@@ -52,8 +56,8 @@ class ExperimentConfig:
     threshold_policy: str = "calibrated"  # calibrated | fixed | asymptotic
     threshold_quantile: float = 0.99
     threshold_value: float = 0.0
-    recovery_method: str = "spectral"
-    eta_policy: str = "fixed"  # fixed | slack
+    recovery_method: str = "spectral"  # one of recover.METHODS
+    eta_policy: str = "fixed"  # fixed | slack (slack needs SNR < 1)
     ell: int = 3
     threads: int = 1
 
@@ -66,8 +70,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
         if not 0.5 < self.threshold_quantile < 1.0:
             raise ValueError(f"threshold quantile {self.threshold_quantile} is not in (0.5, 1)")
+        if self.recovery_method not in METHODS:
+            raise ValueError(f"unknown recovery method {self.recovery_method!r}")
         if self.eta_policy not in ("fixed", "slack"):
             raise ValueError(f"unknown eta policy {self.eta_policy!r}")
+        if self.eta_policy == "slack" and self.params.ks_snr >= 1.0:
+            raise ValueError(
+                f"eta.policy = slack is undefined at SNR >= 1, got SNR {self.params.ks_snr!r}"
+            )
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
@@ -75,18 +85,15 @@ class ExperimentConfig:
         """eta = 0.001 (1 - snr) under the 'slack' policy, else params.eta."""
         if self.eta_policy == "fixed":
             return self.params.eta
-        slack = 1.0 - self.params.ks_snr
-        if slack <= 0:
-            raise ValueError("slack eta policy degenerates at or above the threshold")
-        return 0.001 * slack
+        return 0.001 * (1.0 - self.params.ks_snr)
 
     def asymptotic_threshold(self) -> float:
         """Raw n^0.51 sqrt(d) override for asymptotic experiments."""
         return self.params.n**0.51 * math.sqrt(self.params.d)
 
 
-# dotted config key -> (field, type), in write_config's line order; a
-# "params." key names an SbmParams field, any other an ExperimentConfig field
+# dotted config key -> (field, type); a "params." key names an SbmParams
+# field, any other an ExperimentConfig field
 _CONFIG_KEYS = {
     "params.n": ("n", int),
     "params.d": ("d", float),
@@ -126,19 +133,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = _CONFIG_KEYS[key][1](value.strip())
-    params = {"n": 400, "d": 16.0, "eps": 0.5, "k": 2}
-    top = {}
-    for key, value in raw.items():
+    return with_keys(ExperimentConfig(params=SbmParams(400, 16.0, eps=0.5, k=2)), raw)
+
+
+def with_keys(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """cfg with each dotted config key of `values` set, one replace per dataclass."""
+    params, top = {}, {}
+    for key, value in values.items():
         (params if key.startswith("params.") else top)[_CONFIG_KEYS[key][0]] = value
-    return ExperimentConfig(params=SbmParams(**params), **top)
-
-
-def write_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for key, (field, typ) in _CONFIG_KEYS.items():
-        value = getattr(cfg.params if key.startswith("params.") else cfg, field)
-        lines.append(f"{key} = {value!r}" if typ is float else f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return replace(cfg, params=replace(cfg.params, **params), **top)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +165,7 @@ def pipeline_statistic(cfg: ExperimentConfig):
     """cfg's per-trial statistic, (graph, stat_seed, labels) -> TestReport.
 
     Scores with eta from cfg.effective_eta(); run_two_arms decides.
-    The ldlr pipeline has its own verb and is rejected with ValueError.
     """
-    if cfg.pipeline == "ldlr":
-        raise ValueError(f"pipeline {cfg.pipeline!r} has its own verb; use it instead")
     params = replace(cfg.params, eta=cfg.effective_eta())
 
     def learner(y1):

@@ -1,7 +1,7 @@
 """Symmetric stochastic block model: parameters, samplers, ground-truth matrices.
 
-The model SSBM(n, d/n, eps, k) assigns each vertex a uniform label in
-{0, ..., k-1} and connects pairs independently with probability
+The model SSBM(n, d/n, eps, k), 2 <= k < n, assigns each vertex a uniform
+label in {0, ..., k-1} and connects pairs independently with probability
 
     p_in  = (1 + (k-1)*eps/k) * d/n   (same label)
     p_out = (1 - eps/k) * d/n         (different labels)
@@ -41,8 +41,8 @@ class SbmParams:
     """Experiment parameter tuple (n, d, eps, k, eta, delta).
 
     n: vertex count; d: target average degree; eps: bias in [0, 1];
-    k: community count; eta: holdout rate for edge subsampling in (0, 1);
-    delta: target recovery rate in (0, 1].
+    k: community count, 2 <= k < n; eta: holdout rate for edge subsampling
+    in (0, 1); delta: target recovery rate in (0, 1].
     """
 
     n: int
@@ -59,8 +59,8 @@ class SbmParams:
             raise ValueError(f"average degree must be in (0, n), got d={self.d}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"bias must be in [0, 1], got eps={self.eps}")
-        if self.k < 1:
-            raise ValueError(f"need at least one community, got k={self.k}")
+        if not 2 <= self.k < self.n:
+            raise ValueError(f"need 2 <= k < n communities, got k={self.k}, n={self.n}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"holdout rate must be in (0, 1), got eta={self.eta}")
         if not 0.0 < self.delta <= 1.0:
@@ -214,11 +214,10 @@ def sample_labels(params: SbmParams, seed: int, balanced: bool = False) -> Label
     return Labels(rng.integers(0, params.k, size=params.n), params.k)
 
 
-def membership_matrix(labels: Labels, k: int | None = None) -> np.ndarray:
+def membership_matrix(labels: Labels) -> np.ndarray:
     """Ground-truth membership matrix with entries 1{x_i = x_j} - 1/k."""
-    k = labels.k if k is None else k
     a = labels.assignment
-    return (a[:, None] == a[None, :]).astype(float) - 1.0 / k
+    return (a[:, None] == a[None, :]).astype(float) - 1.0 / labels.k
 
 
 def edge_prob_matrix(params: SbmParams, labels: Labels) -> np.ndarray:

@@ -68,8 +68,8 @@ class ProjectionSpec:
     """Constraint-set parameters for the projection.
 
     delta: target rate (entry bound 1/delta, psd shift 1/(k delta), trace cap
-    n/delta); `target` is n sqrt(k-1)/k, the Frobenius norm of the ground-truth
-    membership matrix for balanced labels.
+    n/delta); k >= 2: community count; `target` is n sqrt(k-1)/k, the Frobenius
+    norm of the ground-truth membership matrix for balanced labels.
     A solve runs Dykstra over halfspace, box and spectraplex until residuals
     fall below tol; it raises at max_iters sweeps, or before any when infeasible.
     """
@@ -83,6 +83,8 @@ class ProjectionSpec:
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        if self.k < 2:
+            raise ValueError(f"need k >= 2 communities, got k={self.k}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -90,7 +92,7 @@ class ProjectionSpec:
 
     @property
     def target(self) -> float:
-        return self.n * math.sqrt(self.k - 1) / self.k if self.k > 1 else float(self.n)
+        return self.n * math.sqrt(self.k - 1) / self.k
 
 
 @dataclass(frozen=True, eq=False)

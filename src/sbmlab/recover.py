@@ -18,6 +18,12 @@ from .factored import Factored
 from .model import DENSE_EIG_LIMIT, Graph, Labels, SbmParams, sample_labels
 from .seeds import unit_vector
 
+METHODS = ("spectral", "random", "oracle")
+
+
+class RecoveryFailed(ValueError):
+    """The graph admits no estimate: it has no edges, or its truncation vanished."""
+
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
@@ -116,18 +122,19 @@ def run_recovery(
     seed: int = 0,
     labels: Labels | None = None,
 ) -> RecoveryResult:
-    """Dispatch a recovery baseline; attaches rate when true labels are given.
+    """Dispatch a recovery baseline of METHODS; attaches rate when true labels are given.
 
     The estimate stays in eigenpair form, a `Factored`, and the rate is
-    computed from the factors, so no n x n array is built.
+    computed from the factors, so no n x n array is built.  A graph with no
+    estimate raises RecoveryFailed, a caller error plain ValueError.
     """
     if method == "spectral":
         d_used = estimate_degree(y1)
         if d_used <= 0:
-            raise ValueError("empty graph: cannot center the adjacency")
+            raise RecoveryFailed("empty graph: cannot center the adjacency")
         factors = spectral_factors(y1, params.k, d_used)
         if np.all(np.abs(factors[0]) < 1e-12):
-            raise ValueError("spectral truncation vanished; no usable estimate")
+            raise RecoveryFailed("spectral truncation vanished; no usable estimate")
     elif method == "random":
         factors = membership_factors(random_labels(y1.n, params.k, seed))
     elif method == "oracle":

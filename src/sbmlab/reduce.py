@@ -15,11 +15,12 @@ is evaluated from the factors in O((m + n) r^2), with no n x n array; the
 recovery route then builds none from the recovery step to the score.
 
 When the projection degenerates (infeasible correlation constraint, solver
-non-convergence, or a zero estimate) the report carries M_hat = 0, hence
-g = 0 exactly, with the reason recorded in the side channel.  Every trial
-that reaches the projection names its outcome in
-side_channel["projection"]["status"]: ok, infeasible (with the certificate's
-bound), no_convergence, or invalid (the projection rejected its input).
+non-convergence, or a zero estimate) or recovery fails on the graph
+(`RecoveryFailed`) the report carries M_hat = 0, hence g = 0 exactly, with
+the reason recorded in the side channel.  Every trial that reaches the
+projection names its outcome in side_channel["projection"]["status"]: ok,
+infeasible (with the certificate's bound), no_convergence, or invalid (the
+projection rejected its input).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .project import (
     ProjectionSpec,
     corr_preserving_projection,
 )
-from .recover import run_recovery
+from .recover import RecoveryFailed, run_recovery
 from .seeds import derive_seed
 from .split import subsample_edges
 
@@ -153,7 +154,7 @@ def recovery_test_statistic(
         rec = run_recovery(
             split.y1, params, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
         )
-    except ValueError as exc:
+    except RecoveryFailed as exc:
         return TestReport(0.0, dict(side, error=f"recovery: {exc}"))
     side["recovery_rate"] = rec.rate
     return _project_and_score(rec.estimate, recovery_projection_spec(params), split.y2, params, side)
@@ -186,10 +187,12 @@ def le_cam_score(p_vals, q_vals) -> RScore:
     """(mean_P - mean_Q) / sqrt(Var_Q) of per-trial values, one list per arm.
 
     A null arm without spread is flagged degenerate, with R = +-inf, or nan
-    when the means agree too.
+    when the means agree too (or when it has fewer than two values).
     """
     mean_p = float(np.mean(p_vals))
     mean_q = float(np.mean(q_vals))
+    if len(q_vals) < 2:
+        return RScore(mean_p, mean_q, math.nan, math.nan, len(p_vals), degenerate=True)
     var_q = float(np.var(q_vals, ddof=1))
     gap = mean_p - mean_q
     if var_q == 0.0:

@@ -71,6 +71,22 @@ def test_recover_and_project_rows(tmp_path, capsys):
     assert fields[-1] == "ok"
 
 
+def test_recover_and_project_honour_config_method(tmp_path, capsys):
+    # recovery.method reaches both verbs; --method overrides it
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(
+        "params.n = 200\nparams.d = 12.0\nparams.eps = 0.9\nparams.delta = 0.2\n"
+        "recovery.method = oracle\nseed = 7\n"
+    )
+    for verb in ("recover", "project"):
+        for flags, method in (([], "oracle"), (["--method", "random"], "random")):
+            assert main(["--config", str(cfg), verb, *flags]) == 0
+            assert capsys.readouterr().out.splitlines()[1].split(",")[0] == method
+    # the oracle recovers the planted labels exactly
+    assert main(["--config", str(cfg), "recover"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[1].split(",")[1]) == pytest.approx(1.0)
+
+
 PROJECT_EXAMPLE = ["--n", "200", "--d", "12", "--eps", "0.9", "--delta", "0.2", "project"]
 
 
@@ -242,20 +258,29 @@ def test_scripts_run(tmp_path):
          "project: empty graph: cannot center the adjacency\n"),
         (["--n", "50", "--d", "0.5", "--trials", "2", "check"],
          "check: need average degree at least 1\n"),
+        # k = n is rejected when the config loads, before any trial
         (["--n", "3", "--d", "1", "--k", "3", "--trials", "1", "learn"],
-         "learn: truncation rank must be below n\n"),
+         "sbmlab: need 2 <= k < n communities, got k=3, n=3\n"),
+        # an output path in a directory that does not exist
+        (["--n", "50", "--d", "4", "--out", "{missing}/x.csv", "sample"],
+         "sample: [Errno 2] No such file or directory: '{missing}/x.csv'\n"),
+        (["--n", "50", "--d", "4", "split", "--prefix", "{missing}/run"],
+         "split: [Errno 2] No such file or directory: '{missing}/run.y1'\n"),
+        (["--n", "50", "--d", "4", "--trials", "1", "learn", "--graphon-out", "{missing}/w.txt"],
+         "learn: [Errno 2] No such file or directory: '{missing}/w.txt'\n"),
     ],
-    ids=["recover", "project", "check", "learn"],
+    ids=["recover", "project", "check", "learn", "sample-out", "split-prefix", "learn-graphon-out"],
 )
-def test_recovery_failure_exits_one_without_traceback(argv, stderr):
-    # a verb's ValueError ends the run with exit 1 and one stderr line
+def test_recovery_failure_exits_one_without_traceback(tmp_path, argv, stderr):
+    # a verb's ValueError or OSError ends the run with exit 1 and one stderr line
     root = Path(__file__).resolve().parents[1]
+    missing = tmp_path / "missing"
     proc = subprocess.run(
-        [sys.executable, "-m", "sbmlab.cli", *argv],
+        [sys.executable, "-m", "sbmlab.cli", *(arg.format(missing=missing) for arg in argv)],
         env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1
-    assert proc.stderr == stderr
+    assert proc.stderr == stderr.format(missing=missing)
     assert proc.stdout == ""
 
 
@@ -277,20 +302,36 @@ def test_usage_errors_exit_code_one():
         (["--n", "1", "sample"], "need at least 2 vertices, got n=1"),
         (["--config", "{missing}", "sample"], "No such file or directory"),
         (["--threads", "0", "check"], "threads must be at least 1, got 0"),
+        (["--config", "{spectrl}", "test"], "unknown recovery method 'spectrl'"),
+        (["--config", "{ldlr}", "test"], "unknown pipeline 'ldlr'"),
+        (["--n", "20", "--d", "4", "--k", "1", "test"], "need 2 <= k < n communities, got k=1, n=20"),
+        (["--n", "20", "--d", "4", "--k", "20", "test"], "need 2 <= k < n communities, got k=20, n=20"),
+        # the default parameters sit at SNR = 0.25 * 16 / 4 = 1 exactly
+        (["--config", "{slack}", "test"], "eta.policy = slack is undefined at SNR >= 1"),
     ],
-    ids=["unknown-key", "zero-trials", "one-vertex", "missing-file", "zero-threads"],
+    ids=[
+        "unknown-key", "zero-trials", "one-vertex", "missing-file", "zero-threads",
+        "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "slack-at-snr-1",
+    ],
 )
 def test_bad_config_file(tmp_path, capsys, argv, message):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown.key = 1\n")
-    paths = {"bad": bad, "missing": tmp_path / "missing.cfg"}
+    paths = {"missing": tmp_path / "missing.cfg"}
+    for name, text in (
+        ("bad", "unknown.key = 1\n"),
+        ("spectrl", "recovery.method = spectrl\n"),
+        ("ldlr", "pipeline = ldlr\n"),
+        ("slack", "eta.policy = slack\n"),
+    ):
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
     assert main([arg.format(**paths) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("sbmlab: ") and message in captured.err
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_test_verb_pipelines(tmp_path):
+def test_test_verb_pipelines(tmp_path, capsys):
     # graphon pipeline: above-threshold planted arm separates from the null
     cfg = tmp_path / "g.cfg"
     cfg.write_text(
@@ -314,11 +355,13 @@ def test_test_verb_pipelines(tmp_path):
     assert main(["--config", str(cfg2), "--out", str(out2), "test", "--no-timing"]) == 0
     assert len(out2.read_text().splitlines()) == 9
 
-    # pipelines with their own verbs are rejected here
+    # ldlr has its own verb: a config naming it as a pipeline does not load
     cfg3 = tmp_path / "l.cfg"
     cfg3.write_text("params.n = 100\nparams.d = 8.0\npipeline = ldlr\n")
-    assert main(["--config", str(cfg3), "test"]) == 1
-    assert main(["--config", str(cfg3), "sweep", "--grid", "1.0"]) == 1
+    capsys.readouterr()
+    for verb in (["test"], ["sweep", "--grid", "1.0"]):
+        assert main(["--config", str(cfg3), *verb]) == 1
+        assert capsys.readouterr().err == "sbmlab: unknown pipeline 'ldlr'\n"
 
 
 def test_accept_json_wiring(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sbmlab.harness import (
     parse_config,
     sweep_phase,
     sweep_seed,
-    write_config,
     write_sweep_csv,
 )
 from sbmlab.learn import gw_constant, svd_theta
@@ -22,7 +22,28 @@ from sbmlab.seeds import derive_seed
 
 
 def test_config_roundtrip():
-    cfg = ExperimentConfig(
+    # a text naming every key of the table parses to the config it spells out
+    text = """
+        params.n = 600
+        params.d = 24.0
+        params.eps = 0.35
+        params.k = 3
+        params.eta = 0.2
+        params.delta = 0.05
+        trials = 17
+        seed = 99
+        pipeline = learning
+        threshold.policy = fixed
+        threshold.quantile = 0.95
+        threshold.value = 12.5
+        recovery.method = oracle
+        eta.policy = slack
+        ldlr.ell = 4
+        threads = 2
+    """
+    named = [line.split("=")[0].strip() for line in text.splitlines() if line.strip()]
+    assert sorted(named) == sorted(_CONFIG_KEYS)
+    assert parse_config(text) == ExperimentConfig(
         params=SbmParams(600, 24.0, eps=0.35, k=3, eta=0.2, delta=0.05),
         trials=17,
         seed=99,
@@ -35,15 +56,11 @@ def test_config_roundtrip():
         ell=4,
         threads=2,
     )
-    text = write_config(cfg)
-    assert parse_config(text) == cfg
-    # twice through the text form is lossless too
-    assert write_config(parse_config(text)) == text
 
 
 def test_config_keys_name_every_field_once():
-    # the one key table drives parse_config and write_config, so a field it
-    # misses could not round-trip
+    # the one key table drives parse_config and the CLI's overrides, so a
+    # field it misses could not be set
     def named(cls, prefix):
         return sorted(
             (prefix, f.name, getattr(f.type, "__name__", f.type))
@@ -83,12 +100,11 @@ def test_config_comments_and_defaults():
 def test_eta_policies():
     cfg = parse_config("params.n = 400\nparams.d = 16.0\nparams.eps = 0.5\nparams.k = 2\n")
     assert cfg.effective_eta() == cfg.params.eta
-    slack_cfg = parse_config(
-        "params.n = 400\nparams.d = 16.0\nparams.eps = 0.5\nparams.k = 2\neta.policy = slack\n"
-    )
-    # snr = 0.25 * 16 / 4 = 1 exactly: degenerate
-    with pytest.raises(ValueError):
-        slack_cfg.effective_eta()
+    # snr = 0.25 * 16 / 4 = 1 exactly: degenerate, so the config does not load
+    with pytest.raises(ValueError, match="slack is undefined at SNR >= 1"):
+        parse_config(
+            "params.n = 400\nparams.d = 16.0\nparams.eps = 0.5\nparams.k = 2\neta.policy = slack\n"
+        )
     slack_cfg2 = parse_config(
         "params.n = 400\nparams.d = 16.0\nparams.eps = 0.25\nparams.k = 2\neta.policy = slack\n"
     )
@@ -152,6 +168,19 @@ def test_sweep_below_threshold_no_separation():
     assert pt.power - pt.size <= 0.25
 
 
+def test_sweep_with_one_trial_per_arm_warns_nothing():
+    # one null value has no sample variance: R is nan and the score degenerate,
+    # without numpy's degrees-of-freedom warnings
+    cfg = ExperimentConfig(params=SbmParams(100, 8.0, eps=0.5, k=2), trials=1, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (pt,) = sweep_phase(cfg, [1.0])
+    assert pt.status == "ok" and math.isnan(pt.r_value)
+    buf = io.StringIO()
+    write_sweep_csv([pt], cfg.trials, buf, timing=False)
+    assert buf.getvalue().splitlines()[1].split(",")[4] == "nan"
+
+
 def test_sweep_csv_accounting_and_order():
     cfg = ExperimentConfig(params=SbmParams(300, 12.0, eps=0.5, k=2), trials=6, seed=3)
     points = sweep_phase(cfg, [1.0, 0.25])
@@ -212,7 +241,8 @@ def test_sweep_honours_pipeline_and_threshold_policy():
 
 def test_sweep_rejects_ldlr_and_slack():
     base = "params.n = 150\nparams.d = 10.0\ntrials = 2\n"
-    with pytest.raises(ValueError, match="ldlr"):
-        sweep_phase(parse_config(base + "pipeline = ldlr\n"), [1.0])
+    # ldlr has its own verb: the config does not load
+    with pytest.raises(ValueError, match="unknown pipeline 'ldlr'"):
+        parse_config(base + "pipeline = ldlr\n")
     with pytest.raises(ValueError, match="eta.policy"):
         sweep_phase(parse_config(base + "eta.policy = slack\n"), [0.25])

@@ -50,8 +50,11 @@ def test_ks_snr_values():
 
 
 def test_sample_labels_single_community():
-    lab = sample_labels(SbmParams(50, 3.0, k=1), seed=7)
-    assert np.all(lab.assignment == 0)
+    # one community is G(n, d/n) for any eps, and k >= n leaves no room for a
+    # rank-k truncation: the parameters are rejected before any draw
+    for k in (1, 50, 51):
+        with pytest.raises(ValueError, match="2 <= k < n"):
+            SbmParams(50, 3.0, k=k)
 
 
 def test_sample_labels_balanced_small():
@@ -230,11 +233,9 @@ def test_edge_list_roundtrip(tmp_path):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10_000))
 def test_membership_norm_property(k, mult, seed):
+    # balanced labels built directly: n = k (mult = 1) is below SbmParams' k < n
     n = k * mult
-    p = SbmParams(max(n, 2), 1.0, k=k) if n >= 2 else None
-    if n < 2:
-        return
-    lab = sample_labels(p, seed=seed, balanced=True)
+    lab = Labels(np.random.default_rng(seed).permutation(np.repeat(np.arange(k), mult)), k, balanced=True)
     m = membership_matrix(lab)
     assert np.linalg.norm(m) ** 2 == pytest.approx(n**2 * (1 / k) * (1 - 1 / k), rel=1e-10)
     assert abs(m.sum()) < 1e-8

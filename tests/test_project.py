@@ -78,6 +78,11 @@ def test_max_iters_must_be_positive():
         ProjectionSpec(delta=0.5, k=2, n=4, max_iters=0)
 
 
+def test_spec_needs_two_communities():
+    with pytest.raises(ValueError, match="k >= 2"):
+        ProjectionSpec(delta=0.5, k=1, n=4)
+
+
 def test_project_constraints_box_clamp():
     # the box of K(delta) at delta 0.5 bounds entries by 1/delta = 2
     m = np.array([[0.0, 3.0], [3.0, 0.0]])

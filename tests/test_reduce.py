@@ -19,7 +19,7 @@ from sbmlab.model import (
     sbm_graphon,
 )
 from sbmlab.project import ProjectionSpec
-from sbmlab.recover import recovery_rate
+from sbmlab.recover import RecoveryFailed, recovery_rate
 from sbmlab.reduce import (
     TrialRow,
     graphon_test,
@@ -335,3 +335,13 @@ def test_empty_graph_degenerates():
     rep = recovery_test_statistic(empty, p, seed=1, method="spectral")
     assert rep.statistic == 0.0
     assert "recovery" in rep.side_channel["error"]
+
+
+def test_recovery_caller_errors_raise():
+    # only a graph without an estimate scores g = 0; a caller error propagates
+    p = SbmParams(50, 5.0, eps=0.5, k=2, eta=0.1, delta=0.1)
+    g, _ = sample_ssbm(p, seed=2)
+    for method, message in (("nope", "unknown recovery method 'nope'"), ("oracle", "true labels")):
+        with pytest.raises(ValueError, match=message) as exc:
+            recovery_test_statistic(g, p, seed=1, method=method)
+        assert not isinstance(exc.value, RecoveryFailed)
