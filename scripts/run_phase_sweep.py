@@ -32,12 +32,16 @@ def main():
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    cfg = ExperimentConfig(
-        params=SbmParams(args.n, args.d, eps=0.5, k=args.k, eta=args.eta, delta=args.delta),
-        trials=args.trials,
-        seed=args.seed,
-        recovery_method=args.method,
-    )
+    try:
+        cfg = ExperimentConfig(
+            params=SbmParams(args.n, args.d, eps=0.5, k=args.k, eta=args.eta, delta=args.delta),
+            trials=args.trials,
+            seed=args.seed,
+            recovery_method=args.method,
+        )
+    except ValueError as exc:
+        print(f"run_phase_sweep: {exc}", file=sys.stderr)
+        sys.exit(1)
     grid = [float(tok) for tok in args.grid.split(",")]
     points = sweep_phase(cfg, grid)
     if args.out:

@@ -25,7 +25,6 @@ from .harness import (
     parse_config,
     run_two_arms,
     sweep_phase,
-    with_keys,
     write_sweep_csv,
 )
 from .learn import svd_theta, write_graphon
@@ -126,14 +125,13 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The --config file (or the defaults) with every given flag applied, checked once."""
+    """The --config file's keys (or none) with every given flag applied, checked once."""
+    text = ""
     if args.config is not None:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = parse_config("")
+            text = fh.read()
     flags = {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
-    return with_keys(cfg, {key: value for key, value in flags.items() if value is not None})
+    return parse_config(text, {key: value for key, value in flags.items() if value is not None})
 
 
 @contextmanager

@@ -114,9 +114,11 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse flat 'key = value' lines with dotted keys; unknown keys error.
 
+    `overrides` maps dotted keys to values that win over the text's (the
+    CLI's flags); the config is built and checked once, from the merged keys.
     ``parse_config("")`` is the default config.
     """
     raw = {}
@@ -133,15 +135,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = _CONFIG_KEYS[key][1](value.strip())
-    return with_keys(ExperimentConfig(params=SbmParams(400, 16.0, eps=0.5, k=2)), raw)
-
-
-def with_keys(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
-    """cfg with each dotted config key of `values` set, one replace per dataclass."""
     params, top = {}, {}
-    for key, value in values.items():
+    for key, value in {**raw, **(overrides or {})}.items():
         (params if key.startswith("params.") else top)[_CONFIG_KEYS[key][0]] = value
-    return replace(cfg, params=replace(cfg.params, **params), **top)
+    default = ExperimentConfig(params=SbmParams(400, 16.0, eps=0.5, k=2))
+    return replace(default, params=replace(default.params, **params), **top)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  A solve ends
 converged, certified infeasible before any sweep, or at the sweep cap.
 
 Every input becomes eigenpairs first: a `Factored` holds them, and a dense
-M0, which must equal its transpose, is eigendecomposed once (eigenvalues at
-rounding level dropped).  The certificate reads them: every N in K' has
+M0, which must equal its transpose, is eigendecomposed range first
+(`_eigenpairs`): Q spans a Gaussian sketch of M0, C = Q^T M0 Q is
+eigendecomposed, eigenvalues at rounding level are dropped, and the result
+is certified by |M0 - Q Q^T M0|_F, at O(n^2 r) cost for numerical rank r.
+The certificate reads them: every N in K' has
 <U, N> <= n max(lambda_max(U), 0) - <U, J>/k for U = M0 / |M0|_F, so a bound
 below b = delta * target proves that no point of K' meets the halfspace.
 
@@ -49,6 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .factored import Factored
+from .seeds import fixed_rng
 
 
 class ProjectionInfeasibleError(RuntimeError):
@@ -451,11 +455,62 @@ def _dykstra_subspace(m0: Factored, norm_m0: float, spec: ProjectionSpec) -> Pro
             axes.extend(v for v in grow.vertices if v not in axes)
 
 
+def _sketch_widths(n: int):
+    """Range widths to try: 8, 16, 32, ... below n / 2, then n // 2, then n (the identity)."""
+    width = 8
+    while width < n // 2:
+        yield width
+        width *= 2
+    if n > 1:
+        yield n // 2
+    yield n
+
+
 def _eigenpairs(m0: np.ndarray) -> Factored:
-    """A symmetric M0 by its eigenpairs, |w| <= n eps max|w| dropped (as matrix_rank)."""
-    w, v = np.linalg.eigh(m0)
-    keep = np.abs(w) > m0.shape[0] * np.finfo(float).eps * np.abs(w).max()
-    return Factored.from_eig(w[keep], v[:, keep])
+    """A symmetric M0 by its eigenpairs, |w| <= n eps max|w| dropped (as matrix_rank).
+
+    The range comes first (Halko, Martinsson & Tropp, SIAM Review 2011):
+    Y = M0 Omega for a fixed Gaussian Omega, widened by appended columns,
+    Q = qr(Y), and the eigenpairs (w, U) of C = Q^T M0 Q give M0's as
+    (w, Q U).  Once C keeps fewer eigenvalues than it has columns, Y holds
+    the range, and one power step Q = qr(M0 Q) sharpens the directions of
+    small eigenvalues that rounding in the sketch skews.  The width is
+    accepted when the new C still keeps fewer and the certificate
+    |M0 - Q Q^T M0|_F <= drop / 4 holds: then |M0 - Q C Q^T|_F <= drop / 2,
+    so every eigenvalue the off-range part could add or move lies below the
+    drop level.  Past n / 2 columns Q is the identity and C is M0.  For
+    numerical rank r with 2 (r + 1) <= n the cost is O(n^2 r) and no n x n
+    matrix is eigendecomposed.
+    """
+    n = m0.shape[0]
+    rng = fixed_rng(n, "range-sketch")
+    sketch = np.empty((n, 0))
+    for width in _sketch_widths(n):
+        if width == n:
+            q = np.eye(n)
+        else:
+            omega = rng.standard_normal((n, width - sketch.shape[1]))
+            sketch = np.column_stack([sketch, m0 @ omega])
+            q = np.linalg.qr(sketch)[0]
+        for power_step in (False, True):
+            mq = m0 @ q
+            c = q.T @ mq
+            w, u = np.linalg.eigh((c + c.T) / 2.0)
+            drop = n * np.finfo(float).eps * np.abs(w).max()
+            keep = np.abs(w) > drop
+            if width == n or keep.sum() == width:
+                break
+            if power_step and _range_residual(m0, q, mq) <= drop / 4:
+                return Factored.from_eig(w[keep], q @ u[:, keep])
+            q = np.linalg.qr(mq)[0]
+    return Factored.from_eig(w[keep], q @ u[:, keep])  # width n: Q is the identity
+
+
+def _range_residual(m0: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
+    """|M0 - Q Q^T M0|_F with Q^T M0 = (M0 Q)^T, computed in one n x n buffer."""
+    buf = q @ mq.T
+    np.subtract(m0, buf, out=buf)
+    return float(np.linalg.norm(buf))
 
 
 def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):
@@ -476,7 +531,8 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
 
     M0 comes as eigenpairs, a `Factored` as `Factored.from_eig` builds them
     (alpha 0, scale 1, diagonal C), or as a dense array equal to its
-    transpose, which is eigendecomposed once.  The certificate reads the
+    transpose, eigendecomposed range first in O(n^2 r) by `_eigenpairs`
+    (certified by its range residual).  The certificate reads the
     eigenpairs; they run on the subspace backend while the width rule admits
     their basis, and the dense backend solves the matrix rebuilt from them
     otherwise.

@@ -9,7 +9,9 @@ harness.run_two_arms calibrates the threshold and decides every trial.
 
 Both routes end in one project-and-score step.  The projection turns its
 input into eigenpairs first: the recovery route already hands it eigenpairs,
-the learning route the dense theta_hat - (d/n) J, eigendecomposed once.
+the learning route the dense theta_hat - (d/n) J, whose range a Gaussian
+sketch finds before the small compressed matrix is eigendecomposed (O(n^2 r)
+for numerical rank r, certified by the range residual).
 When the eigenpairs are few the projected estimate comes back factored and g
 is evaluated from the factors in O((m + n) r^2), with no n x n array; the
 recovery route then builds none from the recovery step to the score.

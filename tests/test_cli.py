@@ -246,6 +246,15 @@ def test_scripts_run(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("run_ldlr_curves: ") and "Traceback" not in proc.stderr
     assert not out.exists()
+    # parameters the config rejects end the sweep script with one line
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_phase_sweep.py"),
+         "--n", "20", "--k", "1", "--trials", "1", "--grid", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "run_phase_sweep: average degree must be in (0, n), got d=60.0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -308,10 +317,14 @@ def test_usage_errors_exit_code_one():
         (["--n", "20", "--d", "4", "--k", "20", "test"], "need 2 <= k < n communities, got k=20, n=20"),
         # the default parameters sit at SNR = 0.25 * 16 / 4 = 1 exactly
         (["--config", "{slack}", "test"], "eta.policy = slack is undefined at SNR >= 1"),
+        # a flag applied to the file's keys leaves the merged config at SNR 2.25
+        (["--config", "{slack}", "--eps", "0.75", "test"],
+         "eta.policy = slack is undefined at SNR >= 1, got SNR 2.25"),
     ],
     ids=[
         "unknown-key", "zero-trials", "one-vertex", "missing-file", "zero-threads",
         "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "slack-at-snr-1",
+        "slack-after-flags",
     ],
 )
 def test_bad_config_file(tmp_path, capsys, argv, message):
@@ -329,6 +342,17 @@ def test_bad_config_file(tmp_path, capsys, argv, message):
     assert captured.err.startswith("sbmlab: ") and message in captured.err
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_flags_repair_an_invalid_config_file(tmp_path, capsys):
+    # the file alone sits at SNR 1, where slack is undefined; the config is
+    # checked once with the flags applied, at SNR 0.25 * 0.25 * 16 / 4 = 0.25
+    cfg = tmp_path / "slack.cfg"
+    cfg.write_text("eta.policy = slack\n")
+    assert main(["--config", str(cfg), "--eps", "0.25", "--trials", "1", "test", "--no-timing"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    assert "Traceback" not in captured.err
 
 
 def test_test_verb_pipelines(tmp_path, capsys):

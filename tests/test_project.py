@@ -5,6 +5,7 @@ import pytest
 
 import sbmlab.project
 from sbmlab.factored import Factored
+from sbmlab.learn import svd_theta
 from sbmlab.model import SbmParams, membership_matrix, sample_labels, sample_ssbm
 from sbmlab.project import (
     ProjectionDidNotConverge,
@@ -399,3 +400,52 @@ def test_sparse_planted_input_stays_on_subspace(monkeypatch):
     with pytest.raises(ProjectionDidNotConverge) as fast:
         corr_preserving_projection(m0, spec)
     assert str(fast.value) == str(dense.value)
+
+
+def svd_theta_input():
+    """theta_hat - (d/n) J of the clipped rank-2 learner at n = 400 (numerical rank ~ 30)."""
+    p = SbmParams(400, 50.0, eps=0.6, k=2)
+    graph, _ = sample_ssbm(p, 21)
+    return svd_theta(graph, p.k) - p.d / p.n
+
+
+def exact_rank_input(n, r, seed):
+    """A symmetric input of exact rank r with eigenvalues of both signs."""
+    rng = stream_rng(seed, "exact-rank")
+    vecs = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    vals = rng.uniform(1.0, 3.0, r) * np.where(np.arange(r) % 2, -1.0, 1.0)
+    return Factored.from_eig(vals, vecs).dense()
+
+
+@pytest.mark.parametrize(
+    "make, range_first",
+    [
+        (svd_theta_input, True),
+        (lambda: noisy_instance(200, sigma=26.0, seed=5)[1], False),  # C3's full-rank form
+        (lambda: exact_rank_input(100, 49, 1), True),  # 2 (r + 1) = n
+        (lambda: exact_rank_input(100, 50, 2), False),  # 2 (r + 1) = n + 2
+        (lambda: exact_rank_input(3, 1, 3), False),
+        (lambda: exact_rank_input(2, 1, 4), False),
+    ],
+    ids=["svd-theta-400", "c3-full-rank", "rank-49-of-100", "rank-50-of-100", "n3", "n2"],
+)
+def test_eigenpairs_match_dense_eigh(make, range_first, monkeypatch):
+    # the range-first eigenpairs keep what a dense eigh with the same drop rule
+    # keeps, rebuild M0 to the drop level and repeat bit for bit; an n x n eigh
+    # runs only when 2 (r + 1) > n
+    m0 = make()
+    n = len(m0)
+    w, _ = np.linalg.eigh(m0)
+    drop = n * np.finfo(float).eps * np.abs(w).max()
+    ref = w[np.abs(w) > drop]
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    got = sbmlab.project._eigenpairs(m0)
+    assert (max(sizes) < n) == range_first
+    vals = np.diag(got.c)
+    assert got.r == len(ref)
+    assert np.max(np.abs(vals - ref)) <= drop
+    assert np.linalg.norm((got.v * vals) @ got.v.T - m0) <= drop
+    again = sbmlab.project._eigenpairs(m0)
+    assert np.array_equal(again.v, got.v) and np.array_equal(again.c, got.c)

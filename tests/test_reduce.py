@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sbmlab.reduce
+from sbmlab.factored import Factored
 from sbmlab.harness import ExperimentConfig, run_two_arms
 from sbmlab.learn import svd_theta
 from sbmlab.model import (
@@ -245,6 +246,32 @@ def test_learning_svd_separation_z(monkeypatch):
         np.var(planted, ddof=1) / len(planted) + np.var(null, ddof=1) / len(null)
     )
     assert z >= 3.0
+
+
+@pytest.mark.parametrize("arm, t", [("P", 0), ("P", 1), ("P", 2), ("Q", 0), ("Q", 1), ("Q", 2)])
+def test_learning_statistic_matches_dense_eigh_reference(arm, t):
+    # the learning route's projection input is eigendecomposed range first;
+    # scoring the projection of the dense eigh truncation of the same
+    # theta_hat - (d/n) J gives the same g, status, backend, width and sweeps
+    p = SbmParams(400, 50.0, eps=math.sqrt(16.0 / 50.0), k=2, eta=0.1, delta=0.1)
+    if arm == "P":
+        g, _ = sample_ssbm(p, derive_seed(53, "P", t))
+    else:
+        g = sample_er(p.n, p.d, derive_seed(53, "Q", t))
+    seed = derive_seed(53, f"{arm}s", t)
+    rep = learning_test_statistic(g, p, lambda y1: svd_theta(y1, p.k), seed)
+    split = subsample_edges(g, p.eta, derive_seed(seed, "pipeline-split"))
+    m0 = svd_theta(split.y1, p.k) - p.d / p.n
+    w, v = np.linalg.eigh(m0)
+    keep = np.abs(w) > p.n * np.finfo(float).eps * np.abs(w).max()
+    ref = sbmlab.reduce._project_and_score(
+        Factored.from_eig(w[keep], v[:, keep]), sbmlab.reduce._default_learning_spec(p), split.y2, p, {}
+    )
+    got, want = rep.side_channel["projection"], ref.side_channel["projection"]
+    assert got["status"] == want["status"]
+    for key in ("backend", "width", "iterations"):
+        assert got.get(key) == want.get(key)
+    assert rep.statistic == pytest.approx(ref.statistic, rel=1e-9, abs=0.0)
 
 
 def test_learning_validates_learner_output():
