@@ -129,12 +129,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = _CONFIG_KEYS[key][1](value.strip())
+        kind = _CONFIG_KEYS[key][1]
+        try:
+            raw[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key} must be {kind.__name__}, got {value!r}") from None
     params, top = {}, {}
     for key, value in {**raw, **(overrides or {})}.items():
         (params if key.startswith("params.") else top)[_CONFIG_KEYS[key][0]] = value

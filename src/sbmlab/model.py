@@ -21,7 +21,6 @@ m is about d n / 2.  G(n, d/n) is the one-block case.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,18 +153,6 @@ class Graph:
             shape=(self.n, self.n),
         )
 
-    @staticmethod
-    def from_edge_array(n: int, edges: np.ndarray) -> "Graph":
-        """Normalize (orient u < v, sort, dedupe) an arbitrary pair array."""
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if e.size and (e.min() < 0 or e.max() >= n):
-            raise ValueError("edge endpoint out of range")
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        keep = lo != hi
-        key = np.unique(lo[keep] * n + hi[keep])
-        return Graph(n, np.column_stack(np.divmod(key, n)))
-
 
 @dataclass(frozen=True, eq=False)
 class BlockGraphon:
@@ -186,21 +173,6 @@ class BlockGraphon:
     @property
     def m(self) -> int:
         return self.b.shape[0]
-
-    @property
-    def masses(self) -> np.ndarray:
-        """Equal block masses 1/m."""
-        return np.full(self.m, 1.0 / self.m)
-
-    def value(self, x: float, y: float) -> float:
-        return self.b[block_of(x, self.m) - 1, block_of(y, self.m) - 1]
-
-
-def block_of(x: float, m: int) -> int:
-    """1-based block index ceil(m*x) of a point x in [0, 1] (x=0 maps to 1)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("graphon argument must lie in [0, 1]")
-    return min(max(int(math.ceil(m * x)), 1), m)
 
 
 def sample_labels(params: SbmParams, seed: int, balanced: bool = False) -> Labels:

@@ -29,18 +29,24 @@ below b = delta * target proves that no point of K' meets the halfspace.
 
 The loop runs over one of two states.  The subspace state holds M0 as a
 `Factored` of its eigenpairs: every iterate lives in
-span{eigenvectors of M0, all-ones, adjoined vertex axes} plus a multiple of
+span{all-ones, eigenvectors of M0, adjoined vertex axes} plus a multiple of
 the complementary identity, so it holds coordinates (C, alpha), a sweep
 costs O(n r^2), and its report carries a `Factored` estimate
 s (V C V^T + alpha (I - V V^T)) that the pipeline scores without an n x n
-array.  Entry-bound violations are found by a certified row scan and
-clipped inside the family once the affected vertex axes are adjoined.  The
-dense state holds X as an n x n array (one eigendecomposition per sweep) and
-remains the reference.  One width rule picks the state, at entry and each
-time axes are adjoined: the subspace state runs while its basis width r
-(all-ones, eigenvectors, axes) satisfies 2 r <= n, past which an O(n r^2)
-sweep no longer undercuts an n x n eigendecomposition; the dense state then
-solves the matrix rebuilt from the eigenpairs.
+array.  One rule builds the basis V (`_subspace_basis`): the all-ones
+direction first, then one SVD of the eigenvectors and the adjoined axes e_v,
+projected off it, keeping singular values above 1e-12 of the largest, so
+an axis already in the span adds no column.  Entry-bound violations are
+found by a certified row scan; one off the adjoined axes raises
+`_ExtendNeeded`, and the solve restarts with those axes adjoined.  Once
+every violation lies in axes x axes, the box clips in one product,
+C - V_A^T E V_A, for E the symmetric matrix of excesses over the bound and
+V_A the axes' rows of V.  The dense state holds X as an n x n array (one
+eigendecomposition per sweep) and remains the reference.  The width rule
+is checked once on every basis built: the subspace state runs while its
+width r satisfies 2 r <= n, past which an O(n r^2) sweep no longer
+undercuts an n x n eigendecomposition; the dense state then solves the
+matrix rebuilt from the eigenpairs.
 """
 
 from __future__ import annotations
@@ -262,43 +268,22 @@ class _DenseState:
         return x, self.norm(x), float(np.sum(self.m0 * x))
 
 
-def _subspace_basis(vecs, n):
-    """Orthonormal [ones/sqrt(n) | complement of vecs], ones exactly first."""
+def _subspace_basis(vecs, axes, n):
+    """Orthonormal [ones/sqrt(n) | range of (vecs | e_axes) off the ones], ones exactly first.
+
+    One SVD with the relative cutoff 1e-12 max(s_0, 1) spans eigenvectors and
+    vertex axes alike; an axis already in the span adds no column.
+    """
     v0 = np.full(n, 1.0 / math.sqrt(n))
+    if len(axes):
+        e_axes = np.zeros((n, len(axes)))
+        e_axes[axes, np.arange(len(axes))] = 1.0
+        vecs = np.column_stack([vecs, e_axes])
     w = vecs - np.outer(v0, v0 @ vecs)
     if not w.size:
         return v0[:, None]
     uu, ss, _ = np.linalg.svd(w, full_matrices=False)
     return np.column_stack([v0, uu[:, ss > 1e-12 * max(ss[0], 1.0)]])
-
-
-def _extend_basis(big_v, vertices, n):
-    """Append standard-basis axes e_v (orthonormalized) to the subspace.
-
-    An axis nearly inside the span (residual below 1/2) gets a second
-    Gram-Schmidt pass; if its residual is then at rounding level it already
-    lies in the span and adds no column.
-    """
-    cols = [big_v]
-    for v in vertices:
-        w = np.zeros(n)
-        w[v] = 1.0
-        for block in cols:
-            w -= block @ (block.T @ w)
-        nw = float(np.linalg.norm(w))
-        if nw < 0.5:
-            for block in cols:
-                w -= block @ (block.T @ w)
-            nw = float(np.linalg.norm(w))
-            if nw <= n * np.finfo(float).eps:
-                continue
-        cols.append((w / nw)[:, None])
-    return np.column_stack(cols)
-
-
-def _fits_subspace(width: int, n: int) -> bool:
-    """The width rule: a basis of this width runs on the subspace state."""
-    return 2 * width <= n
 
 
 class _Coords:
@@ -322,7 +307,7 @@ class _SubspaceState:
     V is orthonormal with the all-ones direction exactly first, so the shift
     (1/k) J is (n/k) e_0 e_0^T in coordinates.  The box step clips inside the
     family; an entry above the bound off the adjoined vertex axes raises
-    `_ExtendNeeded`, and the caller grows V and restarts.
+    `_ExtendNeeded`, and the caller rebuilds V with those axes and restarts.
     """
 
     backend = "subspace"
@@ -394,20 +379,13 @@ class _SubspaceState:
         outside = np.unique(np.concatenate([ii[~self.in_axes[ii]], jj[~self.in_axes[jj]]]))
         if outside.size:
             raise _ExtendNeeded(outside.tolist())
-        c = y.c.copy()
-        seen = set()
-        for i, j, v in zip(ii, jj, vals_over):
-            a_, b_ = (i, j) if i <= j else (j, i)
-            if (a_, b_) in seen:
-                continue
-            seen.add((a_, b_))
-            excess = v - math.copysign(1.0, v)
-            wi, wj = self.big_v[a_], self.big_v[b_]
-            if a_ == b_:
-                c -= excess * np.outer(wi, wi)
-            else:
-                c -= excess * (np.outer(wi, wj) + np.outer(wj, wi))
-        return _Coords(c, y.alpha)
+        upper = ii <= jj  # both rows of a pair are axis rows: keep each pair once
+        pi, pj = np.searchsorted(self.axes, ii[upper]), np.searchsorted(self.axes, jj[upper])
+        excess = np.zeros((self.axes.size, self.axes.size))
+        excess[pi, pj] = vals_over[upper] - np.sign(vals_over[upper])
+        excess += np.triu(excess, 1).T
+        v_a = self.big_v[self.axes]
+        return _Coords(y.c - v_a.T @ excess @ v_a, y.alpha)
 
     def spectraplex(self, y):
         bmat = y.c.copy()
@@ -429,30 +407,6 @@ class _SubspaceState:
     def solution(self, x):
         n_mat = Factored(self.big_v, x.c, x.alpha)
         return n_mat, n_mat.norm(), self.m0.inner(n_mat)
-
-
-def _dykstra_subspace(m0: Factored, norm_m0: float, spec: ProjectionSpec) -> ProjectionReport | None:
-    """Solver for M0 given by its eigenpairs, or None when the width rule rejects it.
-
-    Runs Dykstra on the subspace state, V spanning the eigenvectors of M0
-    and the all-ones direction.  When the box step needs vertex axes off V,
-    they are adjoined and the solve restarts, as long as the grown basis
-    passes the width rule.
-    """
-    if not _fits_subspace(m0.r, spec.n):  # the basis is at least r wide
-        return None
-    axes: list[int] = []
-    while True:
-        big_v = _subspace_basis(m0.v, spec.n)
-        if axes:
-            big_v = _extend_basis(big_v, axes, spec.n)
-        if not _fits_subspace(big_v.shape[1], spec.n):
-            return None
-        state = _SubspaceState(m0, norm_m0, big_v, axes, spec)
-        try:
-            return _dykstra(state, spec)
-        except _ExtendNeeded as grow:
-            axes.extend(v for v in grow.vertices if v not in axes)
 
 
 def _sketch_widths(n: int):
@@ -533,9 +487,10 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     (alpha 0, scale 1, diagonal C), or as a dense array equal to its
     transpose, eigendecomposed range first in O(n^2 r) by `_eigenpairs`
     (certified by its range residual).  The certificate reads the
-    eigenpairs; they run on the subspace backend while the width rule admits
-    their basis, and the dense backend solves the matrix rebuilt from them
-    otherwise.
+    eigenpairs.  The solve builds the basis, runs the subspace backend while
+    the width rule admits it and restarts with the axes `_ExtendNeeded`
+    names; once a basis fails the rule, the dense backend solves the matrix
+    rebuilt from the eigenpairs.
     """
     if isinstance(m0, Factored):
         vals = np.diag(m0.c)
@@ -551,6 +506,13 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     if norm_m0 <= 0.0:
         raise ValueError("projection input must be nonzero")
     _certify_infeasible(m0, norm_m0, spec)
-    return _dykstra_subspace(m0, norm_m0, spec) or _dykstra(
-        _DenseState((m0.v * np.diag(m0.c)) @ m0.v.T, norm_m0, spec), spec
-    )
+    axes: list[int] = []
+    while True:
+        big_v = _subspace_basis(m0.v, axes, spec.n)
+        if 2 * big_v.shape[1] > spec.n:  # the width rule
+            break
+        try:
+            return _dykstra(_SubspaceState(m0, norm_m0, big_v, axes, spec), spec)
+        except _ExtendNeeded as grow:
+            axes.extend(grow.vertices)  # all off the adjoined axes
+    return _dykstra(_DenseState((m0.v * np.diag(m0.c)) @ m0.v.T, norm_m0, spec), spec)

@@ -1,0 +1,7 @@
+"""Pin BLAS to one thread before numpy loads, so test timings do not depend on
+how many cores are idle (OpenBLAS threads spin when the cores are shared)."""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

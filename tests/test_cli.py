@@ -307,6 +307,7 @@ def test_usage_errors_exit_code_one():
     "argv, message",
     [
         (["--config", "{bad}", "sample"], "line 1: unknown key 'unknown.key'"),
+        (["--config", "{typo}", "sample"], "line 2: params.n must be int, got '4OO'"),
         (["--trials", "0", "test"], "need at least one trial"),
         (["--n", "1", "sample"], "need at least 2 vertices, got n=1"),
         (["--config", "{missing}", "sample"], "No such file or directory"),
@@ -322,7 +323,7 @@ def test_usage_errors_exit_code_one():
          "eta.policy = slack is undefined at SNR >= 1, got SNR 2.25"),
     ],
     ids=[
-        "unknown-key", "zero-trials", "one-vertex", "missing-file", "zero-threads",
+        "unknown-key", "bad-value", "zero-trials", "one-vertex", "missing-file", "zero-threads",
         "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "slack-at-snr-1",
         "slack-after-flags",
     ],
@@ -331,6 +332,7 @@ def test_bad_config_file(tmp_path, capsys, argv, message):
     paths = {"missing": tmp_path / "missing.cfg"}
     for name, text in (
         ("bad", "unknown.key = 1\n"),
+        ("typo", "# a letter O for a zero\nparams.n = 4OO\n"),
         ("spectrl", "recovery.method = spectrl\n"),
         ("ldlr", "pipeline = ldlr\n"),
         ("slack", "eta.policy = slack\n"),

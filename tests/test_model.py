@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbmlab.model import (
-    BlockGraphon,
     Graph,
     Labels,
     SbmParams,
-    block_of,
     edge_prob_matrix,
     map_trials,
     membership_matrix,
@@ -206,11 +204,6 @@ def test_sbm_graphon_blocks():
     assert np.all(w.b == 0.04)
     w = sbm_graphon(SbmParams(100, 4.0, eps=1.0, k=2))
     assert np.array_equal(w.b, np.array([[0.06, 0.02], [0.02, 0.06]]))
-    # gamma(x) = ceil(kx): x = 0.49 with k = 2 sits in block 1
-    assert block_of(0.49, 2) == 1
-    assert block_of(0.51, 2) == 2
-    assert block_of(0.0, 2) == 1
-    assert w.value(0.49, 0.51) == 0.02
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -248,7 +241,7 @@ def test_empty_graphon_constant(seed):
     g = sample_er(p.n, p.d, seed)
     assert g.edge_count >= 0
     w = sbm_graphon(p)
-    assert w.value(0.2, 0.8) == 0.04
+    assert np.all(w.b == 0.04)
 
 
 def test_empty_edge_list_roundtrip(tmp_path):
@@ -257,12 +250,6 @@ def test_empty_edge_list_roundtrip(tmp_path):
     write_edge_list(g, path)
     g2 = read_edge_list(path)
     assert g2.n == 7 and g2.edge_count == 0
-
-
-def test_from_edge_array_normalizes():
-    raw = np.array([[3, 1], [1, 3], [0, 2], [2, 2]])
-    g = Graph.from_edge_array(5, raw)
-    assert np.array_equal(g.edges, np.array([[0, 2], [1, 3]]))
 
 
 def _pair_keys(g):
@@ -356,16 +343,6 @@ def test_sample_ssbm_memory_is_linear():
 def test_graph_rejects_invalid_edge_lists(edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(4, np.array(edges))
-
-
-def test_from_edge_array_mixed_orientation_loop_duplicate():
-    raw = np.array([[4, 0], [2, 3], [3, 2], [1, 1], [0, 4], [0, 1], [4, 4]])
-    g = Graph.from_edge_array(5, raw)
-    assert g.edges.tolist() == [[0, 1], [0, 4], [2, 3]]
-    assert Graph.from_edge_array(5, np.empty((0, 2))).edge_count == 0
-    # out-of-range endpoints are rejected, not folded into other pairs
-    with pytest.raises(ValueError, match="out of range"):
-        Graph.from_edge_array(5, np.array([[0, 7]]))
 
 
 def test_map_trials_streams_and_laws(monkeypatch):

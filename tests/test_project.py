@@ -334,15 +334,47 @@ def test_subspace_matches_dense_with_active_entry_bound():
 
 
 def test_subspace_falls_back_to_dense(monkeypatch):
-    # once adjoined axes widen the basis past the width rule, the factored
-    # input is solved on the dense state
+    # rank n/2 - 1 fills the basis to width n/2; the spike then needs vertex
+    # axes, the grown basis fails the width rule, and the factored input is
+    # solved on the dense state, in step with the dense reference
     vals, vecs, spec = spike_instance()
-    monkeypatch.setattr(sbmlab.project, "_fits_subspace", lambda width, n: width <= 1 + len(vals))
+    n = spec.n
+    pad = stream_rng(2, "padding").standard_normal((n, n // 2 - 1 - len(vals)))
+    vecs = np.linalg.qr(np.column_stack([vecs, pad]))[0]
+    vals = np.r_[vals, 0.5 * np.where(np.arange(pad.shape[1]) % 2, -1.0, 1.0)]
+    widths = []
+    state = sbmlab.project._SubspaceState
+
+    def recording_state(m0, norm_m0, big_v, *rest):
+        widths.append(big_v.shape[1])
+        return state(m0, norm_m0, big_v, *rest)
+
+    monkeypatch.setattr(sbmlab.project, "_SubspaceState", recording_state)
     dense = dense_reference((vecs * vals) @ vecs.T, spec)
     fallback = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
+    assert widths == [n // 2]
     assert fallback.backend == "dense"
     assert fallback.iterations == dense.iterations
     assert np.max(np.abs(fallback.m_hat - dense.m_hat)) <= 1e-9
+
+
+def test_width_does_not_depend_on_the_eigenbasis():
+    # M0's eigenvectors span the vertex axes 7 and 23, which the entry bound
+    # adjoins.  A second eigenbasis of the same M0, accurate to about 3e-13
+    # (a dense eigh's accuracy at n = 1000), leaves those axes that far
+    # outside its span; both bases give the same width, sweeps and estimate
+    vals, vecs, spec = spike_instance()
+    n = spec.n
+    exact = np.linalg.qr(np.column_stack([vecs, np.eye(n)[:, [7, 23]]]))[0]
+    vals = np.r_[vals, 3.0, 1.0]
+    noise = stream_rng(1, "basis-noise").standard_normal(exact.shape)
+    rounded = np.linalg.qr(exact + 3e-14 * noise)[0]
+    a = corr_preserving_projection(Factored.from_eig(vals, exact), spec)
+    b = corr_preserving_projection(Factored.from_eig(vals, rounded), spec)
+    assert a.backend == b.backend == "subspace"
+    assert a.width == b.width
+    assert a.iterations == b.iterations
+    assert np.max(np.abs(a.m_hat - b.m_hat)) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -364,22 +396,44 @@ def test_symmetric_low_rank_dense_input_runs_on_subspace(instance):
 
 
 def test_extend_basis_adjoins_an_axis_near_the_span():
-    # e_3 has residual below 1/2 against V, so it takes a second Gram-Schmidt
-    # pass; the grown basis stays orthonormal and contains e_3
+    # e_3 has residual below 1/2 against the eigenvector's basis; adjoined in
+    # the same SVD, the basis stays orthonormal and contains e_3
     n = 50
     rng = stream_rng(5, "near-axis")
     v = 0.05 * rng.standard_normal(n)
     v[3] = 1.0
-    big_v = sbmlab.project._subspace_basis(v[:, None], n)
+    big_v = sbmlab.project._subspace_basis(v[:, None], [], n)
     e3 = np.eye(n)[3]
     assert np.linalg.norm(e3 - big_v @ (big_v.T @ e3)) < 0.5
-    grown = sbmlab.project._extend_basis(big_v, [3], n)
+    grown = sbmlab.project._subspace_basis(v[:, None], [3], n)
     assert grown.shape[1] == big_v.shape[1] + 1
     assert np.max(np.abs(grown.T @ grown - np.eye(grown.shape[1]))) <= 1e-12
     assert np.linalg.norm(e3 - grown @ (grown.T @ e3)) <= 1e-12
     # an axis already inside the span adds no column
-    inside = sbmlab.project._extend_basis(grown, [3], n)
+    inside = sbmlab.project._subspace_basis(grown, [3], n)
     assert inside.shape == grown.shape
+
+
+def test_subspace_box_clips_axis_pairs_like_the_dense_box():
+    # every entry above the bound lies between adjoined axes: the box step in
+    # coordinates equals the dense clip; an entry off the axes asks for them
+    vals, vecs, spec = spike_instance()
+    m0 = Factored.from_eig(vals, vecs)
+    n = spec.n
+    big_v = sbmlab.project._subspace_basis(vecs, [7, 23], n)
+    small = 0.05 * stream_rng(4, "box").standard_normal((big_v.shape[1],) * 2)
+    spikes = np.zeros((n, n))
+    spikes[7, 7], spikes[7, 23], spikes[23, 7], spikes[23, 23] = -1.5, 2.0, 2.0, 1.2
+    y = sbmlab.project._Coords(big_v.T @ spikes @ big_v + small + small.T, 0.3)
+    before = Factored(big_v, y.c, y.alpha).dense()
+    assert np.abs(before).max() > 1.5
+    state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(vals)), big_v, [7, 23], spec)
+    x = state.box(y)
+    assert np.max(np.abs(Factored(big_v, x.c, x.alpha).dense() - np.clip(before, -1.0, 1.0))) <= 1e-12
+    state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(vals)), big_v, [7], spec)
+    with pytest.raises(sbmlab.project._ExtendNeeded) as grow:
+        state.box(y)
+    assert grow.value.vertices == [23]
 
 
 def test_sparse_planted_input_stays_on_subspace(monkeypatch):
