@@ -28,25 +28,27 @@ The certificate reads them: every N in K' has
 below b = delta * target proves that no point of K' meets the halfspace.
 
 The loop runs over one of two states.  The subspace state holds M0 as a
-`Factored` of its eigenpairs: every iterate lives in
-span{all-ones, eigenvectors of M0, adjoined vertex axes} plus a multiple of
-the complementary identity, so it holds coordinates (C, alpha), a sweep
-costs O(n r^2), and its report carries a `Factored` estimate
-s (V C V^T + alpha (I - V V^T)) that the pipeline scores without an n x n
-array.  One rule builds the basis V (`_subspace_basis`): the all-ones
-direction first, then one SVD of the eigenvectors and the adjoined axes e_v,
-projected off it, keeping singular values above 1e-12 of the largest, so
-an axis already in the span adds no column.  Entry-bound violations are
-found by a certified row scan; one off the adjoined axes raises
-`_ExtendNeeded`, and the solve restarts with those axes adjoined.  Once
-every violation lies in axes x axes, the box clips in one product,
+`Factored` of its eigenpairs: every iterate is V C V^T for the basis V of
+span{all-ones, eigenvectors of M0, adjoined vertex axes}, so it holds the
+r x r coordinates C, a sweep costs O(n r^2), and its report carries a
+`Factored` estimate s V C V^T that the pipeline scores without an n x n
+array.  No iterate leaves the span: Dykstra starts at zero, the halfspace
+and box steps move only C, and the spectraplex shift theta is never
+negative, so the complementary block I - V V^T, at eigenvalue 0, stays at
+max(0 - theta, 0) = 0.  One rule builds the basis V (`_subspace_basis`): the
+all-ones direction first, then one SVD of the eigenvectors and the adjoined
+axes e_v, projected off it, keeping singular values above 1e-12 of the
+largest, so an axis already in the span adds no column.  Entry-bound
+violations are found by a certified row scan; one off the adjoined axes
+raises `_ExtendNeeded`, and the solve restarts with those axes adjoined.
+Once every violation lies in axes x axes, the box clips in one product,
 C - V_A^T E V_A, for E the symmetric matrix of excesses over the bound and
 V_A the axes' rows of V.  The dense state holds X as an n x n array (one
-eigendecomposition per sweep) and remains the reference.  The width rule
-is checked once on every basis built: the subspace state runs while its
-width r satisfies 2 r <= n, past which an O(n r^2) sweep no longer
-undercuts an n x n eigendecomposition; the dense state then solves the
-matrix rebuilt from the eigenpairs.
+eigendecomposition per sweep) and remains the reference.  The width rule is
+checked once on every basis built: the subspace state runs while its width r
+satisfies 2 r <= n, past which an O(n r^2) sweep no longer undercuts an
+n x n eigendecomposition; the dense state then solves the matrix rebuilt
+from the eigenpairs.
 """
 
 from __future__ import annotations
@@ -137,16 +139,14 @@ def _project_box(m: np.ndarray, bound: float) -> np.ndarray:
     return np.clip(m, -bound, bound)
 
 
-def _capped_shift(w: np.ndarray, cap: float, mult: np.ndarray | None = None) -> float:
-    """theta >= 0 with max(w - theta, 0) the projection of w onto {x >= 0, sum mult x <= cap}.
+def _capped_shift(w: np.ndarray, cap: float) -> float:
+    """theta >= 0 with max(w - theta, 0) the projection of w onto {x >= 0, sum x <= cap}.
 
-    theta is 0 unless the cap binds; mult holds multiplicities (default 1)."""
-    mult = np.ones_like(w) if mult is None else mult
-    if float(np.sum(mult * np.maximum(w, 0.0))) <= cap:
+    theta is 0 unless the cap binds."""
+    if float(np.sum(np.maximum(w, 0.0))) <= cap:
         return 0.0
-    order = np.argsort(-w)
-    ws, ms = w[order], mult[order]
-    thetas = (np.cumsum(ms * ws) - cap) / np.cumsum(ms)
+    ws = w[np.argsort(-w)]
+    thetas = (np.cumsum(ws) - cap) / np.arange(1, ws.size + 1)
     return float(thetas[np.flatnonzero(ws > thetas)[-1]])
 
 
@@ -196,15 +196,15 @@ class _ExtendNeeded(Exception):
 def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
     """Dykstra from zero over the state's three projections, then the report.
 
-    The state fixes the point representation (supporting + and -), the three
+    A point is a width x width array (X itself on the dense state, C on the
+    subspace state, where |N|_F = |C|_F).  The state fixes the three
     projections, the residuals (box, halfspace: the exact last step satisfies
-    the spectraplex), the norm behind the stopping rule, and the unscaled
-    solution N with |N|_F and <M0, N>.
+    the spectraplex), and the unscaled solution N with |N|_F and <M0, N>.
     """
     tol = spec.tol
     steps = (state.halfspace, state.box, state.spectraplex)
-    x = state.zero()
-    corr = [state.zero() for _ in steps]
+    x = np.zeros((state.width,) * 2)
+    corr = [np.zeros_like(x) for _ in steps]
     for sweep in range(1, spec.max_iters + 1):
         x_prev = x
         for i, project in enumerate(steps):
@@ -212,7 +212,7 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
             x = project(y)
             corr[i] = y - x
         residuals = state.residuals(x)
-        if max(residuals) <= tol and state.norm(x - x_prev) <= 10 * tol * max(1.0, state.norm(x)):
+        if max(residuals) <= tol and np.linalg.norm(x - x_prev) <= 10 * tol * max(1.0, np.linalg.norm(x)):
             break
     else:
         raise ProjectionDidNotConverge(f"max residual {max(residuals):.3e} after {spec.max_iters} sweeps")
@@ -243,9 +243,6 @@ class _DenseState:
         self.n = self.width = spec.n
         self.shift = 1.0 / spec.k
 
-    def zero(self):
-        return np.zeros((self.n, self.n))
-
     def halfspace(self, y):
         return _project_halfspace(y, self.u, self.b)
 
@@ -261,11 +258,8 @@ class _DenseState:
             max(0.0, (self.b - float(np.sum(self.u * x))) / max(self.b, 1.0)),
         )
 
-    def norm(self, x):
-        return float(np.linalg.norm(x))
-
     def solution(self, x):
-        return x, self.norm(x), float(np.sum(self.m0 * x))
+        return x, float(np.linalg.norm(x)), float(np.sum(self.m0 * x))
 
 
 def _subspace_basis(vecs, axes, n):
@@ -286,23 +280,8 @@ def _subspace_basis(vecs, axes, n):
     return np.column_stack([v0, uu[:, ss > 1e-12 * max(ss[0], 1.0)]])
 
 
-class _Coords:
-    """A subspace point V C V^T + alpha (I - V V^T) by its coordinates."""
-
-    __slots__ = ("c", "alpha")
-
-    def __init__(self, c: np.ndarray, alpha: float):
-        self.c, self.alpha = c, alpha
-
-    def __add__(self, other):
-        return _Coords(self.c + other.c, self.alpha + other.alpha)
-
-    def __sub__(self, other):
-        return _Coords(self.c - other.c, self.alpha - other.alpha)
-
-
 class _SubspaceState:
-    """Points x = V C V^T + alpha (I - V V^T) as `_Coords`, plus box helpers.
+    """Points x = V C V^T as their r x r coordinates C, plus box helpers.
 
     V is orthonormal with the all-ones direction exactly first, so the shift
     (1/k) J is (n/k) e_0 e_0^T in coordinates.  The box step clips inside the
@@ -317,10 +296,9 @@ class _SubspaceState:
         self.m0 = m0
         self.big_v = big_v
         self.n = n
-        self.r = self.width = big_v.shape[1]
+        self.width = big_v.shape[1]
         self.b = spec.delta * spec.target
         self.shift_coord = n / spec.k
-        self.mult = np.r_[n - self.r, np.ones(self.r)]  # of alpha, then of C's eigenvalues
         proj = big_v.T @ m0.v
         c_u = (proj * np.diag(m0.c)) @ proj.T / norm_m0
         self.c_u = (c_u + c_u.T) / 2.0
@@ -331,14 +309,11 @@ class _SubspaceState:
         other = ~self.in_axes
         self.mv_free = float(row_norms[other].max()) if other.any() else 0.0
 
-    def entry_rows(self, c, alpha, rows):
+    def entry_rows(self, c, rows):
         """Exact rows of the dense matrix for the given row indices."""
-        t = self.big_v[rows] @ c
-        out = (t - alpha * self.big_v[rows]) @ self.big_v.T
-        out[np.arange(len(rows)), rows] += alpha
-        return out
+        return (self.big_v[rows] @ c) @ self.big_v.T
 
-    def box_scan(self, c, alpha):
+    def box_scan(self, c):
         """Rows possibly holding entries above 1 in absolute value.
 
         Candidate rows are the adjoined axis rows (their basis rows have unit
@@ -347,32 +322,28 @@ class _SubspaceState:
         certified below the bound.
         """
         t_norms = np.linalg.norm(self.big_v @ c, axis=1)
-        slack = abs(alpha) * (1.0 + self.mv_free**2)
-        cand = np.flatnonzero(t_norms * self.mv_free + slack > 1.0)
+        cand = np.flatnonzero(t_norms * self.mv_free > 1.0)
         return np.union1d(cand[~self.in_axes[cand]], self.axes)
 
-    def box_violations(self, c, alpha):
-        cand = self.box_scan(c, alpha)
+    def box_violations(self, c):
+        cand = self.box_scan(c)
         if cand.size == 0:
             return 0.0, None, None
-        rows = self.entry_rows(c, alpha, cand)
+        rows = self.entry_rows(c, cand)
         over = np.abs(rows) > 1.0
         if not over.any():
             return 0.0, None, None
         ii, jj = np.nonzero(over)
         return float(np.max(np.abs(rows[ii, jj])) - 1.0), (cand[ii], jj), rows[ii, jj]
 
-    def zero(self):
-        return _Coords(np.zeros((self.r, self.r)), 0.0)
-
     def halfspace(self, y):
-        val = float(np.sum(self.c_u * y.c))
+        val = float(np.sum(self.c_u * y))
         if val < self.b:
-            return _Coords(y.c + (self.b - val) * self.c_u, y.alpha)
+            return y + (self.b - val) * self.c_u
         return y
 
     def box(self, y):
-        viol, pairs, vals_over = self.box_violations(y.c, y.alpha)
+        viol, pairs, vals_over = self.box_violations(y)
         if viol == 0.0:
             return y
         ii, jj = pairs
@@ -385,27 +356,24 @@ class _SubspaceState:
         excess[pi, pj] = vals_over[upper] - np.sign(vals_over[upper])
         excess += np.triu(excess, 1).T
         v_a = self.big_v[self.axes]
-        return _Coords(y.c - v_a.T @ excess @ v_a, y.alpha)
+        return y - v_a.T @ excess @ v_a
 
     def spectraplex(self, y):
-        bmat = y.c.copy()
+        bmat = y.copy()
         bmat[0, 0] += self.shift_coord
         w, q = np.linalg.eigh(bmat)
-        theta = _capped_shift(np.append(y.alpha, w), self.n, self.mult)
+        theta = _capped_shift(w, self.n)
         c = (q * np.maximum(w - theta, 0.0)) @ q.T
         c[0, 0] -= self.shift_coord
-        return _Coords((c + c.T) / 2.0, max(y.alpha - theta, 0.0))
+        return (c + c.T) / 2.0
 
     def residuals(self, x):
-        box_res, _, _ = self.box_violations(x.c, x.alpha)
-        half_res = max(0.0, (self.b - float(np.sum(self.c_u * x.c))) / max(self.b, 1.0))
+        box_res, _, _ = self.box_violations(x)
+        half_res = max(0.0, (self.b - float(np.sum(self.c_u * x))) / max(self.b, 1.0))
         return box_res, half_res
 
-    def norm(self, x):
-        return math.sqrt(float(np.linalg.norm(x.c)) ** 2 + x.alpha**2 * (self.n - self.r))
-
     def solution(self, x):
-        n_mat = Factored(self.big_v, x.c, x.alpha)
+        n_mat = Factored(self.big_v, x)
         return n_mat, n_mat.norm(), self.m0.inner(n_mat)
 
 
@@ -484,7 +452,7 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
     M0 comes as eigenpairs, a `Factored` as `Factored.from_eig` builds them
-    (alpha 0, scale 1, diagonal C), or as a dense array equal to its
+    (scale 1, diagonal C), or as a dense array equal to its
     transpose, eigendecomposed range first in O(n^2 r) by `_eigenpairs`
     (certified by its range residual).  The certificate reads the
     eigenpairs.  The solve builds the basis, runs the subspace backend while
@@ -494,7 +462,7 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     """
     if isinstance(m0, Factored):
         vals = np.diag(m0.c)
-        if m0.alpha != 0.0 or m0.scale != 1.0 or not np.array_equal(m0.c, np.diag(vals)):
+        if m0.scale != 1.0 or not np.array_equal(m0.c, np.diag(vals)):
             raise ValueError("a factored projection input must hold eigenpairs (Factored.from_eig)")
         norm_m0 = float(np.linalg.norm(vals))
     else:

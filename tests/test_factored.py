@@ -14,18 +14,20 @@ from sbmlab.split import subsample_edges
 REL = 1e-9
 
 
-def random_factored(n, r, alpha, scale, seed):
+def random_factored(n, r, scale, seed, shift=0.0):
+    """A general symmetric (not diagonal) C on a random orthonormal V, plus shift * I."""
     rng = stream_rng(seed, "factored")
     v, _ = np.linalg.qr(rng.standard_normal((n, r)))
     c = rng.standard_normal((r, r))
-    return Factored(v, (c + c.T) / 2.0, alpha=alpha, scale=scale)
+    return Factored(v, (c + c.T) / 2.0 + shift * np.eye(r), scale=scale)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.37])
-def test_factored_operations_match_dense(alpha):
+@pytest.mark.parametrize("shift", [0.0, 0.37])
+def test_factored_operations_match_dense(shift):
+    # shift adds a multiple of the projector V V^T, which weighs on the diagonal
     n = 40
-    x = random_factored(n, 4, alpha, 1.9, seed=1)
-    y = random_factored(n, 3, -0.6 * alpha, 0.7, seed=2)
+    x = random_factored(n, 4, 1.9, seed=1, shift=shift)
+    y = random_factored(n, 3, 0.7, seed=2, shift=-0.6 * shift)
     xd, yd = x.dense(), y.dense()
     off = ~np.eye(n, dtype=bool)
     i = np.array([0, 3, 7, 7, 39])
@@ -40,12 +42,12 @@ def test_factored_operations_match_dense(alpha):
     assert recovery_rate(x, y) == pytest.approx(recovery_rate(xd, yd), rel=REL)
 
 
-def test_statistic_factored_with_alpha_matches_dense():
-    # the pipeline's probes all end at alpha = 0; the diagonal term of the
-    # complementary identity must still drop out of the off-diagonal sum
+def test_statistic_factored_general_c_matches_dense():
+    # a general symmetric C, as the subspace projection returns: its diagonal
+    # must drop out of the off-diagonal sum
     p = SbmParams(60, 6.0, eps=0.5, k=2)
     g, _ = sample_ssbm(p, seed=4)
-    est = random_factored(p.n, 3, 0.25, 3.0, seed=5)
+    est = random_factored(p.n, 3, 3.0, seed=5)
     assert len(g.edges) > 0
     dense = statistic_from_m_hat(est.dense(), g, 0.03)
     assert statistic_from_m_hat(est, g, 0.03) == pytest.approx(dense, rel=REL)
@@ -72,7 +74,7 @@ def _check_trial(g, p, seed, method, labels):
     m0 = (m0 + m0.T) / 2.0
     assert rec.rate == pytest.approx(recovery_rate(m0, membership_matrix(labels)), rel=REL)
     est = rep.estimate
-    x = Factored(est.v, est.c, est.alpha).dense()
+    x = Factored(est.v, est.c).dense()
     assert rep.n_norm == pytest.approx(float(np.linalg.norm(x)), rel=REL)
     assert rep.halfspace_value == pytest.approx(float(np.sum(m0 * x)), rel=REL)
     m_hat = rep.m_hat

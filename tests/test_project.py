@@ -11,6 +11,7 @@ from sbmlab.project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
     ProjectionSpec,
+    _capped_shift,
     _project_box,
     _project_halfspace,
     _project_spectraplex,
@@ -40,6 +41,39 @@ def test_project_constraints_identities():
     lab = sample_labels(SbmParams(4, 1.0, k=2), seed=0, balanced=True)
     m = membership_matrix(lab)
     assert np.allclose(_project_spectraplex(m, 1.0 / (2 * 0.5), 4 / 0.5), m, atol=1e-12)
+
+
+def bisect_shift(w, cap):
+    """theta with sum max(w - theta, 0) = cap, by bisection on [0, max w]."""
+    lo, hi = 0.0, float(w.max())
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if np.sum(np.maximum(w - mid, 0.0)) > cap else (lo, mid)
+    return (lo + hi) / 2.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_capped_shift_matches_bisection(seed):
+    # where the cap binds, theta solves sum max(w - theta, 0) = cap, tied
+    # entries included; where it does not, theta is exactly 0.0
+    rng = stream_rng(seed, "capped-shift")
+    w = rng.standard_normal(12 + 5 * seed)
+    tied = np.r_[w, w[:4], np.full(3, w.max())]
+    for vec in (w, tied):
+        positive = float(np.sum(np.maximum(vec, 0.0)))
+        for cap in (0.05 * positive, 0.5 * positive, 0.99 * positive):
+            theta = _capped_shift(vec, cap)
+            assert theta > 0.0
+            assert theta == pytest.approx(bisect_shift(vec, cap), rel=1e-12, abs=1e-14)
+            assert np.sum(np.maximum(vec - theta, 0.0)) == pytest.approx(cap, rel=1e-12)
+        for cap in (positive, 1.5 * positive):
+            assert _capped_shift(vec, cap) == 0.0
+    nonpositive = -np.abs(w)
+    assert _capped_shift(nonpositive, 0.0) == 0.0
+    assert _capped_shift(nonpositive, 1.0) == 0.0
+    exact = np.array([3.0, 1.0, -2.0, 0.0])
+    assert _capped_shift(exact, 4.0) == 0.0
+    assert _capped_shift(exact, 3.0) == pytest.approx(0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -257,7 +291,6 @@ def test_factored_input_must_hold_eigenpairs():
     v = np.eye(10)[:, :2]
     for m0 in (
         Factored(v, np.ones((2, 2))),
-        Factored(v, np.eye(2), alpha=0.1),
         Factored.from_eig(np.ones(2), v).scaled(2.0),
     ):
         with pytest.raises(ValueError, match="eigenpairs"):
@@ -268,6 +301,16 @@ def dense_reference(m0, spec):
     """The dense state reached explicitly, whatever route the input would take."""
     state = sbmlab.project._DenseState(m0, float(np.linalg.norm(m0)), spec)
     return sbmlab.project._dykstra(state, spec)
+
+
+def assert_in_span(dense, big_v, spec):
+    """The dense reference's unscaled solution N equals V V^T N V V^T.
+
+    The subspace state represents N as V C V^T with no complementary term;
+    the dense solve, which has no basis, lands in that family too."""
+    n_mat = dense.m_hat * dense.n_norm / spec.target
+    proj = big_v @ (big_v.T @ n_mat @ big_v) @ big_v.T
+    assert np.linalg.norm(n_mat - proj) <= 1e-12 * np.linalg.norm(n_mat)
 
 
 def membership_instance():
@@ -302,6 +345,7 @@ def test_subspace_matches_dense_low_rank(instance):
     # the trace cap Tr(N + J/k) <= n binds on the truncation only
     n_mat = fast.m_hat * fast.n_norm / spec.target
     assert (np.trace(n_mat) + spec.n / spec.k > spec.n - 1e-6) == (instance is truncation_instance)
+    assert_in_span(dense, fast.estimate.v, spec)
 
 
 def spike_instance():
@@ -331,6 +375,7 @@ def test_subspace_matches_dense_with_active_entry_bound():
     assert np.abs(dense.m_hat).max() * dense.n_norm / spec.target > 1.0 - 1e-6
     assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-9
     assert dense.iterations == fast.iterations
+    assert_in_span(dense, fast.estimate.v, spec)
 
 
 def test_subspace_falls_back_to_dense(monkeypatch):
@@ -424,16 +469,47 @@ def test_subspace_box_clips_axis_pairs_like_the_dense_box():
     small = 0.05 * stream_rng(4, "box").standard_normal((big_v.shape[1],) * 2)
     spikes = np.zeros((n, n))
     spikes[7, 7], spikes[7, 23], spikes[23, 7], spikes[23, 23] = -1.5, 2.0, 2.0, 1.2
-    y = sbmlab.project._Coords(big_v.T @ spikes @ big_v + small + small.T, 0.3)
-    before = Factored(big_v, y.c, y.alpha).dense()
+    y = big_v.T @ spikes @ big_v + small + small.T
+    before = Factored(big_v, y).dense()
     assert np.abs(before).max() > 1.5
     state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(vals)), big_v, [7, 23], spec)
     x = state.box(y)
-    assert np.max(np.abs(Factored(big_v, x.c, x.alpha).dense() - np.clip(before, -1.0, 1.0))) <= 1e-12
+    assert np.max(np.abs(Factored(big_v, x).dense() - np.clip(before, -1.0, 1.0))) <= 1e-12
     state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(vals)), big_v, [7], spec)
     with pytest.raises(sbmlab.project._ExtendNeeded) as grow:
         state.box(y)
     assert grow.value.vertices == [23]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_violations_match_a_dense_scan(seed):
+    # the certified row scan over a basis with adjoined axes finds every
+    # entry of V C V^T above 1, on and off the axes, with its value and the
+    # largest excess
+    n, axes = 90, [4, 31, 77]
+    rng = stream_rng(seed, "row-scan")
+    vecs = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+    big_v = sbmlab.project._subspace_basis(vecs, axes, n)
+    spec = ProjectionSpec(delta=0.5, k=2, n=n)
+    m0 = Factored.from_eig(np.array([3.0, 2.0, 1.0]), vecs)
+    state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm([3.0, 2.0, 1.0])), big_v, axes, spec)
+    g = rng.standard_normal((big_v.shape[1],) * 2)
+    found = 0
+    for size in (0.2, 2.0, 8.0, 30.0):
+        c = size * (g + g.T) / 2.0
+        dense = Factored(big_v, c).dense()
+        viol, pairs, vals_over = state.box_violations(c)
+        over = np.abs(dense) > 1.0
+        if not over.any():
+            assert (viol, pairs, vals_over) == (0.0, None, None)
+            continue
+        found += 1
+        assert viol == pytest.approx(float(np.abs(dense).max()) - 1.0, rel=1e-12, abs=1e-13)
+        # a pair (i, j) with j an axis may be reported from row j only
+        found_pairs = {(min(i, j), max(i, j)) for i, j in zip(*pairs)}
+        assert found_pairs == set(zip(*np.nonzero(np.triu(over))))
+        assert np.allclose(vals_over, dense[pairs], rtol=1e-12, atol=0)
+    assert found == 3  # sizes 8 and 30 put entries over the bound off the axes too
 
 
 def test_sparse_planted_input_stays_on_subspace(monkeypatch):
