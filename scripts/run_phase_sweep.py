@@ -11,7 +11,7 @@ Usage: python scripts/run_phase_sweep.py [--n 2000] [--d 60] [--trials 40]
 import argparse
 import sys
 
-from sbmlab.harness import ExperimentConfig, sweep_phase, write_sweep_csv
+from sbmlab.harness import ExperimentConfig, parse_snr_grid, sweep_phase, write_sweep_csv
 from sbmlab.model import SbmParams
 from sbmlab.recover import METHODS
 
@@ -39,11 +39,10 @@ def main():
             seed=args.seed,
             recovery_method=args.method,
         )
+        points = sweep_phase(cfg, parse_snr_grid(args.grid))
     except ValueError as exc:
         print(f"run_phase_sweep: {exc}", file=sys.stderr)
         sys.exit(1)
-    grid = [float(tok) for tok in args.grid.split(",")]
-    points = sweep_phase(cfg, grid)
     if args.out:
         with open(args.out, "w") as fh:
             write_sweep_csv(points, cfg.trials, fh)

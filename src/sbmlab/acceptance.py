@@ -159,7 +159,9 @@ def _c3_projection_certificate(seed, n=200, instances=20, sigma=26.0):
 def _c4_pipeline(seed, n=2000, d=60.0, trials=40):
     p = SbmParams(n, d, eps=math.sqrt(16.0 / d), k=2, eta=0.1, delta=0.1)
     cfg = ExperimentConfig(params=p, trials=trials, threshold_quantile=0.99)
-    tau, rows_p, rows_q = run_two_arms(cfg, derive_seed(seed, "c4-q"), derive_seed(seed, "c4-p"))
+    tau, (rows_p,), rows_q = run_two_arms(
+        cfg, derive_seed(seed, "c4-q"), [(p.eps, derive_seed(seed, "c4-p"))]
+    )
     score = le_cam_score([r.decision for r in rows_p], [r.decision for r in rows_q])
     passed = score.mean_p >= 0.8 and score.mean_q <= 0.05 and score.r_value >= 3.0
     return passed, {

@@ -23,6 +23,7 @@ from .harness import (
     ExperimentConfig,
     check_spectral_concentration,
     parse_config,
+    parse_snr_grid,
     run_two_arms,
     sweep_phase,
     write_sweep_csv,
@@ -205,8 +206,8 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         return 0
 
     if cmd == "test":
-        tau, rows_p, rows_q = run_two_arms(
-            cfg, derive_seed(cfg.seed, "cli-q"), derive_seed(cfg.seed, "cli-p")
+        tau, (rows_p,), rows_q = run_two_arms(
+            cfg, derive_seed(cfg.seed, "cli-q"), [(p.eps, derive_seed(cfg.seed, "cli-p"))]
         )
         with _open_out(args) as fh:
             write_trial_csv(rows_p + rows_q, fh, timing=not args.no_timing)
@@ -236,11 +237,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         return 0
 
     if cmd == "sweep":
-        try:
-            grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-        except ValueError:
-            raise ValueError("grid must be comma-separated numbers") from None
-        points = sweep_phase(cfg, grid)
+        points = sweep_phase(cfg, parse_snr_grid(args.grid))
         with _open_out(args) as fh:
             write_sweep_csv(points, cfg.trials, fh, timing=not args.no_timing)
         return 0

@@ -13,7 +13,6 @@ matters).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,7 +165,8 @@ class PhasePoint:
 def pipeline_statistic(cfg: ExperimentConfig):
     """cfg's per-trial statistic, (graph, stat_seed, labels) -> TestReport.
 
-    Scores with eta from cfg.effective_eta(); run_two_arms decides.
+    Scores with eta from cfg.effective_eta(); run_two_arms decides.  No
+    pipeline's statistic reads eps, only n, d, k, eta and delta.
     """
     params = replace(cfg.params, eta=cfg.effective_eta())
 
@@ -183,9 +183,9 @@ def pipeline_statistic(cfg: ExperimentConfig):
         if cfg.pipeline == "learning":
             return learning_test_statistic(g, params, learner, s)
         if cfg.pipeline == "graphon":
-            # distance of the estimated graphon to the flat one.  The fixed
-            # radius of graphon_test presumes an estimator below the achievable
-            # error floor, so desk-scale runs calibrate instead.
+            # distance of the estimated graphon to the flat one, calibrated on
+            # the null arm: a fixed testing radius presumes an estimator below
+            # the error floor that desk-scale runs reach
             val = gw_constant(BlockGraphon(learner(g)), params.d / params.n)
         else:
             val = bipartite_quadratic_statistic(g, learner, params, s)
@@ -194,17 +194,22 @@ def pipeline_statistic(cfg: ExperimentConfig):
     return stat
 
 
-def run_two_arms(cfg: ExperimentConfig, seed_q: int, seed_p: int):
-    """cfg's pipeline on cfg.trials fresh draws of each arm, then calibrate and decide.
+def run_two_arms(cfg: ExperimentConfig, seed_q: int, arms):
+    """cfg's pipeline on cfg.trials draws of the null arm and of each planted arm.
 
-    The threshold follows cfg.threshold_policy: threshold_value when fixed,
-    asymptotic_threshold() when asymptotic, else the threshold_quantile of
-    the Q arm's statistics.  Returns (tau, rows_p, rows_q), every row decided
-    against tau.
+    `arms` lists the planted arms as (eps, seed_p) pairs; no statistic reads
+    eps, so one null arm serves them all.  The threshold follows
+    cfg.threshold_policy: threshold_value when fixed, asymptotic_threshold()
+    when asymptotic, else the threshold_quantile of the null statistics.
+    Returns (tau, rows_p per planted arm, rows_q), each row decided against tau.
     """
     stat = pipeline_statistic(cfg)
+    # every planted arm's SbmParams is built, hence checked, before any trial runs
+    planted = [(replace(cfg.params, eps=eps), seed_p) for eps, seed_p in arms]
     rows_q = run_test_trials(stat, cfg.params, "Q", cfg.trials, seed_q, cfg.threads)
-    rows_p = run_test_trials(stat, cfg.params, "P", cfg.trials, seed_p, cfg.threads)
+    arms_p = [
+        run_test_trials(stat, params, "P", cfg.trials, seed_p, cfg.threads) for params, seed_p in planted
+    ]
     if cfg.threshold_policy == "fixed":
         tau = cfg.threshold_value
     elif cfg.threshold_policy == "asymptotic":
@@ -215,57 +220,58 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, seed_p: int):
     def decide(rows):
         return [replace(r, threshold=tau) for r in rows]
 
-    return tau, decide(rows_p), decide(rows_q)
+    return tau, [decide(rows) for rows in arms_p], decide(rows_q)
 
 
-def sweep_seed(seed: int, arm: str, snr: float) -> int:
-    """Seed of one arm at one SNR grid value.
+def sweep_seed(seed: int, snr: float) -> int:
+    """Seed of the planted arm at one SNR grid value.
 
     Keyed on the float's exact 64-bit pattern, so two distinct grid values
     never share a stream however close they are.
     """
-    return derive_seed(seed, f"sweep-{arm.lower()}", int(np.float64(snr).view(np.uint64)))
+    return derive_seed(seed, "sweep-p", int(np.float64(snr).view(np.uint64)))
+
+
+def parse_snr_grid(text: str) -> list[float]:
+    """The comma-separated SNR grid of `sbmlab sweep` and the sweep script."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"SNR grid must be comma-separated numbers, got {text!r}") from None
 
 
 def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
-    """One run_two_arms experiment per SNR grid value, eps set from the SNR.
+    """One run_two_arms experiment: a planted arm per SNR grid value, one null arm.
 
-    Points are ordered by SNR.  eta.policy = slack is rejected: it is
-    undefined at SNR >= 1.
+    Points are ordered by SNR, eps set from it; an eps above 1 gets no arm.
+    The grid must be finite and positive, checked before any trial runs.
+    eta.policy = slack is rejected: it is undefined at SNR >= 1.
     """
     if cfg.eta_policy == "slack":
         raise ValueError(
             "eta.policy = slack is undefined at SNR >= 1; sweep with eta.policy = fixed"
         )
+    grid = sorted(snr_grid)
+    for snr in grid:
+        if not (math.isfinite(snr) and snr > 0):
+            raise ValueError(f"SNR grid values must be finite and positive, got {snr!r}")
+    eps = [cfg.params.k * math.sqrt(snr / cfg.params.d) for snr in grid]
+    arms = [(e, sweep_seed(cfg.seed, snr)) for snr, e in zip(grid, eps) if e <= 1.0]
+    if arms:
+        _, arms_p, rows_q = run_two_arms(cfg, derive_seed(cfg.seed, "sweep-q"), arms)
+        median_q = float(np.median([r.statistic for r in rows_q]))
     points = []
-    for snr in sorted(snr_grid):
-        if snr <= 0:
-            raise ValueError("SNR grid values must be positive")
-        t0 = time.perf_counter()
-        eps = cfg.params.k * math.sqrt(snr / cfg.params.d)
-        if eps > 1.0:
-            points.append(
-                PhasePoint(snr, eps, math.nan, math.nan, math.nan, math.nan, math.nan, 0.0, "eps_gt_1")
-            )
+    for snr, e in zip(grid, eps):
+        if e > 1.0:
+            points.append(PhasePoint(snr, e, *[math.nan] * 5, 0.0, "eps_gt_1"))
             continue
-        point = replace(cfg, params=replace(cfg.params, eps=eps))
-        _, rows_p, rows_q = run_two_arms(
-            point, sweep_seed(cfg.seed, "Q", snr), sweep_seed(cfg.seed, "P", snr)
-        )
+        rows_p = arms_p.pop(0)
         score = le_cam_score([r.decision for r in rows_p], [r.decision for r in rows_q])
-        points.append(
-            PhasePoint(
-                snr=snr,
-                eps=eps,
-                power=score.mean_p,
-                size=score.mean_q,
-                r_value=score.r_value,
-                median_stat_p=float(np.median([r.statistic for r in rows_p])),
-                median_stat_q=float(np.median([r.statistic for r in rows_q])),
-                runtime_s=time.perf_counter() - t0,
-                status="ok",
-            )
-        )
+        median_p = float(np.median([r.statistic for r in rows_p]))
+        runtime_s = sum(r.wall_time_ms for r in rows_p) / 1000.0
+        points.append(PhasePoint(
+            snr, e, score.mean_p, score.mean_q, score.r_value, median_p, median_q, runtime_s, "ok"
+        ))
     return points
 
 
@@ -278,7 +284,8 @@ def write_sweep_csv(points, trials_per_arm: int, fh, timing: bool = True) -> Non
             f"{pt.median_stat_p!r},{pt.median_stat_q!r},{runtime},{pt.status}\n"
         )
     ok = sum(1 for pt in points if pt.status == "ok")
-    fh.write(f"# grid={len(points)} trials_per_arm={trials_per_arm} total_trials={2 * trials_per_arm * ok}\n")
+    total = trials_per_arm * (ok + 1) if ok else 0  # the planted arms and the one null arm
+    fh.write(f"# grid={len(points)} trials_per_arm={trials_per_arm} total_trials={total}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -169,14 +169,13 @@ def bipartite_partition(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: int) -> float:
-    """g(Y) = <(Y12 - p) X (Y12 - p), Y2 - p> with X = (f(Y1) - p) / (eps p).
+    """g(Y) = <(Y12 - p) X (Y12 - p), Y2 - p> with X = (f(Y1) - p) / p.
 
     Y1, Y2 are the within-side blocks of a random equal vertex split and Y12
     the cross block; diagonal terms of the Y2 block are excluded.  f_plugin
-    maps the m x m adjacency of the first side to an m x m matrix.
+    maps the m x m adjacency of the first side to an m x m matrix.  g reads
+    n and d but not eps, so the null law G(n, d/n) fixes its distribution.
     """
-    if params.eps == 0.0:
-        raise ValueError("statistic undefined at eps = 0 (normalization divides by eps)")
     s1, s2 = bipartite_partition(y.n, seed)
     m = s1.size
     p = params.d / params.n
@@ -184,7 +183,7 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
     y1 = a[np.ix_(s1, s1)]
     y2 = a[np.ix_(s2, s2)]
     y12 = a[np.ix_(s1, s2)]
-    x = (np.asarray(f_plugin(y1), dtype=float) - p) / (params.eps * p)
+    x = (np.asarray(f_plugin(y1), dtype=float) - p) / p
     if x.shape != (m, m):
         raise ValueError("plugin must return an m x m matrix")
     w12 = y12 - p

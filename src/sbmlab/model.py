@@ -279,10 +279,13 @@ def map_trials(
     receives derive_seed(seed, stream + "-stat", t).  Each trial owns its
     seeds, so with `workers` > 1 the trials run on a thread pool and the
     results still come back in trial order, equal to those of one worker,
-    which runs the trials in order in the calling thread.  The pool does not
-    make the recovery route faster: its projection sweeps hold the GIL, and
-    24 + 24 trials at n = 400, d = 16 took 52.2 s on 2 workers against 42.3 s
-    on one (2 cores, OpenBLAS on 1 thread).
+    which runs the trials in order in the calling thread.  On 2 cores with
+    OpenBLAS on 1 thread, the pool makes the recovery route slower, because
+    its projection sweeps hold the GIL: 24 + 24 trials at n = 400, d = 16
+    took 52.2 s on 2 workers against 42.3 s on one.  It makes the
+    concentration check faster, because its Lanczos runs release the GIL:
+    8 trials at n = 2000, d = 50 took 4.3-4.5 s on 2 workers against
+    6.3-6.6 s on one.
     """
     if arm not in ("P", "Q"):
         raise ValueError("arm must be 'P' or 'Q'")

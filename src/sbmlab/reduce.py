@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factored import Factored
-from .learn import gw_constant
-from .model import BlockGraphon, Graph, Labels, SbmParams, map_trials
+from .model import Graph, Labels, SbmParams, map_trials
 from .project import (
     ProjectionDidNotConverge,
     ProjectionInfeasibleError,
@@ -177,12 +176,6 @@ def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> 
     if float(np.linalg.norm(m0)) < 1e-12:
         return TestReport(0.0, dict(side, error="learning: centered estimate is zero"))
     return _project_and_score(m0, _default_learning_spec(params), split.y2, params, side)
-
-
-def graphon_test(w_hat: BlockGraphon, params: SbmParams) -> int:
-    """1 iff the estimate sits within the testing radius of the flat graphon."""
-    radius = (params.d / (3.0 * params.n)) * math.sqrt(params.k / params.d)
-    return int(gw_constant(w_hat, params.d / params.n) <= radius)
 
 
 def le_cam_score(p_vals, q_vals) -> RScore:

@@ -184,8 +184,14 @@ def test_sweep_verb(tmp_path):
     assert lines[-1].startswith("# grid=1")
 
 
-def test_sweep_bad_grid():
-    assert main(["--n", "100", "--d", "8", "sweep", "--grid", "1.0,oops"]) == 1
+def test_sweep_bad_grid(capsys):
+    for grid, message in (
+        ("1.0,oops", "SNR grid must be comma-separated numbers, got '1.0,oops'"),
+        ("1.0,-1", "SNR grid values must be finite and positive, got -1.0"),
+        ("nan", "SNR grid values must be finite and positive, got nan"),
+    ):
+        assert main(["--n", "100", "--d", "8", "sweep", "--grid", grid]) == 1
+        assert capsys.readouterr().err == f"sweep: {message}\n"
 
 
 def test_check_verb(capsys):
@@ -246,15 +252,22 @@ def test_scripts_run(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("run_ldlr_curves: ") and "Traceback" not in proc.stderr
     assert not out.exists()
-    # parameters the config rejects end the sweep script with one line
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_phase_sweep.py"),
-         "--n", "20", "--k", "1", "--trials", "1", "--grid", "1", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == "run_phase_sweep: average degree must be in (0, n), got d=60.0\n"
-    assert not out.exists()
+    # parameters the config rejects, and a grid that is not all finite
+    # positive numbers, end the sweep script with one line before any trial
+    for args, message in (
+        (["--n", "20", "--k", "1", "--grid", "1"], "average degree must be in (0, n), got d=60.0"),
+        (["--grid", "1.0,oops"], "SNR grid must be comma-separated numbers, got '1.0,oops'"),
+        (["--grid=-1"], "SNR grid values must be finite and positive, got -1.0"),
+        (["--grid", "1,nan"], "SNR grid values must be finite and positive, got nan"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_phase_sweep.py"),
+             "--trials", "1", *args, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"run_phase_sweep: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,18 +6,22 @@ import warnings
 import numpy as np
 import pytest
 
+import sbmlab.harness
 from sbmlab.harness import (
     _CONFIG_KEYS,
+    PIPELINES,
     ExperimentConfig,
     centered_operator_norm,
     check_spectral_concentration,
     parse_config,
+    pipeline_statistic,
     sweep_phase,
     sweep_seed,
     write_sweep_csv,
 )
 from sbmlab.learn import gw_constant, svd_theta
 from sbmlab.model import BlockGraphon, Graph, SbmParams, sample_ssbm
+from sbmlab.reduce import run_test_trials
 from sbmlab.seeds import derive_seed
 
 
@@ -127,14 +131,18 @@ def test_sweep_empty_grid():
     assert lines[1] == "# grid=0 trials_per_arm=2 total_trials=0"
 
 
-def test_sweep_skips_unreachable_snr():
+def test_sweep_skips_unreachable_snr(monkeypatch):
     # snr = d forces eps = k > 1
     cfg = ExperimentConfig(params=SbmParams(100, 8.0, eps=0.5, k=2), trials=2, seed=1)
     points = sweep_phase(cfg, [8.0])
     assert points[0].status == "eps_gt_1"
     assert math.isnan(points[0].power)
-    with pytest.raises(ValueError):
-        sweep_phase(cfg, [-1.0])
+    # a value that is not finite and positive, anywhere in the grid, stops
+    # the sweep before any trial runs
+    monkeypatch.setattr(sbmlab.harness, "run_test_trials", None)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sweep_phase(cfg, [1.0, bad, 0.5])
 
 
 def test_sweep_above_threshold_oracle():
@@ -188,7 +196,7 @@ def test_sweep_csv_accounting_and_order():
     buf = io.StringIO()
     write_sweep_csv(points, cfg.trials, buf, timing=False)
     lines = buf.getvalue().splitlines()
-    assert lines[-1] == "# grid=2 trials_per_arm=6 total_trials=24"
+    assert lines[-1] == "# grid=2 trials_per_arm=6 total_trials=18"
     # deterministic given the seed
     buf2 = io.StringIO()
     write_sweep_csv(sweep_phase(cfg, [1.0, 0.25]), cfg.trials, buf2, timing=False)
@@ -214,9 +222,9 @@ def test_concentration_bound_and_scaling():
 
 def test_sweep_seed_distinguishes_close_snrs():
     # int(snr * 1e6) mapped these two grid values to one stream
-    for arm in ("P", "Q"):
-        assert sweep_seed(7, arm, 1.0) != sweep_seed(7, arm, 1.0 + 1e-9)
-    assert sweep_seed(7, "P", 1.0) != sweep_seed(7, "Q", 1.0)
+    assert sweep_seed(7, 1.0) != sweep_seed(7, 1.0 + 1e-9)
+    # no planted arm shares the null arm's stream
+    assert sweep_seed(7, 1.0) != derive_seed(7, "sweep-q")
 
 
 def test_sweep_honours_pipeline_and_threshold_policy():
@@ -228,7 +236,7 @@ def test_sweep_honours_pipeline_and_threshold_policy():
     assert pt.power == 0.0 and pt.size == 0.0
     # the P arm's statistics are graphon distances, not recovery scores
     p = SbmParams(150, 10.0, eps=pt.eps, k=2)
-    seed_p = sweep_seed(cfg.seed, "P", 1.0)
+    seed_p = sweep_seed(cfg.seed, 1.0)
     dists = [
         gw_constant(
             BlockGraphon(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2)),
@@ -237,6 +245,40 @@ def test_sweep_honours_pipeline_and_threshold_policy():
         for t in range(4)
     ]
     assert pt.median_stat_p == float(np.median(dists))
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_null_statistics_do_not_read_eps(pipeline):
+    # G(n, d/n) has no eps, and neither has any pipeline's statistic: the
+    # null arm's statistics at a fixed seed are the same bits at every eps
+    stats = []
+    for eps in (0.0, 0.25, 0.9):
+        cfg = ExperimentConfig(params=SbmParams(120, 12.0, eps=eps, k=2), pipeline=pipeline, trials=3)
+        rows = run_test_trials(pipeline_statistic(cfg), cfg.params, "Q", cfg.trials, 61)
+        stats.append([r.statistic for r in rows])
+    assert stats[0] == stats[1] == stats[2]
+    assert any(stats[0])
+
+
+def test_sweep_draws_one_null_arm(monkeypatch):
+    arms = []
+
+    def spy(statistic_fn, params, arm, *args):
+        arms.append(arm)
+        return run_test_trials(statistic_fn, params, arm, *args)
+
+    monkeypatch.setattr(sbmlab.harness, "run_test_trials", spy)
+    cfg = ExperimentConfig(params=SbmParams(100, 8.0, eps=0.5, k=2), trials=2, seed=1)
+    points = sweep_phase(cfg, [0.25, 0.5, 1.0, 1.5, 2.0])
+    assert arms == ["Q"] + ["P"] * 5
+    assert all(pt.status == "ok" for pt in points)
+    # every row's size and null median come from the one null sample
+    assert len({(pt.size, pt.median_stat_q) for pt in points}) == 1
+    arms.clear()
+    # snr > d / k^2 = 2 forces eps > 1: no reachable point, no arm
+    for grid in ([], [8.0, 16.0]):
+        sweep_phase(cfg, grid)
+    assert arms == []
 
 
 def test_sweep_rejects_ldlr_and_slack():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -232,8 +233,12 @@ def test_bipartite_statistic_zero_plugin():
 def test_bipartite_statistic_validation():
     params = SbmParams(80, 16.0, eps=0.0, k=2)
     g, _ = sample_ssbm(params, seed=5)
-    with pytest.raises(ValueError):
-        bipartite_quadratic_statistic(g, lambda y1: y1, params, seed=1)
+    # eps does not enter the statistic: it is defined at eps = 0, the same at any eps
+    at_zero = bipartite_quadratic_statistic(g, lambda y1: y1, params, seed=1)
+    at_09 = bipartite_quadratic_statistic(g, lambda y1: y1, dataclasses.replace(params, eps=0.9), seed=1)
+    assert at_zero == at_09 != 0.0
+    with pytest.raises(ValueError, match="m x m"):
+        bipartite_quadratic_statistic(g, lambda y1: y1[:-1], params, seed=1)
     odd = SbmParams(81, 16.0, eps=0.9, k=2)
     g2, _ = sample_ssbm(odd, seed=6)
     with pytest.raises(ValueError):

@@ -10,20 +10,17 @@ from sbmlab.factored import Factored
 from sbmlab.harness import ExperimentConfig, run_two_arms
 from sbmlab.learn import svd_theta
 from sbmlab.model import (
-    BlockGraphon,
     SbmParams,
     edge_prob_matrix,
     membership_matrix,
     sample_er,
     sample_labels,
     sample_ssbm,
-    sbm_graphon,
 )
 from sbmlab.project import ProjectionSpec
 from sbmlab.recover import RecoveryFailed, recovery_rate
 from sbmlab.reduce import (
     TrialRow,
-    graphon_test,
     le_cam_score,
     learning_test_statistic,
     recovery_test_statistic,
@@ -175,7 +172,9 @@ def test_calibrate_threshold_properties():
         cfg = ExperimentConfig(
             params=p, trials=50, threshold_quantile=quantile, recovery_method="random"
         )
-        tau, _, rows_q = run_two_arms(cfg, derive_seed(31, "calibrate"), derive_seed(31, "planted"))
+        tau, _, rows_q = run_two_arms(
+            cfg, derive_seed(31, "calibrate"), [(p.eps, derive_seed(31, "planted"))]
+        )
         return tau, [r.statistic for r in rows_q]
 
     taus = [calibrate(q)[0] for q in (0.6, 0.9, 0.99)]
@@ -198,7 +197,9 @@ def test_null_calibrated_size():
         threshold_quantile=0.99,
         recovery_method="spectral",
     )
-    _, rows_p, _ = run_two_arms(cfg, derive_seed(37, "calibrate"), derive_seed(37, "size"))
+    _, (rows_p,), _ = run_two_arms(
+        cfg, derive_seed(37, "calibrate"), [(cfg.params.eps, derive_seed(37, "size"))]
+    )
     assert sum(r.decision for r in rows_p) / len(rows_p) <= 0.05
 
 
@@ -287,18 +288,6 @@ def test_learning_validates_learner_output():
         learning_test_statistic(g, p, lambda y1: lopsided, seed=0)
 
 
-def test_graphon_test_values():
-    p = SbmParams(400, 32.0, eps=math.sqrt(0.99 * 4 / 32.0), k=2)
-    # flat estimate: distance zero, always accepted
-    assert graphon_test(BlockGraphon(np.full((1, 1), p.d / p.n)), p) == 1
-    # true graphon at eps^2 d = 0.99 k^2 sits outside the radius
-    assert graphon_test(sbm_graphon(p), p) == 0
-    radius = (p.d / (3 * p.n)) * math.sqrt(p.k / p.d)
-    c = p.d / p.n
-    assert graphon_test(BlockGraphon(np.full((1, 1), c + radius * (1 - 1e-12))), p) == 1
-    assert graphon_test(BlockGraphon(np.full((1, 1), c + radius * (1 + 1e-12))), p) == 0
-
-
 def test_empirical_r_flags_and_null():
     const = le_cam_score([1.0] * 50, [1.0] * 50)
     assert const.degenerate and math.isnan(const.r_value)
@@ -314,7 +303,9 @@ def test_empirical_r_flags_and_null():
 def test_empirical_r_pipeline_above_threshold():
     p = SbmParams(600, 40.0, eps=math.sqrt(16.0 / 40.0), k=2, eta=0.1, delta=0.1)
     cfg = ExperimentConfig(params=p, trials=50)
-    _, rows_p, rows_q = run_two_arms(cfg, derive_seed(53, "r-null"), derive_seed(53, "r-planted"))
+    _, (rows_p,), rows_q = run_two_arms(
+        cfg, derive_seed(53, "r-null"), [(p.eps, derive_seed(53, "r-planted"))]
+    )
     score = le_cam_score([r.statistic for r in rows_p], [r.statistic for r in rows_q])
     assert score.r_value >= 3.0
 
