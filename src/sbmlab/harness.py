@@ -243,7 +243,8 @@ def parse_snr_grid(text: str) -> list[float]:
 def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
     """One run_two_arms experiment: a planted arm per SNR grid value, one null arm.
 
-    Points are ordered by SNR, eps set from it; an eps above 1 gets no arm.
+    Points are the distinct SNR values in order, eps set from each; an eps
+    above 1 gets no arm.
     The grid must be finite and positive, checked before any trial runs.
     eta.policy = slack is rejected: it is undefined at SNR >= 1.
     """
@@ -251,7 +252,7 @@ def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
         raise ValueError(
             "eta.policy = slack is undefined at SNR >= 1; sweep with eta.policy = fixed"
         )
-    grid = sorted(snr_grid)
+    grid = sorted(set(snr_grid))
     for snr in grid:
         if not (math.isfinite(snr) and snr > 0):
             raise ValueError(f"SNR grid values must be finite and positive, got {snr!r}")
@@ -302,7 +303,8 @@ class ConcentrationReport:
 
 
 def centered_operator_norm(graph: Graph, theta: np.ndarray) -> float:
-    """Operator norm of A - theta via Lanczos on the implicitly centered matrix."""
+    """Operator norm of A - theta: one Lanczos run on the implicitly centered
+    matrix reads both ends of its spectrum ("BE" with k = 2)."""
     n = graph.n
     if graph.edge_count == 0 and not np.any(theta):
         return 0.0
@@ -313,10 +315,8 @@ def centered_operator_norm(graph: Graph, theta: np.ndarray) -> float:
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = unit_vector(n, "concentration-start")
-    hi = spla.eigsh(op, k=1, which="LA", v0=v0, tol=1e-8, return_eigenvectors=False)
-    op_neg = spla.LinearOperator((n, n), matvec=lambda x: -matvec(x), dtype=float)
-    lo = spla.eigsh(op_neg, k=1, which="LA", v0=v0, tol=1e-8, return_eigenvectors=False)
-    return float(max(hi[0], lo[0]))
+    ends = spla.eigsh(op, k=2, which="BE", v0=v0, tol=1e-8, return_eigenvectors=False)
+    return float(np.max(np.abs(ends)))
 
 
 def check_spectral_concentration(

@@ -24,7 +24,8 @@ the t-edge subsets of K_n by their v-vertex support gives
 where B_k(v, t) sums moment^2 over the t-edge subsets of K_v that touch
 every vertex with degree >= 2.  The table B_k depends on neither n, d nor
 eps; it is built once per entry and cached in the process.  It is empty
-below t = 3.
+below t = 3.  The bipartite statistic below hands its plug-in estimator
+the first side of a vertex split as a `Graph`.
 """
 
 from __future__ import annotations
@@ -173,16 +174,18 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
 
     Y1, Y2 are the within-side blocks of a random equal vertex split and Y12
     the cross block; diagonal terms of the Y2 block are excluded.  f_plugin
-    maps the m x m adjacency of the first side to an m x m matrix.  g reads
-    n and d but not eps, so the null law G(n, d/n) fixes its distribution.
+    maps the first side, a `Graph` on m vertices holding y's edges inside s1
+    relabelled in s1's sorted order, to an m x m matrix.  g reads n and d but
+    not eps, so the null law G(n, d/n) fixes its distribution.
     """
     s1, s2 = bipartite_partition(y.n, seed)
     m = s1.size
     p = params.d / params.n
     a = y.adjacency()
-    y1 = a[np.ix_(s1, s1)]
     y2 = a[np.ix_(s2, s2)]
     y12 = a[np.ix_(s1, s2)]
+    # s1 is sorted, so relabelling by rank in s1 keeps u < v and the edge order
+    y1 = Graph(m, np.searchsorted(s1, y.edges[np.isin(y.edges, s1).all(axis=1)]))
     x = (np.asarray(f_plugin(y1), dtype=float) - p) / p
     if x.shape != (m, m):
         raise ValueError("plugin must return an m x m matrix")

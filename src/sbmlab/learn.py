@@ -1,9 +1,11 @@
 """Parameter learning: rank-k SVD estimator and block-graphon distances.
 
-Graphon distance for equal-mass step functions reduces to a quadratic
-assignment over block permutations after refining both step functions to a
-common grid, solved by exact enumeration for small refinements.  Against a
-constant target the distance is permutation-free and has a closed form.
+The estimator takes a `Graph` and reads its eigenpairs from
+`recover.spectral_factors`.  Graphon distance for equal-mass step functions
+reduces to a quadratic assignment over block permutations after refining
+both step functions to a common grid, solved by exact enumeration for small
+refinements.  Against a constant target the distance is permutation-free
+and has a closed form.
 """
 
 from __future__ import annotations
@@ -19,22 +21,14 @@ from .recover import spectral_factors
 _EXACT_GW_LIMIT = 8
 
 
-def svd_theta(y: Graph | np.ndarray, k: int) -> np.ndarray:
+def svd_theta(y: Graph, k: int) -> np.ndarray:
     """Best rank-k approximation of the adjacency matrix, clipped to [0, 1].
 
-    A `Graph`'s top-k eigenpairs come from `spectral_factors` uncentered, an
-    array's from a dense eigh.  Clipping is the entrywise projection onto
-    [0,1]^{n x n}, which contains the true edge probability matrix, so it
-    never increases the error.
+    The top-k eigenpairs come from `spectral_factors`, uncentered.  Clipping
+    is the entrywise projection onto [0,1]^{n x n}, which contains the true
+    edge probability matrix, so it never increases the error.
     """
-    if isinstance(y, Graph):
-        vals, vecs = spectral_factors(y, k, 0.0)
-    else:
-        if k >= len(y):
-            raise ValueError("truncation rank must be below n")
-        vals, vecs = np.linalg.eigh(np.asarray(y, dtype=float))
-        top = np.argsort(np.abs(vals))[::-1][:k]
-        vals, vecs = vals[top], vecs[:, top]
+    vals, vecs = spectral_factors(y, k, 0.0)
     theta = (vecs * vals) @ vecs.T
     theta = (theta + theta.T) / 2.0
     return np.clip(theta, 0.0, 1.0)

@@ -16,7 +16,8 @@ a binomial edge count and then that many distinct pair indices, decoded to
 vertex pairs (a triangular decode within a block, a rectangular one across)
 and sorted once on the flat key u*n + v.  A draw with m edges costs
 O(n k + m log m) time and O(n + m) memory; at constant average degree d,
-m is about d n / 2.  G(n, d/n) is the one-block case.
+m is about d n / 2.  G(n, d/n) is the one-block case.  A `Graph`'s
+sparse adjacency feeds every eigensolver at every n.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ import numpy as np
 import scipy.sparse as sps
 
 from .seeds import derive_seed, stream_rng
-
-# Largest n at which eigenproblems on an n x n graph matrix are solved densely;
-# above it the solvers switch to Lanczos on the sparse adjacency.
-DENSE_EIG_LIMIT = 800
-
 
 @dataclass(frozen=True)
 class SbmParams:

@@ -158,6 +158,16 @@ def test_learn_verb(tmp_path, capsys):
     assert w.m == 300
 
 
+@pytest.mark.parametrize("n", ["400", "1000"])
+def test_learn_verb_on_an_edgeless_draw(capsys, n):
+    # at d = 0.001 the draw has no edges: theta_hat = 0, so the error is
+    # n^2 (d/n)^2 = d^2 at every n
+    assert main(["--n", n, "--d", "0.001", "--eps", "0", "--trials", "1", "--seed", "1", "learn"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "trial,frob_error_sq,ratio_to_kd"
+    assert float(lines[1].split(",")[1]) == pytest.approx(1e-6, rel=1e-9)
+
+
 def test_ldlr_verb(tmp_path):
     out = tmp_path / "ldlr.csv"
     assert main(["--n", "8", "--d", "4", "--eps", "0.5", "--out", str(out), "ldlr", "--ell", "3"]) == 0

@@ -275,6 +275,10 @@ def test_sweep_draws_one_null_arm(monkeypatch):
     # every row's size and null median come from the one null sample
     assert len({(pt.size, pt.median_stat_q) for pt in points}) == 1
     arms.clear()
+    # a repeated grid value is one point: one planted arm, one row
+    assert len(sweep_phase(cfg, [1.0, 1.0])) == 1
+    assert arms == ["Q", "P"]
+    arms.clear()
     # snr > d / k^2 = 2 forces eps > 1: no reachable point, no arm
     for grid in ([], [8.0, 16.0]):
         sweep_phase(cfg, grid)

@@ -226,7 +226,7 @@ def test_bipartite_statistic_zero_plugin():
     params = SbmParams(80, 16.0, eps=0.9, k=2)
     g, _ = sample_ssbm(params, seed=5)
     p = params.d / params.n
-    g_val = bipartite_quadratic_statistic(g, lambda y1: np.full_like(y1, p), params, seed=1)
+    g_val = bipartite_quadratic_statistic(g, lambda y1: np.full((y1.n, y1.n), p), params, seed=1)
     assert g_val == 0.0
 
 
@@ -234,15 +234,28 @@ def test_bipartite_statistic_validation():
     params = SbmParams(80, 16.0, eps=0.0, k=2)
     g, _ = sample_ssbm(params, seed=5)
     # eps does not enter the statistic: it is defined at eps = 0, the same at any eps
-    at_zero = bipartite_quadratic_statistic(g, lambda y1: y1, params, seed=1)
-    at_09 = bipartite_quadratic_statistic(g, lambda y1: y1, dataclasses.replace(params, eps=0.9), seed=1)
+    at_zero = bipartite_quadratic_statistic(g, lambda y1: y1.adjacency(), params, seed=1)
+    at_09 = bipartite_quadratic_statistic(
+        g, lambda y1: y1.adjacency(), dataclasses.replace(params, eps=0.9), seed=1
+    )
     assert at_zero == at_09 != 0.0
     with pytest.raises(ValueError, match="m x m"):
-        bipartite_quadratic_statistic(g, lambda y1: y1[:-1], params, seed=1)
+        bipartite_quadratic_statistic(g, lambda y1: y1.adjacency()[:-1], params, seed=1)
     odd = SbmParams(81, 16.0, eps=0.9, k=2)
     g2, _ = sample_ssbm(odd, seed=6)
     with pytest.raises(ValueError):
-        bipartite_quadratic_statistic(g2, lambda y1: y1, odd, seed=1)
+        bipartite_quadratic_statistic(g2, lambda y1: y1.adjacency(), odd, seed=1)
+
+
+def test_bipartite_plugin_graph_is_the_first_side():
+    # the plugin's Graph holds y's edges inside s1, relabelled in s1's order
+    params = SbmParams(80, 16.0, eps=0.9, k=2)
+    g, _ = sample_ssbm(params, seed=5)
+    seen = []
+    bipartite_quadratic_statistic(g, lambda y1: seen.append(y1) or y1.adjacency(), params, seed=1)
+    s1, _ = bipartite_partition(params.n, 1)
+    assert seen[0].n == s1.size
+    assert np.array_equal(seen[0].adjacency(), g.adjacency()[np.ix_(s1, s1)])
 
 
 def test_bipartite_statistic_null_mean_and_planted_z():

@@ -130,21 +130,26 @@ def test_spectral_membership_above_threshold():
     assert np.median(rates) >= 0.1
 
 
-def test_spectral_factors_sparse_dense_agree(monkeypatch):
-    # same truncation from both solver paths, centered or not (d_hat = 0)
-    g, _ = sample_ssbm(SbmParams(300, 12.0, eps=0.7, k=2), seed=11)
-    import sbmlab.recover as rec
-
-    for d_hat in (12.0, 0.0):
-        vals_d, vecs_d = spectral_factors(g, 2, d_hat=d_hat)
-        with monkeypatch.context() as m:
-            m.setattr(rec, "DENSE_EIG_LIMIT", 10)
-            vals_s, vecs_s = spectral_factors(g, 2, d_hat=d_hat)
-        m_d = (vecs_d * vals_d) @ vecs_d.T
-        m_s = (vecs_s * vals_s) @ vecs_s.T
-        assert np.allclose(m_d, m_s, atol=1e-7)
+@pytest.mark.parametrize("n", [30, 150, 400])
+def test_spectral_factors_match_dense_eigh(n):
+    # the Lanczos truncation against a dense eigh reference, centered or not
+    g, _ = sample_ssbm(SbmParams(n, 12.0, eps=0.7, k=2), seed=11)
+    for d_hat in (estimate_degree(g), 0.0):
+        vals, vecs = np.linalg.eigh(g.adjacency() - d_hat / n)
+        top = np.argsort(np.abs(vals))[::-1][:2]
+        ref = (vecs[:, top] * vals[top]) @ vecs[:, top].T
+        got = dense_truncation(g, 2, d_hat)
+        assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
     with pytest.raises(ValueError, match="nonnegative"):
         spectral_factors(g, 2, d_hat=-1.0)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_spectral_factors_edgeless_graph(n):
+    # uncentered, an edgeless graph is the zero operator, which ARPACK rejects
+    vals, vecs = spectral_factors(Graph(n, []), 2, 0.0)
+    assert np.array_equal(vals, np.zeros(2))
+    assert np.allclose(vecs.T @ vecs, np.eye(2))
 
 
 def test_membership_factors_exact():
