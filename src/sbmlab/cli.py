@@ -63,7 +63,7 @@ def _log(msg):
 
 # flag name (its argparse dest) -> the config key it overrides
 _GLOBAL_FLAGS = {
-    "seed": "seed", "trials": "trials", "threads": "threads",
+    "seed": "seed", "trials": "trials",
     **{name: f"params.{name}" for name in ("n", "d", "eps", "k", "eta", "delta")},
 }
 _FLAG_KEYS = {**_GLOBAL_FLAGS, "method": "recovery.method", "ell": "ldlr.ell"}
@@ -223,7 +223,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
                 write_graphon(BlockGraphon(theta_hat), args.graphon_out)
             return float(np.linalg.norm(theta_hat - edge_prob_matrix(p, labels)) ** 2)
 
-        errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn", cfg.threads)
+        errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn")
         with _open_out(args) as fh:
             fh.write("trial,frob_error_sq,ratio_to_kd\n")
             for t, err in enumerate(errors):
@@ -243,7 +243,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         return 0
 
     if cmd == "check":
-        rep = check_spectral_concentration(p, trials=cfg.trials, seed=cfg.seed, workers=cfg.threads)
+        rep = check_spectral_concentration(p, trials=cfg.trials, seed=cfg.seed)
         with _open_out(args) as fh:
             fh.write("max_norm,mean_norm,bound,max_ratio,trials\n")
             fh.write(

@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .learn import gw_constant, svd_theta
 from .ldlr import bipartite_quadratic_statistic
-from .model import BlockGraphon, Graph, SbmParams, edge_prob_matrix, map_trials
+from .model import BlockGraphon, Graph, Labels, SbmParams, map_trials
 from .recover import METHODS
 from .reduce import (
     TestReport,
@@ -58,7 +58,6 @@ class ExperimentConfig:
     recovery_method: str = "spectral"  # one of recover.METHODS
     eta_policy: str = "fixed"  # fixed | slack (slack needs SNR < 1)
     ell: int = 3
-    threads: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -77,8 +76,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"eta.policy = slack is undefined at SNR >= 1, got SNR {self.params.ks_snr!r}"
             )
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def effective_eta(self) -> float:
         """eta = 0.001 (1 - snr) under the 'slack' policy, else params.eta."""
@@ -109,7 +106,6 @@ _CONFIG_KEYS = {
     "recovery.method": ("recovery_method", str),
     "eta.policy": ("eta_policy", str),
     "ldlr.ell": ("ell", int),
-    "threads": ("threads", int),
 }
 
 
@@ -206,10 +202,8 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, arms):
     stat = pipeline_statistic(cfg)
     # every planted arm's SbmParams is built, hence checked, before any trial runs
     planted = [(replace(cfg.params, eps=eps), seed_p) for eps, seed_p in arms]
-    rows_q = run_test_trials(stat, cfg.params, "Q", cfg.trials, seed_q, cfg.threads)
-    arms_p = [
-        run_test_trials(stat, params, "P", cfg.trials, seed_p, cfg.threads) for params, seed_p in planted
-    ]
+    rows_q = run_test_trials(stat, cfg.params, "Q", cfg.trials, seed_q)
+    arms_p = [run_test_trials(stat, params, "P", cfg.trials, seed_p) for params, seed_p in planted]
     if cfg.threshold_policy == "fixed":
         tau = cfg.threshold_value
     elif cfg.threshold_policy == "asymptotic":
@@ -302,16 +296,23 @@ class ConcentrationReport:
     trials: int
 
 
-def centered_operator_norm(graph: Graph, theta: np.ndarray) -> float:
-    """Operator norm of A - theta: one Lanczos run on the implicitly centered
-    matrix reads both ends of its spectrum ("BE" with k = 2)."""
+def centered_operator_norm(graph: Graph, params: SbmParams, labels: Labels) -> float:
+    """Operator norm of A - theta, theta's diagonal zeroed: one Lanczos run on
+    the implicitly centered matrix reads both ends of its spectrum ("BE" with
+    k = 2).
+
+    theta is applied by its blocks and never built, O(m + n k) per product:
+    theta x = p_out (1^T x) 1 + (p_in - p_out) (block sums of x)[label] - p_in x,
+    the last term removing theta's diagonal.
+    """
     n = graph.n
-    if graph.edge_count == 0 and not np.any(theta):
-        return 0.0
     a = graph.sparse()
+    lab = labels.assignment
+    p_in, p_out = params.p_in, params.p_out
 
     def matvec(x):
-        return a @ x - theta @ x
+        blocks = np.bincount(lab, weights=x, minlength=labels.k)
+        return a @ x - (p_out * x.sum() + (p_in - p_out) * blocks[lab] - p_in * x)
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = unit_vector(n, "concentration-start")
@@ -319,19 +320,15 @@ def centered_operator_norm(graph: Graph, theta: np.ndarray) -> float:
     return float(np.max(np.abs(ends)))
 
 
-def check_spectral_concentration(
-    params: SbmParams, trials: int, seed: int, workers: int = 1
-) -> ConcentrationReport:
+def check_spectral_concentration(params: SbmParams, trials: int, seed: int) -> ConcentrationReport:
     """Max over trials of |A - theta|_op against the sqrt(d log n) scale."""
     if params.d < 1:
         raise ValueError("need average degree at least 1")
 
     def norm(g, s, labels):
-        theta = edge_prob_matrix(params, labels)
-        np.fill_diagonal(theta, 0.0)
-        return centered_operator_norm(g, theta)
+        return centered_operator_norm(g, params, labels)
 
-    norms = map_trials(norm, params, "P", trials, seed, "concentration", workers)
+    norms = map_trials(norm, params, "P", trials, seed, "concentration")
     bound = 3.0 * math.sqrt(params.d * math.log(params.n))
     scale = math.sqrt(params.d * math.log(params.n))
     return ConcentrationReport(

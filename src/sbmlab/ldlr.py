@@ -181,9 +181,9 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
     s1, s2 = bipartite_partition(y.n, seed)
     m = s1.size
     p = params.d / params.n
-    a = y.adjacency()
-    y2 = a[np.ix_(s2, s2)]
-    y12 = a[np.ix_(s1, s2)]
+    a = y.sparse()
+    y2 = a[s2][:, s2].toarray()
+    y12 = a[s1][:, s2].toarray()
     # s1 is sorted, so relabelling by rank in s1 keeps u < v and the edge order
     y1 = Graph(m, np.searchsorted(s1, y.edges[np.isin(y.edges, s1).all(axis=1)]))
     x = (np.asarray(f_plugin(y1), dtype=float) - p) / p

@@ -265,23 +265,13 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     return _sample_block_pairs(n, Labels(np.zeros(n, dtype=np.int64), 1), p, p, rng)
 
 
-def map_trials(
-    evaluate, params: SbmParams, arm: str, trials: int, seed: int, stream: str, workers: int = 1
-) -> list:
+def map_trials(evaluate, params: SbmParams, arm: str, trials: int, seed: int, stream: str) -> list:
     """evaluate(graph, stat_seed, labels) on `trials` fresh draws of one arm.
 
     Trial t draws its graph from derive_seed(seed, stream, t): SSBM(params)
     with its labels on arm P, G(n, d/n) with labels None on arm Q.  evaluate
-    receives derive_seed(seed, stream + "-stat", t).  Each trial owns its
-    seeds, so with `workers` > 1 the trials run on a thread pool and the
-    results still come back in trial order, equal to those of one worker,
-    which runs the trials in order in the calling thread.  On 2 cores with
-    OpenBLAS on 1 thread, the pool makes the recovery route slower, because
-    its projection sweeps hold the GIL: 24 + 24 trials at n = 400, d = 16
-    took 52.2 s on 2 workers against 42.3 s on one.  It makes the
-    concentration check faster, because its Lanczos runs release the GIL:
-    8 trials at n = 2000, d = 50 took 4.3-4.5 s on 2 workers against
-    6.3-6.6 s on one.
+    receives derive_seed(seed, stream + "-stat", t).  The trials run in
+    order in the calling thread, and the results come back in trial order.
     """
     if arm not in ("P", "Q"):
         raise ValueError("arm must be 'P' or 'Q'")
@@ -294,12 +284,7 @@ def map_trials(
             graph, labels = sample_er(params.n, params.d, graph_seed), None
         return evaluate(graph, derive_seed(seed, f"{stream}-stat", t), labels)
 
-    if workers <= 1:
-        return [one(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(trials)))
+    return [one(t) for t in range(trials)]
 
 
 def sbm_graphon(params: SbmParams) -> BlockGraphon:

@@ -217,7 +217,7 @@ class TrialRow:
 
 
 def run_test_trials(
-    statistic_fn, params: SbmParams, arm: str, trials: int, seed: int, workers: int = 1
+    statistic_fn, params: SbmParams, arm: str, trials: int, seed: int
 ) -> list[TrialRow]:
     """Evaluate the pipeline on `trials` fresh draws of one arm (P or Q).
 
@@ -242,9 +242,7 @@ def run_test_trials(
             recovery_rate=report.side_channel.get("recovery_rate"),
             wall_time_ms=wall,
         )
-        for t, (report, wall) in enumerate(
-            map_trials(timed, params, arm, trials, seed, stream, workers)
-        )
+        for t, (report, wall) in enumerate(map_trials(timed, params, arm, trials, seed, stream))
     ]
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +8,10 @@ import numpy as np
 import pytest
 
 import sbmlab.cli
-import sbmlab.harness
-from sbmlab.cli import main
-from sbmlab.harness import SWEEP_CSV_COLUMNS
+from sbmlab.cli import build_parser, main
+from sbmlab.harness import _CONFIG_KEYS, SWEEP_CSV_COLUMNS
 from sbmlab.model import (
     SbmParams,
-    map_trials,
     read_edge_list,
     read_labels,
     sample_ssbm,
@@ -212,30 +211,6 @@ def test_check_verb(capsys):
     assert float(vals[0]) <= float(vals[2])
 
 
-def test_check_and_learn_honour_threads(tmp_path, monkeypatch):
-    seen = []
-
-    def spy(evaluate, params, arm, trials, seed, stream, workers=1):
-        seen.append((stream, workers))
-        return map_trials(evaluate, params, arm, trials, seed, stream, workers)
-
-    monkeypatch.setattr(sbmlab.cli, "map_trials", spy)
-    monkeypatch.setattr(sbmlab.harness, "map_trials", spy)
-    out = {}
-    for threads in ("1", "2"):
-        for verb in (["check"], ["learn", "--graphon-out", str(tmp_path / f"w{threads}.txt")]):
-            path = tmp_path / f"{verb[0]}{threads}.csv"
-            assert main(
-                ["--n", "300", "--d", "20", "--eps", "0.8", "--seed", "13", "--trials", "3",
-                 "--threads", threads, "--out", str(path), *verb]
-            ) == 0
-            out[verb[0], threads] = path.read_bytes()
-    assert seen == [("concentration", 1), ("cli-learn", 1), ("concentration", 2), ("cli-learn", 2)]
-    assert out["check", "1"] == out["check", "2"]
-    assert out["learn", "1"] == out["learn", "2"]
-    assert (tmp_path / "w1.txt").read_bytes() == (tmp_path / "w2.txt").read_bytes()
-
-
 def test_scripts_run(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -324,6 +299,10 @@ def test_usage_errors_exit_code_one():
         main([])
     assert exc.value.code == 1
     assert main(["accept", "--suite", "nonsense"]) == 1
+    # --threads is no flag: every trial runs in the calling thread
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "check"])
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize(
@@ -334,7 +313,7 @@ def test_usage_errors_exit_code_one():
         (["--trials", "0", "test"], "need at least one trial"),
         (["--n", "1", "sample"], "need at least 2 vertices, got n=1"),
         (["--config", "{missing}", "sample"], "No such file or directory"),
-        (["--threads", "0", "check"], "threads must be at least 1, got 0"),
+        (["--config", "{threads}", "check"], "line 1: unknown key 'threads'"),
         (["--config", "{spectrl}", "test"], "unknown recovery method 'spectrl'"),
         (["--config", "{ldlr}", "test"], "unknown pipeline 'ldlr'"),
         (["--n", "20", "--d", "4", "--k", "1", "test"], "need 2 <= k < n communities, got k=1, n=20"),
@@ -346,7 +325,7 @@ def test_usage_errors_exit_code_one():
          "eta.policy = slack is undefined at SNR >= 1, got SNR 2.25"),
     ],
     ids=[
-        "unknown-key", "bad-value", "zero-trials", "one-vertex", "missing-file", "zero-threads",
+        "unknown-key", "bad-value", "zero-trials", "one-vertex", "missing-file", "threads-key",
         "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "slack-at-snr-1",
         "slack-after-flags",
     ],
@@ -359,6 +338,7 @@ def test_bad_config_file(tmp_path, capsys, argv, message):
         ("spectrl", "recovery.method = spectrl\n"),
         ("ldlr", "pipeline = ldlr\n"),
         ("slack", "eta.policy = slack\n"),
+        ("threads", "threads = 2\n"),
     ):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)
@@ -527,6 +507,17 @@ def test_readme_out_examples_run(tmp_path, capsys):
         if verb == "test":
             assert f"Trial CSV columns: `{lines[0]}`" in readme
             assert len(lines) == 1 + 2 * 3
+
+
+def test_readme_names_every_flag_and_config_key():
+    # README's flag line and config-key list name exactly what the code accepts
+    readme = README.read_text()
+    line = re.search(r"global flags (.*?) valid before", readme, re.S).group(1)
+    usage = build_parser().format_usage()
+    assert sorted(re.findall(r"--[a-z-]+", line)) == sorted(re.findall(r"\[(--[a-z-]+)", usage))
+    section = readme.split("## Config files", 1)[1].split("```", 1)[0]
+    keys = re.findall(r"^- `([^`]+)`", section, re.M) + re.findall(r"`([^`]+)`:", section)
+    assert sorted(set(keys)) == sorted(_CONFIG_KEYS)
 
 
 def test_global_flags_on_both_sides_of_the_verb(tmp_path):

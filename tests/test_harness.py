@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from sbmlab.harness import (
     write_sweep_csv,
 )
 from sbmlab.learn import gw_constant, svd_theta
-from sbmlab.model import BlockGraphon, Graph, SbmParams, sample_ssbm
+from sbmlab.model import BlockGraphon, Graph, SbmParams, edge_prob_matrix, sample_ssbm
 from sbmlab.reduce import run_test_trials
 from sbmlab.seeds import derive_seed
 
@@ -43,7 +44,6 @@ def test_config_roundtrip():
         recovery.method = oracle
         eta.policy = slack
         ldlr.ell = 4
-        threads = 2
     """
     named = [line.split("=")[0].strip() for line in text.splitlines() if line.strip()]
     assert sorted(named) == sorted(_CONFIG_KEYS)
@@ -58,7 +58,6 @@ def test_config_roundtrip():
         recovery_method="oracle",
         eta_policy="slack",
         ell=4,
-        threads=2,
     )
 
 
@@ -203,9 +202,37 @@ def test_sweep_csv_accounting_and_order():
     assert buf.getvalue() == buf2.getvalue()
 
 
-def test_centered_norm_empty_graph():
-    g = Graph(10, np.empty((0, 2), dtype=np.int64))
-    assert centered_operator_norm(g, np.zeros((10, 10))) == 0.0
+def test_centered_operator_norm_matches_dense():
+    # theta applied by its blocks against the dense |A - theta|_2, diagonal zeroed
+    def dense_norm(g, p, lab):
+        theta = edge_prob_matrix(p, lab)
+        np.fill_diagonal(theta, 0.0)
+        return np.linalg.norm(g.adjacency() - theta, 2)
+
+    for k in (2, 3):
+        for eps in (0.0, 0.8):
+            p = SbmParams(60, 8.0, eps=eps, k=k)
+            g, lab = sample_ssbm(p, 31)
+            assert centered_operator_norm(g, p, lab) == pytest.approx(dense_norm(g, p, lab), rel=1e-10)
+    p = SbmParams(60, 8.0, eps=0.8, k=3)
+    _, lab = sample_ssbm(p, 31)
+    edgeless = Graph(60, np.empty((0, 2), dtype=np.int64))
+    expected = dense_norm(edgeless, p, lab)
+    assert expected > 0.0
+    assert centered_operator_norm(edgeless, p, lab) == pytest.approx(expected, rel=1e-10)
+
+
+def test_concentration_trial_memory_is_linear():
+    # one trial at n = 2e4 never builds an n x n array (3.2 GB as float64)
+    p = SbmParams(20_000, 10.0, eps=0.5, k=2)
+    tracemalloc.start()
+    try:
+        rep = check_spectral_concentration(p, trials=1, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.max_norm <= rep.bound
+    assert peak < 64 * 2**20
 
 
 def test_concentration_bound_and_scaling():

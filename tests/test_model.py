@@ -381,15 +381,3 @@ def test_map_trials_streams_and_laws(monkeypatch):
 def test_map_trials_rejects_bad_arm():
     with pytest.raises(ValueError, match="arm"):
         map_trials(lambda g, s, labels: 0, SbmParams(20, 3.0), "X", 2, 0, "probe")
-
-
-def test_map_trials_workers_keep_trial_order():
-    p = SbmParams(80, 6.0, eps=0.5, k=2)
-
-    def summary(g, s, labels):
-        return s, g.edges.tobytes(), None if labels is None else labels.assignment.tobytes()
-
-    for arm in ("P", "Q"):
-        assert map_trials(summary, p, arm, 7, 3, "order", workers=3) == map_trials(
-            summary, p, arm, 7, 3, "order", workers=1
-        )

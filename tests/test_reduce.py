@@ -334,19 +334,6 @@ def test_run_trials_and_csv(tmp_path):
         run_test_trials(stat, p, "X", trials=2, seed=0)
 
 
-def test_worker_pool_matches_sequential():
-    p = SbmParams(150, 10.0, eps=0.7, k=2, eta=0.1, delta=0.1)
-
-    def stat(g, s, labels=None):
-        return recovery_test_statistic(g, p, seed=s, method="spectral", labels=labels)
-
-    seq = run_test_trials(stat, p, "P", trials=6, seed=61, workers=1)
-    par = run_test_trials(stat, p, "P", trials=6, seed=61, workers=3)
-    assert [(r.seed, r.statistic, r.decision) for r in seq] == [
-        (r.seed, r.statistic, r.decision) for r in par
-    ]
-
-
 def test_empty_graph_degenerates():
     p = SbmParams(50, 5.0, eps=0.5, k=2, eta=0.1, delta=0.1)
     empty = __import__("sbmlab.model", fromlist=["Graph"]).Graph(50, np.empty((0, 2), dtype=np.int64))
