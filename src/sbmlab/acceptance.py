@@ -178,8 +178,9 @@ def _c5_svd_learner(seed, n=1000, d=50.0, trials=20):
     p = SbmParams(n, d, eps=0.8, k=2)
 
     def ratio(g, s, lab):
-        err = float(np.linalg.norm(svd_theta(g, p.k) - edge_prob_matrix(p, lab)) ** 2)
-        return err / (p.k * p.d)
+        theta_hat = svd_theta(g, p.k)
+        theta_hat -= edge_prob_matrix(p, lab)
+        return float(np.linalg.norm(theta_hat) ** 2) / (p.k * p.d)
 
     med = float(np.median(map_trials(ratio, p, "P", trials, seed, "c5")))
     return med <= 32.0, {"median_error_over_kd": med, "bound": 32.0}

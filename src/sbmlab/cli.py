@@ -221,7 +221,8 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
             theta_hat = svd_theta(g, p.k)
             if args.graphon_out and s == first:
                 write_graphon(BlockGraphon(theta_hat), args.graphon_out)
-            return float(np.linalg.norm(theta_hat - edge_prob_matrix(p, labels)) ** 2)
+            theta_hat -= edge_prob_matrix(p, labels)
+            return float(np.linalg.norm(theta_hat) ** 2)
 
         errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn")
         with _open_out(args) as fh:

@@ -19,6 +19,7 @@ from .model import BlockGraphon, Graph
 from .recover import spectral_factors
 
 _EXACT_GW_LIMIT = 8
+_SYM_BLOCK = 64  # rows per slab when svd_theta symmetrizes
 
 
 def svd_theta(y: Graph, k: int) -> np.ndarray:
@@ -30,8 +31,12 @@ def svd_theta(y: Graph, k: int) -> np.ndarray:
     """
     vals, vecs = spectral_factors(y, k, 0.0)
     theta = (vecs * vals) @ vecs.T
-    theta = (theta + theta.T) / 2.0
-    return np.clip(theta, 0.0, 1.0)
+    for i in range(0, len(theta), _SYM_BLOCK):  # theta + theta^T in place, by row slabs
+        slab = theta[i : i + _SYM_BLOCK, i:] + theta[i:, i : i + _SYM_BLOCK].T
+        theta[i : i + _SYM_BLOCK, i:] = slab
+        theta[i:, i : i + _SYM_BLOCK] = slab.T
+    theta *= 0.5
+    return np.clip(theta, 0.0, 1.0, out=theta)
 
 
 def refine(w: BlockGraphon, m: int) -> BlockGraphon:

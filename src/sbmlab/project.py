@@ -23,6 +23,9 @@ M0, which must equal its transpose, is eigendecomposed range first
 (`_eigenpairs`): Q spans a Gaussian sketch of M0, C = Q^T M0 Q is
 eigendecomposed, eigenvalues at rounding level are dropped, and the result
 is certified by |M0 - Q Q^T M0|_F, at O(n^2 r) cost for numerical rank r.
+A sketch width whose R factor proves that M0 has at least as many singular
+values above twice the drop level as the width has columns cannot be
+accepted, and is skipped before any product with Q.
 The certificate reads them: every N in K' has
 <U, N> <= n max(lambda_max(U), 0) - <U, J>/k for U = M0 / |M0|_F, so a bound
 below b = delta * target proves that no point of K' meets the halfspace.
@@ -39,8 +42,12 @@ max(0 - theta, 0) = 0.  One rule builds the basis V (`_subspace_basis`): the
 all-ones direction first, then one SVD of the eigenvectors and the adjoined
 axes e_v, projected off it, keeping singular values above 1e-12 of the
 largest, so an axis already in the span adds no column.  Entry-bound
-violations are found by a certified row scan; one off the adjoined axes
-raises `_ExtendNeeded`, and the solve restarts with those axes adjoined.
+violations are found by a certified pair scan: |X_ij| <= |t_i| |v_j| for
+t = V C and the basis rows v_j, so a row is scanned only when it is an
+adjoined axis or its bound against the largest basis row passes 1, and only
+against the vertices, sorted once by basis-row norm, whose bound with it
+passes 1.  A violation off the adjoined axes raises `_ExtendNeeded`, and the
+solve restarts with those axes adjoined.
 Once every violation lies in axes x axes, the box clips in one product,
 C - V_A^T E V_A, for E the symmetric matrix of excesses over the bound and
 V_A the axes' rows of V.  The dense state holds X as an n x n array (one
@@ -280,6 +287,10 @@ def _subspace_basis(vecs, axes, n):
     return np.column_stack([v0, uu[:, ss > 1e-12 * max(ss[0], 1.0)]])
 
 
+_SCAN_BLOCK = 64  # rows per block of the box scan
+_SCAN_FLOOR = 1.0 - 1e-9  # the scan's column bound, a hair under 1 for rounding in the norms
+
+
 class _SubspaceState:
     """Points x = V C V^T as their r x r coordinates C, plus box helpers.
 
@@ -309,32 +320,51 @@ class _SubspaceState:
         other = ~self.in_axes
         self.mv_free = float(row_norms[other].max()) if other.any() else 0.0
 
-    def entry_rows(self, c, rows):
-        """Exact rows of the dense matrix for the given row indices."""
-        return (self.big_v[rows] @ c) @ self.big_v.T
-
-    def box_scan(self, c):
-        """Rows possibly holding entries above 1 in absolute value.
-
-        Candidate rows are the adjoined axis rows (their basis rows have unit
-        norm) plus any row whose Cauchy-Schwarz bound against the largest
-        non-axis basis row exceeds 1; pairs outside candidate rows are
-        certified below the bound.
-        """
-        t_norms = np.linalg.norm(self.big_v @ c, axis=1)
-        cand = np.flatnonzero(t_norms * self.mv_free > 1.0)
-        return np.union1d(cand[~self.in_axes[cand]], self.axes)
+    @cached_property
+    def by_norm(self):
+        """Vertices by basis-row norm, largest first: (order, their basis rows, minus their norms)."""
+        row_norms = np.linalg.norm(self.big_v, axis=1)
+        order = np.argsort(-row_norms, kind="stable")
+        return order, self.big_v[order], -row_norms[order]
 
     def box_violations(self, c):
-        cand = self.box_scan(c)
-        if cand.size == 0:
+        """(largest excess of |V C V^T| over 1, its pairs (i, j) above 1, their values).
+
+        An entry is X_ij = t_i . v_j for t = V C and the basis rows v_j, so
+        |X_ij| <= |t_i| |v_j|.  The rows scanned are the adjoined axes (unit
+        basis rows) and every row with |t_i| mv_free > 1, mv_free the largest
+        non-axis basis-row norm; no other row holds an entry above 1.  They go
+        largest |t_i| first, _SCAN_BLOCK at a time, each block against the
+        vertices, sorted once by basis-row norm, with |t_i| |v_j| > 1 - 1e-9
+        for the block's first row i: every pair left out is certified below
+        the bound, so the scan finds exactly a dense scan's pairs.  A pair
+        between two scanned rows is reported from both.  (0.0, None, None)
+        when no entry exceeds 1.
+        """
+        t = self.big_v @ c
+        t_norms = np.linalg.norm(t, axis=1)
+        rows = np.flatnonzero(t_norms * self.mv_free > 1.0)
+        rows = np.union1d(rows[~self.in_axes[rows]], self.axes)
+        if rows.size == 0:
             return 0.0, None, None
-        rows = self.entry_rows(c, cand)
-        over = np.abs(rows) > 1.0
-        if not over.any():
+        order, v_sorted, neg_norms = self.by_norm  # neg_norms ascends, for searchsorted
+        rows = rows[np.argsort(-t_norms[rows], kind="stable")]
+        found = []
+        for start in range(0, rows.size, _SCAN_BLOCK):
+            block = rows[start : start + _SCAN_BLOCK]
+            t_top = t_norms[block[0]]
+            if t_top * -neg_norms[0] <= _SCAN_FLOOR:
+                break  # and so for every later block
+            width = np.searchsorted(neg_norms, -_SCAN_FLOOR / t_top)
+            x = t[block] @ v_sorted[:width].T
+            over = np.abs(x) > 1.0
+            if over.any():
+                bi, bj = np.nonzero(over)
+                found.append((block[bi], order[bj], x[bi, bj]))
+        if not found:
             return 0.0, None, None
-        ii, jj = np.nonzero(over)
-        return float(np.max(np.abs(rows[ii, jj])) - 1.0), (cand[ii], jj), rows[ii, jj]
+        ii, jj, vals = (np.concatenate(parts) for parts in zip(*found))
+        return float(np.max(np.abs(vals)) - 1.0), (ii, jj), vals
 
     def halfspace(self, y):
         val = float(np.sum(self.c_u * y))
@@ -393,27 +423,33 @@ def _eigenpairs(m0: np.ndarray) -> Factored:
 
     The range comes first (Halko, Martinsson & Tropp, SIAM Review 2011):
     Y = M0 Omega for a fixed Gaussian Omega, widened by appended columns,
-    Q = qr(Y), and the eigenpairs (w, U) of C = Q^T M0 Q give M0's as
-    (w, Q U).  Once C keeps fewer eigenvalues than it has columns, Y holds
-    the range, and one power step Q = qr(M0 Q) sharpens the directions of
-    small eigenvalues that rounding in the sketch skews.  The width is
-    accepted when the new C still keeps fewer and the certificate
-    |M0 - Q Q^T M0|_F <= drop / 4 holds: then |M0 - Q C Q^T|_F <= drop / 2,
-    so every eigenvalue the off-range part could add or move lies below the
-    drop level.  Past n / 2 columns Q is the identity and C is M0.  For
-    numerical rank r with 2 (r + 1) <= n the cost is O(n^2 r) and no n x n
-    matrix is eigendecomposed.
+    Q R = qr(Y), and the eigenpairs (w, U) of C = Q^T M0 Q give M0's as
+    (w, Q U).  A width whose R proves Y full rank is skipped before any
+    product with Q (`_proves_full_rank`).  Otherwise, once C keeps fewer
+    eigenvalues than it has columns, Y holds the range, and one power step
+    Q = qr(M0 Q) sharpens the directions of small eigenvalues that rounding
+    in the sketch skews.  The width is accepted when the new C still keeps
+    fewer and the certificate |M0 - Q Q^T M0|_F <= drop / 4 holds: then
+    |M0 - Q C Q^T|_F <= drop / 2, so every eigenvalue the off-range part
+    could add or move lies below the drop level.  Past n / 2 columns Q is the
+    identity and C is M0.  For numerical rank r with 2 (r + 1) <= n the cost
+    is O(n^2 r) and no n x n matrix is eigendecomposed.
     """
     n = m0.shape[0]
     rng = fixed_rng(n, "range-sketch")
     sketch = np.empty((n, 0))
+    rank_floor = 2.0 * n * np.finfo(float).eps * float(np.linalg.norm(m0))
+    omega_sq = 0.0  # |Omega|_F^2 over every column drawn so far
     for width in _sketch_widths(n):
         if width == n:
             q = np.eye(n)
         else:
             omega = rng.standard_normal((n, width - sketch.shape[1]))
+            omega_sq += float(np.sum(omega * omega))
             sketch = np.column_stack([sketch, m0 @ omega])
-            q = np.linalg.qr(sketch)[0]
+            q, r = np.linalg.qr(sketch)
+            if _proves_full_rank(r, rank_floor * math.sqrt(omega_sq)):
+                continue
         for power_step in (False, True):
             mq = m0 @ q
             c = q.T @ mq
@@ -426,6 +462,21 @@ def _eigenpairs(m0: np.ndarray) -> Factored:
                 return Factored.from_eig(w[keep], q @ u[:, keep])
             q = np.linalg.qr(mq)[0]
     return Factored.from_eig(w[keep], q @ u[:, keep])  # width n: Q is the identity
+
+
+def _proves_full_rank(r: np.ndarray, bound: float) -> bool:
+    """sigma_min(R) > bound = 2 n eps |M0|_F |Omega|_F: no width-w sketch holds M0's range.
+
+    sigma_w(M0) >= sigma_min(M0 Omega) / |Omega|_2, so M0 then has at least w
+    singular values above 2 n eps |M0|_F >= 2 drop (the Frobenius norms
+    bound the spectral ones, with room for the rounding of the sketch).  If
+    the range residual at this width met drop / 4, then |M0 - Q C Q^T|_F
+    <= drop / 2 and Weyl's inequality would leave all w eigenvalues of C
+    above 2 drop - drop / 2 > drop; so either C keeps w eigenvalues or the
+    residual fails, and the width cannot be accepted.  Skipping it changes
+    nothing the accepted width computes.
+    """
+    return float(np.linalg.svd(r, compute_uv=False)[-1]) > bound
 
 
 def _range_residual(m0: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:

@@ -22,6 +22,7 @@ from sbmlab.model import (
     sample_ssbm,
     sbm_graphon,
 )
+from sbmlab.recover import spectral_factors
 
 
 def random_graphon(m, rng):
@@ -33,6 +34,18 @@ def random_graphon(m, rng):
 def test_svd_theta_edgeless_graph(n):
     # the zero adjacency's truncation is zero, at either size, with no ArpackError
     assert np.array_equal(svd_theta(Graph(n, []), 2), np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n", [128, 130, 300])
+def test_svd_theta_symmetrizes_as_the_two_sided_mean(n):
+    # the in-place symmetrization by row slabs is (theta + theta^T) / 2 bit
+    # for bit, whether or not n fills the last slab
+    p = SbmParams(n, 20.0, eps=0.7, k=2)
+    g, _ = sample_ssbm(p, seed=4)
+    vals, vecs = spectral_factors(g, p.k, 0.0)
+    theta = (vecs * vals) @ vecs.T
+    assert not np.array_equal(theta, theta.T)
+    assert np.array_equal(svd_theta(g, p.k), np.clip((theta + theta.T) / 2.0, 0.0, 1.0))
 
 
 def test_svd_theta_error_bound_planted():

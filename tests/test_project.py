@@ -481,18 +481,26 @@ def test_subspace_box_clips_axis_pairs_like_the_dense_box():
     assert grow.value.vertices == [23]
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "svd-theta-400"])
 def test_box_violations_match_a_dense_scan(seed):
-    # the certified row scan over a basis with adjoined axes finds every
+    # the certified pair scan over a basis with adjoined axes finds every
     # entry of V C V^T above 1, on and off the axes, with its value and the
-    # largest excess
-    n, axes = 90, [4, 31, 77]
-    rng = stream_rng(seed, "row-scan")
-    vecs = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-    big_v = sbmlab.project._subspace_basis(vecs, axes, n)
+    # largest excess.  The learner's basis at n = 400 has basis rows of norm
+    # ~ 1 off the axes, so every row passes the row bound at the larger sizes
+    # and the pair bound alone narrows the columns
+    axes = [4, 31, 77]
+    if seed == "svd-theta-400":
+        m0 = sbmlab.project._eigenpairs(svd_theta_input())
+        rng = stream_rng(4, "row-scan")
+    else:
+        rng = stream_rng(seed, "row-scan")
+        m0 = Factored.from_eig(np.array([3.0, 2.0, 1.0]), np.linalg.qr(rng.standard_normal((90, 3)))[0])
+    n = len(m0.v)
+    big_v = sbmlab.project._subspace_basis(m0.v, axes, n)
     spec = ProjectionSpec(delta=0.5, k=2, n=n)
-    m0 = Factored.from_eig(np.array([3.0, 2.0, 1.0]), vecs)
-    state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm([3.0, 2.0, 1.0])), big_v, axes, spec)
+    state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(np.diag(m0.c))), big_v, axes, spec)
+    if seed == "svd-theta-400":
+        assert state.mv_free >= 1.0 - 1e-12
     g = rng.standard_normal((big_v.shape[1],) * 2)
     found = 0
     for size in (0.2, 2.0, 8.0, 30.0):
@@ -562,20 +570,33 @@ def exact_rank_input(n, r, seed):
 def test_eigenpairs_match_dense_eigh(make, range_first, monkeypatch):
     # the range-first eigenpairs keep what a dense eigh with the same drop rule
     # keeps, rebuild M0 to the drop level and repeat bit for bit; an n x n eigh
-    # runs only when 2 (r + 1) > n
+    # runs only when 2 (r + 1) > n.  A width whose sketch R proves full rank
+    # runs no eigh, and skipping it leaves the result bit for bit unchanged
     m0 = make()
     n = len(m0)
     w, _ = np.linalg.eigh(m0)
     drop = n * np.finfo(float).eps * np.abs(w).max()
     ref = w[np.abs(w) > drop]
-    sizes = []
-    eigh = np.linalg.eigh
+    sizes, skipped = [], []
+    eigh, proof = np.linalg.eigh, sbmlab.project._proves_full_rank
+
+    def recorded_proof(r, bound):
+        proved = proof(r, bound)
+        if proved:
+            skipped.append(len(r))
+        return proved
+
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    monkeypatch.setattr(sbmlab.project, "_proves_full_rank", recorded_proof)
     got = sbmlab.project._eigenpairs(m0)
     assert (max(sizes) < n) == range_first
+    assert skipped and not set(skipped) & set(sizes)
     vals = np.diag(got.c)
     assert got.r == len(ref)
     assert np.max(np.abs(vals - ref)) <= drop
     assert np.linalg.norm((got.v * vals) @ got.v.T - m0) <= drop
     again = sbmlab.project._eigenpairs(m0)
     assert np.array_equal(again.v, got.v) and np.array_equal(again.c, got.c)
+    monkeypatch.setattr(sbmlab.project, "_proves_full_rank", lambda r, bound: False)
+    unproved = sbmlab.project._eigenpairs(m0)
+    assert np.array_equal(unproved.v, got.v) and np.array_equal(unproved.c, got.c)
