@@ -23,7 +23,7 @@ from .harness import (
     sweep_phase,
     write_sweep_csv,
 )
-from .learn import gw_constant, gw_distance, svd_theta
+from .learn import frob_error_sq, gw_constant, gw_distance, svd_theta
 from .ldlr import (
     all_edges,
     bipartite_quadratic_statistic,
@@ -178,9 +178,7 @@ def _c5_svd_learner(seed, n=1000, d=50.0, trials=20):
     p = SbmParams(n, d, eps=0.8, k=2)
 
     def ratio(g, s, lab):
-        theta_hat = svd_theta(g, p.k)
-        theta_hat -= edge_prob_matrix(p, lab)
-        return float(np.linalg.norm(theta_hat) ** 2) / (p.k * p.d)
+        return frob_error_sq(svd_theta(g, p.k), p, lab) / (p.k * p.d)
 
     med = float(np.median(map_trials(ratio, p, "P", trials, seed, "c5")))
     return med <= 32.0, {"median_error_over_kd": med, "bound": 32.0}

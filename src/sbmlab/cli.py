@@ -28,11 +28,10 @@ from .harness import (
     sweep_phase,
     write_sweep_csv,
 )
-from .learn import svd_theta, write_graphon
+from .learn import frob_error_sq, svd_theta, write_graphon
 from .ldlr import exact_ldlr_norm, write_ldlr_csv
 from .model import (
     BlockGraphon,
-    edge_prob_matrix,
     map_trials,
     sample_er,
     sample_ssbm,
@@ -220,9 +219,9 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         def error(g, s, labels):
             theta_hat = svd_theta(g, p.k)
             if args.graphon_out and s == first:
-                write_graphon(BlockGraphon(theta_hat), args.graphon_out)
-            theta_hat -= edge_prob_matrix(p, labels)
-            return float(np.linalg.norm(theta_hat) ** 2)
+                # the one n x n array: graphon values lie in [0, 1], so the write clips
+                write_graphon(BlockGraphon(np.clip(theta_hat.dense(), 0.0, 1.0)), args.graphon_out)
+            return frob_error_sq(theta_hat, p, labels)
 
         errors = map_trials(error, p, "P", cfg.trials, cfg.seed, "cli-learn")
         with _open_out(args) as fh:

@@ -38,6 +38,12 @@ class Factored:
         """The matrix sum_l vals[l] vecs[:, l] vecs[:, l]^T."""
         return cls(vecs, np.diag(vals))
 
+    @classmethod
+    def from_eig_truncated(cls, vals: np.ndarray, vecs: np.ndarray) -> "Factored":
+        """`from_eig` with |vals| <= n eps max|vals| dropped (the rule of matrix_rank), n = len(vecs)."""
+        keep = np.abs(vals) > len(vecs) * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
+        return cls.from_eig(vals[keep], vecs[:, keep])
+
     @property
     def r(self) -> int:
         return self.v.shape[1]

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .learn import gw_constant, svd_theta
+from .learn import centered, svd_theta
 from .ldlr import bipartite_quadratic_statistic
-from .model import BlockGraphon, Graph, Labels, SbmParams, map_trials
+from .model import Graph, Labels, SbmParams, map_trials
 from .recover import METHODS
 from .reduce import (
     TestReport,
@@ -179,10 +179,10 @@ def pipeline_statistic(cfg: ExperimentConfig):
         if cfg.pipeline == "learning":
             return learning_test_statistic(g, params, learner, s)
         if cfg.pipeline == "graphon":
-            # distance of the estimated graphon to the flat one, calibrated on
-            # the null arm: a fixed testing radius presumes an estimator below
-            # the error floor that desk-scale runs reach
-            val = gw_constant(BlockGraphon(learner(g)), params.d / params.n)
+            # distance |theta_hat - (d/n) J|_F / n of the estimated graphon to
+            # the flat one, calibrated on the null arm: a fixed testing radius
+            # presumes an estimator below the error floor that desk-scale runs reach
+            val = centered(learner(g), params.d / params.n).norm() / params.n
         else:
             val = bipartite_quadratic_statistic(g, learner, params, s)
         return TestReport(val, {"pipeline": cfg.pipeline})

@@ -37,7 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .factored import Factored
+from .learn import centered
 from .model import Graph, SbmParams, map_trials
+from .reduce import statistic_from_m_hat
 from .seeds import stream_rng
 
 _SUPPORT_LIMIT = 16  # k^support enumeration cap
@@ -175,26 +178,25 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
     Y1, Y2 are the within-side blocks of a random equal vertex split and Y12
     the cross block; diagonal terms of the Y2 block are excluded.  f_plugin
     maps the first side, a `Graph` on m vertices holding y's edges inside s1
-    relabelled in s1's sorted order, to an m x m matrix.  g reads n and d but
-    not eps, so the null law G(n, d/n) fixes its distribution.
+    relabelled in s1's sorted order, to a `Factored` estimate with m rows.
+    X = `centered`(f, p) / p = V C V^T stays factored, so Z = W12^T X W12 for
+    W12 = Y12 - p J is U C U^T with U = Y12^T V - p 1 (1^T V), read off the
+    sparse cross block.  After one QR of U, g is scored like the testing
+    routes' statistic, from Y2's edge list and Z's off-diagonal sum, in
+    O(m r + n r^2) with no n x n array.  g reads n and d but not eps, so the
+    null law G(n, d/n) fixes its distribution.
     """
     s1, s2 = bipartite_partition(y.n, seed)
-    m = s1.size
     p = params.d / params.n
-    a = y.sparse()
-    y2 = a[s2][:, s2].toarray()
-    y12 = a[s1][:, s2].toarray()
-    # s1 is sorted, so relabelling by rank in s1 keeps u < v and the edge order
-    y1 = Graph(m, np.searchsorted(s1, y.edges[np.isin(y.edges, s1).all(axis=1)]))
-    x = (np.asarray(f_plugin(y1), dtype=float) - p) / p
-    if x.shape != (m, m):
-        raise ValueError("plugin must return an m x m matrix")
-    w12 = y12 - p
-    z = w12.T @ x @ w12
-    w2 = y2 - p
-    np.fill_diagonal(z, 0.0)
-    np.fill_diagonal(w2, 0.0)
-    return float(np.sum(z * w2))
+    # each side is sorted, so relabelling by rank in it keeps u < v and the edge order
+    y1, y2 = (Graph(s.size, np.searchsorted(s, y.edges[np.isin(y.edges, s).all(axis=1)])) for s in (s1, s2))
+    f = f_plugin(y1)
+    if not isinstance(f, Factored) or f.v.shape[0] != s1.size:
+        raise ValueError("plugin must return a Factored estimate with m rows")
+    x = centered(f, p).scaled(1.0 / p)
+    u = y.sparse()[s1][:, s2].T @ x.v - p * x.v.sum(axis=0)
+    q, r = np.linalg.qr(u)
+    return statistic_from_m_hat(Factored(q, r @ x.c @ r.T, x.scale), y2, p)
 
 
 @dataclass(frozen=True)

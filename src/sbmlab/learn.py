@@ -1,9 +1,12 @@
 """Parameter learning: rank-k SVD estimator and block-graphon distances.
 
-The estimator takes a `Graph` and reads its eigenpairs from
-`recover.spectral_factors`.  Graphon distance for equal-mass step functions
-reduces to a quadratic assignment over block permutations after refining
-both step functions to a common grid, solved by exact enumeration for small
+The estimator takes a `Graph` and keeps the eigenpairs that
+`recover.spectral_factors` reads, as a `Factored`, so no n x n array is
+built.  Every pipeline reads it through `centered` (theta_hat - c J as
+eigenpairs), and `frob_error_sq` scores it against the planted theta from
+theta's blocks.  Graphon distance for equal-mass step functions reduces to a
+quadratic assignment over block permutations after refining both step
+functions to a common grid, solved by exact enumeration for small
 refinements.  Against a constant target the distance is permutation-free
 and has a closed form.
 """
@@ -15,28 +18,50 @@ import math
 
 import numpy as np
 
-from .model import BlockGraphon, Graph
-from .recover import spectral_factors
+from .factored import Factored
+from .model import BlockGraphon, Graph, Labels, SbmParams
+from .recover import membership_factors, spectral_factors
 
 _EXACT_GW_LIMIT = 8
-_SYM_BLOCK = 64  # rows per slab when svd_theta symmetrizes
 
 
-def svd_theta(y: Graph, k: int) -> np.ndarray:
-    """Best rank-k approximation of the adjacency matrix, clipped to [0, 1].
+def svd_theta(y: Graph, k: int) -> Factored:
+    """Best rank-k approximation of the adjacency matrix, as its eigenpairs.
 
-    The top-k eigenpairs come from `spectral_factors`, uncentered.  Clipping
-    is the entrywise projection onto [0,1]^{n x n}, which contains the true
-    edge probability matrix, so it never increases the error.
+    The top-k eigenpairs come from `spectral_factors`, uncentered.  The
+    estimate is not clipped to [0, 1]: a clip would only lower the error, and
+    it would make theta_hat - c J dense.
     """
-    vals, vecs = spectral_factors(y, k, 0.0)
-    theta = (vecs * vals) @ vecs.T
-    for i in range(0, len(theta), _SYM_BLOCK):  # theta + theta^T in place, by row slabs
-        slab = theta[i : i + _SYM_BLOCK, i:] + theta[i:, i : i + _SYM_BLOCK].T
-        theta[i : i + _SYM_BLOCK, i:] = slab
-        theta[i:, i : i + _SYM_BLOCK] = slab.T
-    theta *= 0.5
-    return np.clip(theta, 0.0, 1.0, out=theta)
+    return Factored.from_eig(*spectral_factors(y, k, 0.0))
+
+
+def centered(theta_hat: Factored, c: float) -> Factored:
+    """theta_hat - c J as eigenpairs, |w| <= n eps max|w| dropped.
+
+    With u = 1/sqrt(n), theta_hat - c J = [V | u] B [V | u]^T for
+    B = diag(s C, -c n).  One QR, [V | u] = Q R, and one eigh of the
+    (r + 1) x (r + 1) matrix R B R^T give its eigenpairs (w, Q U), in O(n r^2).
+    """
+    n, r = theta_hat.v.shape
+    q, rr = np.linalg.qr(np.column_stack([theta_hat.v, np.full(n, 1.0 / math.sqrt(n))]))
+    b = np.zeros((r + 1, r + 1))
+    b[:r, :r] = theta_hat.scale * theta_hat.c
+    b[r, r] = -c * n
+    small = rr @ b @ rr.T
+    w, u = np.linalg.eigh((small + small.T) / 2.0)
+    return Factored.from_eig_truncated(w, q @ u)
+
+
+def frob_error_sq(theta_hat: Factored, params: SbmParams, labels: Labels) -> float:
+    """|theta_hat - theta|_F^2 against the planted edge probabilities, diagonal included.
+
+    theta - (d/n) J = (p_in - p_out) M for the membership matrix M of the
+    labels, so with A = theta_hat - (d/n) J and B = (p_in - p_out) M, both
+    factored, the error is |A|^2 - 2 <A, B> + |B|^2, in O(n k^2).
+    """
+    a = centered(theta_hat, params.d / params.n)
+    b = Factored.from_eig(*membership_factors(labels)).scaled(params.p_in - params.p_out)
+    return a.norm() ** 2 - 2.0 * a.inner(b) + b.norm() ** 2
 
 
 def refine(w: BlockGraphon, m: int) -> BlockGraphon:

@@ -18,14 +18,9 @@ loop, `_dykstra`: the halfspace, the entry box, and the spectraplex
 a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  A solve ends
 converged, certified infeasible before any sweep, or at the sweep cap.
 
-Every input becomes eigenpairs first: a `Factored` holds them, and a dense
-M0, which must equal its transpose, is eigendecomposed range first
-(`_eigenpairs`): Q spans a Gaussian sketch of M0, C = Q^T M0 Q is
-eigendecomposed, eigenvalues at rounding level are dropped, and the result
-is certified by |M0 - Q Q^T M0|_F, at O(n^2 r) cost for numerical rank r.
-A sketch width whose R factor proves that M0 has at least as many singular
-values above twice the drop level as the width has columns cannot be
-accepted, and is skipped before any product with Q.
+Every input becomes eigenpairs first: the pipelines hand over a `Factored`
+that holds them, and a dense M0, which must equal its transpose, goes
+through one `eigh` with eigenvalues |w| <= n eps max|w| dropped.
 The certificate reads them: every N in K' has
 <U, N> <= n max(lambda_max(U), 0) - <U, J>/k for U = M0 / |M0|_F, so a bound
 below b = delta * target proves that no point of K' meets the halfspace.
@@ -67,7 +62,6 @@ from functools import cached_property
 import numpy as np
 
 from .factored import Factored
-from .seeds import fixed_rng
 
 
 class ProjectionInfeasibleError(RuntimeError):
@@ -407,85 +401,6 @@ class _SubspaceState:
         return n_mat, n_mat.norm(), self.m0.inner(n_mat)
 
 
-def _sketch_widths(n: int):
-    """Range widths to try: 8, 16, 32, ... below n / 2, then n // 2, then n (the identity)."""
-    width = 8
-    while width < n // 2:
-        yield width
-        width *= 2
-    if n > 1:
-        yield n // 2
-    yield n
-
-
-def _eigenpairs(m0: np.ndarray) -> Factored:
-    """A symmetric M0 by its eigenpairs, |w| <= n eps max|w| dropped (as matrix_rank).
-
-    The range comes first (Halko, Martinsson & Tropp, SIAM Review 2011):
-    Y = M0 Omega for a fixed Gaussian Omega, widened by appended columns,
-    Q R = qr(Y), and the eigenpairs (w, U) of C = Q^T M0 Q give M0's as
-    (w, Q U).  A width whose R proves Y full rank is skipped before any
-    product with Q (`_proves_full_rank`).  Otherwise, once C keeps fewer
-    eigenvalues than it has columns, Y holds the range, and one power step
-    Q = qr(M0 Q) sharpens the directions of small eigenvalues that rounding
-    in the sketch skews.  The width is accepted when the new C still keeps
-    fewer and the certificate |M0 - Q Q^T M0|_F <= drop / 4 holds: then
-    |M0 - Q C Q^T|_F <= drop / 2, so every eigenvalue the off-range part
-    could add or move lies below the drop level.  Past n / 2 columns Q is the
-    identity and C is M0.  For numerical rank r with 2 (r + 1) <= n the cost
-    is O(n^2 r) and no n x n matrix is eigendecomposed.
-    """
-    n = m0.shape[0]
-    rng = fixed_rng(n, "range-sketch")
-    sketch = np.empty((n, 0))
-    rank_floor = 2.0 * n * np.finfo(float).eps * float(np.linalg.norm(m0))
-    omega_sq = 0.0  # |Omega|_F^2 over every column drawn so far
-    for width in _sketch_widths(n):
-        if width == n:
-            q = np.eye(n)
-        else:
-            omega = rng.standard_normal((n, width - sketch.shape[1]))
-            omega_sq += float(np.sum(omega * omega))
-            sketch = np.column_stack([sketch, m0 @ omega])
-            q, r = np.linalg.qr(sketch)
-            if _proves_full_rank(r, rank_floor * math.sqrt(omega_sq)):
-                continue
-        for power_step in (False, True):
-            mq = m0 @ q
-            c = q.T @ mq
-            w, u = np.linalg.eigh((c + c.T) / 2.0)
-            drop = n * np.finfo(float).eps * np.abs(w).max()
-            keep = np.abs(w) > drop
-            if width == n or keep.sum() == width:
-                break
-            if power_step and _range_residual(m0, q, mq) <= drop / 4:
-                return Factored.from_eig(w[keep], q @ u[:, keep])
-            q = np.linalg.qr(mq)[0]
-    return Factored.from_eig(w[keep], q @ u[:, keep])  # width n: Q is the identity
-
-
-def _proves_full_rank(r: np.ndarray, bound: float) -> bool:
-    """sigma_min(R) > bound = 2 n eps |M0|_F |Omega|_F: no width-w sketch holds M0's range.
-
-    sigma_w(M0) >= sigma_min(M0 Omega) / |Omega|_2, so M0 then has at least w
-    singular values above 2 n eps |M0|_F >= 2 drop (the Frobenius norms
-    bound the spectral ones, with room for the rounding of the sketch).  If
-    the range residual at this width met drop / 4, then |M0 - Q C Q^T|_F
-    <= drop / 2 and Weyl's inequality would leave all w eigenvalues of C
-    above 2 drop - drop / 2 > drop; so either C keeps w eigenvalues or the
-    residual fails, and the width cannot be accepted.  Skipping it changes
-    nothing the accepted width computes.
-    """
-    return float(np.linalg.svd(r, compute_uv=False)[-1]) > bound
-
-
-def _range_residual(m0: np.ndarray, q: np.ndarray, mq: np.ndarray) -> float:
-    """|M0 - Q Q^T M0|_F with Q^T M0 = (M0 Q)^T, computed in one n x n buffer."""
-    buf = q @ mq.T
-    np.subtract(m0, buf, out=buf)
-    return float(np.linalg.norm(buf))
-
-
 def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):
     """Raise ProjectionInfeasibleError when n max(lambda_max(U), 0) - <U, J>/k < b.
 
@@ -503,9 +418,9 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
     M0 comes as eigenpairs, a `Factored` as `Factored.from_eig` builds them
-    (scale 1, diagonal C), or as a dense array equal to its
-    transpose, eigendecomposed range first in O(n^2 r) by `_eigenpairs`
-    (certified by its range residual).  The certificate reads the
+    (scale 1, diagonal C), or as a dense array equal to its transpose,
+    eigendecomposed by one `eigh` with the drop rule of
+    `Factored.from_eig_truncated`.  The certificate reads the
     eigenpairs.  The solve builds the basis, runs the subspace backend while
     the width rule admits it and restarts with the axes `_ExtendNeeded`
     names; once a basis fails the rule, the dense backend solves the matrix
@@ -521,7 +436,7 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
         if not np.array_equal(m0, m0.T):
             raise ValueError("a dense projection input must be symmetric")
         norm_m0 = float(np.linalg.norm(m0))
-        m0 = _eigenpairs(m0)
+        m0 = Factored.from_eig_truncated(*np.linalg.eigh(m0))
     if norm_m0 <= 0.0:
         raise ValueError("projection input must be nonzero")
     _certify_infeasible(m0, norm_m0, spec)

@@ -7,14 +7,13 @@ excluded).  The learning route replaces the recovery step with an edge
 probability learner and projects theta_hat - (d/n) J.  Both return g alone;
 harness.run_two_arms calibrates the threshold and decides every trial.
 
-Both routes end in one project-and-score step.  The projection turns its
-input into eigenpairs first: the recovery route already hands it eigenpairs,
-the learning route the dense theta_hat - (d/n) J, whose range a Gaussian
-sketch finds before the small compressed matrix is eigendecomposed (O(n^2 r)
-for numerical rank r, certified by the range residual).
-When the eigenpairs are few the projected estimate comes back factored and g
-is evaluated from the factors in O((m + n) r^2), with no n x n array; the
-recovery route then builds none from the recovery step to the score.
+Both routes end in one project-and-score step, and both hand the projection
+eigenpairs: the recovery route its estimate's, the learning route those of
+theta_hat - (d/n) J, which `learn.centered` reads from the learner's
+`Factored` output in O(n r^2).  When the eigenpairs are few the projected
+estimate comes back factored and g is evaluated from the factors in
+O((m + n) r^2), so neither route builds an n x n array from the estimate to
+the score.
 
 When the projection degenerates (infeasible correlation constraint, solver
 non-convergence, or a zero estimate) or recovery fails on the graph
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factored import Factored
+from .learn import centered
 from .model import Graph, Labels, SbmParams, map_trials
 from .project import (
     ProjectionDidNotConverge,
@@ -162,18 +162,17 @@ def recovery_test_statistic(
 
 
 def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> TestReport:
-    """Testing-from-learning pipeline: project theta_hat - (d/n) J, then score."""
+    """Testing-from-learning pipeline: project theta_hat - (d/n) J, then score.
+
+    The learner maps the kept part Y1 to theta_hat, a `Factored` with n rows.
+    """
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
     side = {"eta": params.eta, "method": "learning", "projection": None}
-    theta_hat = np.asarray(learner(split.y1), dtype=float)
-    if theta_hat.shape != (params.n, params.n):
-        raise ValueError("learner must return an n x n matrix")
-    if theta_hat.min() < 0.0 or theta_hat.max() > 1.0:
-        raise ValueError("learner output must have entries in [0, 1]")
-    if not np.array_equal(theta_hat, theta_hat.T):
-        raise ValueError("learner output must be symmetric")
-    m0 = theta_hat - params.d / params.n
-    if float(np.linalg.norm(m0)) < 1e-12:
+    theta_hat = learner(split.y1)
+    if not isinstance(theta_hat, Factored) or theta_hat.v.shape[0] != params.n:
+        raise ValueError("learner must return a Factored estimate with n rows")
+    m0 = centered(theta_hat, params.d / params.n)
+    if m0.norm() < 1e-12:
         return TestReport(0.0, dict(side, error="learning: centered estimate is zero"))
     return _project_and_score(m0, _default_learning_spec(params), split.y2, params, side)
 

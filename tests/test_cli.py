@@ -10,8 +10,11 @@ import pytest
 import sbmlab.cli
 from sbmlab.cli import build_parser, main
 from sbmlab.harness import _CONFIG_KEYS, SWEEP_CSV_COLUMNS
+from sbmlab.learn import read_graphon, svd_theta
 from sbmlab.model import (
     SbmParams,
+    edge_prob_matrix,
+    map_trials,
     read_edge_list,
     read_labels,
     sample_ssbm,
@@ -150,11 +153,21 @@ def test_learn_verb(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "trial,frob_error_sq,ratio_to_kd"
     assert len(lines) == 4
-    assert gout.exists()
-    from sbmlab.learn import read_graphon
+    # each error against the n x n reference |theta_hat - theta|_F^2
+    p = SbmParams(300, 20.0, eps=0.8, k=2)
 
+    def dense_error(g, s, labels):
+        theta_hat = svd_theta(g, p.k).dense()
+        return float(np.linalg.norm(theta_hat - edge_prob_matrix(p, labels)) ** 2), theta_hat
+
+    ref = map_trials(dense_error, p, "P", 3, 13, "cli-learn")
+    for line, (want, _) in zip(lines[1:], ref):
+        assert float(line.split(",")[1]) == pytest.approx(want, rel=1e-10)
+    # the graphon file reads back as trial 0's estimate, clipped to [0, 1] at the write
     w = read_graphon(gout)
-    assert w.m == 300
+    assert w.m == 300 and w.b.min() >= 0.0 and w.b.max() <= 1.0
+    assert ref[0][1].min() < 0.0
+    assert np.array_equal(w.b, np.clip(ref[0][1], 0.0, 1.0))
 
 
 @pytest.mark.parametrize("n", ["400", "1000"])

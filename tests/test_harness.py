@@ -20,8 +20,8 @@ from sbmlab.harness import (
     sweep_seed,
     write_sweep_csv,
 )
-from sbmlab.learn import gw_constant, svd_theta
-from sbmlab.model import BlockGraphon, Graph, SbmParams, edge_prob_matrix, sample_ssbm
+from sbmlab.learn import centered, frob_error_sq, svd_theta
+from sbmlab.model import Graph, SbmParams, edge_prob_matrix, sample_ssbm
 from sbmlab.reduce import run_test_trials
 from sbmlab.seeds import derive_seed
 
@@ -235,6 +235,34 @@ def test_concentration_trial_memory_is_linear():
     assert peak < 64 * 2**20
 
 
+def test_graphon_statistic_is_the_flat_graphon_distance():
+    # |theta_hat - (d/n) J|_F / n, the L2 distance of theta_hat's n-block step
+    # function to the flat graphon, against the dense difference
+    cfg = ExperimentConfig(params=SbmParams(150, 10.0, eps=0.6, k=2), pipeline="graphon")
+    g, _ = sample_ssbm(cfg.params, 4)
+    want = np.linalg.norm(svd_theta(g, 2).dense() - cfg.params.d / cfg.params.n) / cfg.params.n
+    assert pipeline_statistic(cfg)(g, 1).statistic == pytest.approx(want, rel=1e-10)
+
+
+def test_learning_side_memory_is_linear():
+    # one null trial of each learning-side pipeline and one learn error at
+    # n = 2e4 build no n x n array (3.2 GB as float64)
+    p = SbmParams(20_000, 50.0, eps=0.0, k=2, eta=0.1, delta=0.1)
+    tracemalloc.start()
+    try:
+        for pipeline in ("learning", "graphon", "bipartite"):
+            cfg = ExperimentConfig(params=p, pipeline=pipeline, trials=1)
+            (row,) = run_test_trials(pipeline_statistic(cfg), p, "Q", 1, 7)
+            assert math.isfinite(row.statistic)
+        g, lab = sample_ssbm(p, 8)
+        err = frob_error_sq(svd_theta(g, p.k), p, lab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < err <= 32 * p.k * p.d
+    assert peak < 128 * 2**20
+
+
 def test_concentration_bound_and_scaling():
     rep = check_spectral_concentration(SbmParams(1000, 50.0, eps=0.5, k=2), trials=5, seed=11)
     assert rep.max_norm <= rep.bound
@@ -265,10 +293,7 @@ def test_sweep_honours_pipeline_and_threshold_policy():
     p = SbmParams(150, 10.0, eps=pt.eps, k=2)
     seed_p = sweep_seed(cfg.seed, 1.0)
     dists = [
-        gw_constant(
-            BlockGraphon(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2)),
-            p.d / p.n,
-        )
+        centered(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2), p.d / p.n).norm() / p.n
         for t in range(4)
     ]
     assert pt.median_stat_p == float(np.median(dists))

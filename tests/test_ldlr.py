@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sbmlab.factored import Factored
 from sbmlab.learn import svd_theta
 from sbmlab.ldlr import (
     LdlrResult,
@@ -19,7 +20,14 @@ from sbmlab.ldlr import (
     support_sum,
     write_ldlr_csv,
 )
-from sbmlab.model import SbmParams, edge_prob_matrix, membership_matrix, sample_er, sample_ssbm
+from sbmlab.model import (
+    Graph,
+    Labels,
+    SbmParams,
+    membership_matrix,
+    sample_er,
+    sample_ssbm,
+)
 from sbmlab.seeds import derive_seed, stream_rng
 
 
@@ -222,29 +230,73 @@ def test_character_orthonormality_under_null():
         assert abs(est - want) <= 4 * se
 
 
+def block_factors(p, lab):
+    """theta, the planted edge probabilities of the labels, as a Factored over their blocks.
+
+    With V the normalized block indicators, theta = V ((p_in - p_out) diag(sizes)
+    + p_out sqrt(sizes) sqrt(sizes)^T) V^T."""
+    sizes = np.bincount(lab.assignment, minlength=lab.k).astype(float)
+    v = np.zeros((lab.n, lab.k))
+    v[np.arange(lab.n), lab.assignment] = 1.0 / np.sqrt(sizes[lab.assignment])
+    root = np.sqrt(sizes)
+    return Factored(v, (p.p_in - p.p_out) * np.diag(sizes) + p.p_out * np.outer(root, root))
+
+
+def constant_plugin(value):
+    """The plug-in value * J on the first side, as a Factored: ones / sqrt(m)."""
+    return lambda y1: Factored.from_eig(np.array([y1.n * value]), np.full((y1.n, 1), 1.0 / math.sqrt(y1.n)))
+
+
+def adjacency_plugin(y1):
+    """The first side's adjacency as a full-rank Factored (its eigenpairs)."""
+    return Factored.from_eig(*np.linalg.eigh(y1.adjacency()))
+
+
 def test_bipartite_statistic_zero_plugin():
+    # the plug-in p J makes X = 0: g is zero up to the rounding of the centering
     params = SbmParams(80, 16.0, eps=0.9, k=2)
     g, _ = sample_ssbm(params, seed=5)
     p = params.d / params.n
-    g_val = bipartite_quadratic_statistic(g, lambda y1: np.full((y1.n, y1.n), p), params, seed=1)
-    assert g_val == 0.0
+    g_val = bipartite_quadratic_statistic(g, constant_plugin(p), params, seed=1)
+    g_adj = bipartite_quadratic_statistic(g, adjacency_plugin, params, seed=1)
+    assert abs(g_val) <= 1e-12 * abs(g_adj)
+
+
+def test_bipartite_statistic_matches_a_dense_reference():
+    # the factored statistic against <(Y12 - p) X (Y12 - p), Y2 - p> built dense
+    params = SbmParams(120, 16.0, eps=0.9, k=2)
+    g, _ = sample_ssbm(params, seed=7)
+    p = params.d / params.n
+    s1, s2 = bipartite_partition(params.n, 3)
+    a = g.adjacency()
+    y1 = Graph(s1.size, np.searchsorted(s1, g.edges[np.isin(g.edges, s1).all(axis=1)]))
+    w12 = a[np.ix_(s1, s2)] - p
+    w2 = a[np.ix_(s2, s2)] - p
+    for plugin in (adjacency_plugin, lambda y1: svd_theta(y1, params.k)):
+        x = (plugin(y1).dense() - p) / p
+        z = w12.T @ x @ w12
+        np.fill_diagonal(z, 0.0)
+        want = float(np.sum(z * w2))
+        got = bipartite_quadratic_statistic(g, plugin, params, seed=3)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_bipartite_statistic_validation():
     params = SbmParams(80, 16.0, eps=0.0, k=2)
     g, _ = sample_ssbm(params, seed=5)
     # eps does not enter the statistic: it is defined at eps = 0, the same at any eps
-    at_zero = bipartite_quadratic_statistic(g, lambda y1: y1.adjacency(), params, seed=1)
+    at_zero = bipartite_quadratic_statistic(g, adjacency_plugin, params, seed=1)
     at_09 = bipartite_quadratic_statistic(
-        g, lambda y1: y1.adjacency(), dataclasses.replace(params, eps=0.9), seed=1
+        g, adjacency_plugin, dataclasses.replace(params, eps=0.9), seed=1
     )
     assert at_zero == at_09 != 0.0
-    with pytest.raises(ValueError, match="m x m"):
-        bipartite_quadratic_statistic(g, lambda y1: y1.adjacency()[:-1], params, seed=1)
+    for wrong in (lambda y1: y1.adjacency(), lambda y1: constant_plugin(0.1)(Graph(y1.n - 1, []))):
+        with pytest.raises(ValueError, match="Factored estimate with m rows"):
+            bipartite_quadratic_statistic(g, wrong, params, seed=1)
     odd = SbmParams(81, 16.0, eps=0.9, k=2)
     g2, _ = sample_ssbm(odd, seed=6)
     with pytest.raises(ValueError):
-        bipartite_quadratic_statistic(g2, lambda y1: y1.adjacency(), odd, seed=1)
+        bipartite_quadratic_statistic(g2, adjacency_plugin, odd, seed=1)
 
 
 def test_bipartite_plugin_graph_is_the_first_side():
@@ -252,7 +304,7 @@ def test_bipartite_plugin_graph_is_the_first_side():
     params = SbmParams(80, 16.0, eps=0.9, k=2)
     g, _ = sample_ssbm(params, seed=5)
     seen = []
-    bipartite_quadratic_statistic(g, lambda y1: seen.append(y1) or y1.adjacency(), params, seed=1)
+    bipartite_quadratic_statistic(g, lambda y1: seen.append(y1) or adjacency_plugin(y1), params, seed=1)
     s1, _ = bipartite_partition(params.n, 1)
     assert seen[0].n == s1.size
     assert np.array_equal(seen[0].adjacency(), g.adjacency()[np.ix_(s1, s1)])
@@ -269,15 +321,14 @@ def test_bipartite_statistic_null_mean_and_planted_z():
     null = mc_moments(svd_stat, params, "Q", trials=100, seed=11)
     assert abs(null.mean) <= 4 * null.std_error
 
-    # oracle plugin: rebuild the partition to hand the true first-side block over
+    # oracle plugin: rebuild the partition to hand the true first-side blocks over
     planted_vals = []
     for t in range(100):
         gseed = derive_seed(13, "mc-P", t)
         sseed = derive_seed(13, "mc-P-stat", t)
         g, lab = sample_ssbm(params, gseed)
-        theta = edge_prob_matrix(params, lab)
         s1, _ = bipartite_partition(params.n, sseed)
-        block = theta[np.ix_(s1, s1)]
+        block = block_factors(params, Labels(lab.assignment[s1], lab.k))
         planted_vals.append(
             bipartite_quadratic_statistic(g, lambda y1: block, params, sseed)
         )

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmlab.factored import Factored
 from sbmlab.learn import (
+    centered,
+    frob_error_sq,
     gw_constant,
     gw_distance,
     read_graphon,
@@ -22,7 +25,6 @@ from sbmlab.model import (
     sample_ssbm,
     sbm_graphon,
 )
-from sbmlab.recover import spectral_factors
 
 
 def random_graphon(m, rng):
@@ -33,19 +35,43 @@ def random_graphon(m, rng):
 @pytest.mark.parametrize("n", [10, 1000])
 def test_svd_theta_edgeless_graph(n):
     # the zero adjacency's truncation is zero, at either size, with no ArpackError
-    assert np.array_equal(svd_theta(Graph(n, []), 2), np.zeros((n, n)))
+    theta_hat = svd_theta(Graph(n, []), 2)
+    assert isinstance(theta_hat, Factored) and theta_hat.v.shape == (n, 2)
+    assert theta_hat.norm() == 0.0
 
 
-@pytest.mark.parametrize("n", [128, 130, 300])
-def test_svd_theta_symmetrizes_as_the_two_sided_mean(n):
-    # the in-place symmetrization by row slabs is (theta + theta^T) / 2 bit
-    # for bit, whether or not n fills the last slab
-    p = SbmParams(n, 20.0, eps=0.7, k=2)
-    g, _ = sample_ssbm(p, seed=4)
-    vals, vecs = spectral_factors(g, p.k, 0.0)
-    theta = (vecs * vals) @ vecs.T
-    assert not np.array_equal(theta, theta.T)
-    assert np.array_equal(svd_theta(g, p.k), np.clip((theta + theta.T) / 2.0, 0.0, 1.0))
+def dense_error_sq(theta_hat, p, lab):
+    """The n x n reference for frob_error_sq."""
+    return float(np.linalg.norm(theta_hat.dense() - edge_prob_matrix(p, lab)) ** 2)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.8])
+def test_frob_error_matches_a_dense_reference(eps):
+    # |theta_hat - theta|_F^2 from the factors and theta's blocks, diagonal included
+    p = SbmParams(300, 20.0, eps=eps, k=3)
+    g, lab = sample_ssbm(p, seed=6)
+    theta_hat = svd_theta(g, p.k)
+    assert frob_error_sq(theta_hat, p, lab) == pytest.approx(dense_error_sq(theta_hat, p, lab), rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5])
+def test_centered_matches_the_dense_difference(scale):
+    # theta_hat - c J from one QR and one small eigh: eigenpairs (orthonormal
+    # V, diagonal C) that rebuild the dense difference, rank at most r + 1
+    rng = np.random.default_rng(8)
+    n = 120
+    v = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+    c_mat = rng.standard_normal((3, 3))
+    theta_hat = Factored(v, c_mat + c_mat.T, scale)
+    got = centered(theta_hat, 0.07)
+    ref = theta_hat.dense() - 0.07
+    assert got.r == 4 and got.scale == 1.0
+    assert np.array_equal(got.c, np.diag(np.diag(got.c)))
+    assert np.max(np.abs(got.v.T @ got.v - np.eye(4))) <= 1e-12
+    assert np.linalg.norm(got.dense() - ref) <= 1e-12 * np.linalg.norm(ref)
+    # a constant estimate centered at its own value leaves nothing above rounding
+    const = Factored.from_eig(np.array([0.07 * n]), np.full((n, 1), 1.0 / math.sqrt(n)))
+    assert centered(const, 0.07).norm() <= 1e-12
 
 
 def test_svd_theta_error_bound_planted():
@@ -54,10 +80,7 @@ def test_svd_theta_error_bound_planted():
     errs = []
     for s in range(20):
         g, lab = sample_ssbm(p, seed=s)
-        theta = edge_prob_matrix(p, lab)
-        theta_hat = svd_theta(g, p.k)
-        err = np.linalg.norm(theta_hat - theta) ** 2
-        errs.append(err)
+        errs.append(frob_error_sq(svd_theta(g, p.k), p, lab))
     assert np.median(errs) <= 32 * p.k * p.d
 
 
@@ -66,22 +89,8 @@ def test_svd_theta_error_bound_null():
     errs = []
     for s in range(20):
         g, lab = sample_ssbm(p, seed=100 + s)
-        theta = edge_prob_matrix(p, lab)
-        theta_hat = svd_theta(g, p.k)
-        errs.append(np.linalg.norm(theta_hat - theta) ** 2)
+        errs.append(frob_error_sq(svd_theta(g, p.k), p, lab))
     assert np.median(errs) <= 32 * p.k * p.d
-
-
-def test_svd_theta_clipping_never_hurts():
-    p = SbmParams(300, 20.0, eps=0.7, k=2)
-    g, lab = sample_ssbm(p, seed=9)
-    theta = edge_prob_matrix(p, lab)
-    a = g.adjacency()
-    vals, vecs = np.linalg.eigh(a)
-    top = np.argsort(np.abs(vals))[::-1][: p.k]
-    raw = (vecs[:, top] * vals[top]) @ vecs[:, top].T
-    clipped = svd_theta(g, p.k)
-    assert np.linalg.norm(clipped - theta) <= np.linalg.norm(raw - theta) + 1e-12
 
 
 def test_svd_theta_error_monotone_in_signal():
@@ -92,8 +101,7 @@ def test_svd_theta_error_monotone_in_signal():
     for s in range(10):
         for p, errs in ((p0, errs0), (p1, errs1)):
             g, lab = sample_ssbm(p, seed=s)
-            theta = edge_prob_matrix(p, lab)
-            errs.append(np.linalg.norm(svd_theta(g, p.k) - theta))
+            errs.append(math.sqrt(frob_error_sq(svd_theta(g, p.k), p, lab)))
     band = 4 * np.std(errs0) / math.sqrt(len(errs0))
     assert np.mean(errs1) <= np.mean(errs0) + max(4 * band, 0.25 * np.mean(errs0))
 

@@ -5,7 +5,7 @@ import pytest
 
 import sbmlab.project
 from sbmlab.factored import Factored
-from sbmlab.learn import svd_theta
+from sbmlab.learn import centered, svd_theta
 from sbmlab.model import SbmParams, membership_matrix, sample_labels, sample_ssbm
 from sbmlab.project import (
     ProjectionDidNotConverge,
@@ -481,17 +481,23 @@ def test_subspace_box_clips_axis_pairs_like_the_dense_box():
     assert grow.value.vertices == [23]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, "svd-theta-400"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "svd-theta-400", "axis-in-span-400"])
 def test_box_violations_match_a_dense_scan(seed):
     # the certified pair scan over a basis with adjoined axes finds every
     # entry of V C V^T above 1, on and off the axes, with its value and the
-    # largest excess.  The learner's basis at n = 400 has basis rows of norm
-    # ~ 1 off the axes, so every row passes the row bound at the larger sizes
-    # and the pair bound alone narrows the columns
+    # largest excess.  The learning route's input at n = 400 is theta_hat -
+    # (d/n) J of the rank-2 learner.  An eigenvector along a vertex axis puts
+    # a basis row of norm 1 off the adjoined axes, so every row passes the
+    # row bound at the larger sizes and the pair bound alone narrows the columns
     axes = [4, 31, 77]
     if seed == "svd-theta-400":
-        m0 = sbmlab.project._eigenpairs(svd_theta_input())
+        p = SbmParams(400, 50.0, eps=0.6, k=2)
+        m0 = centered(svd_theta(sample_ssbm(p, 21)[0], p.k), p.d / p.n)
         rng = stream_rng(4, "row-scan")
+    elif seed == "axis-in-span-400":
+        rng = stream_rng(5, "row-scan")
+        vecs = np.linalg.qr(np.column_stack([np.eye(400)[9], rng.standard_normal((400, 2))]))[0]
+        m0 = Factored.from_eig(np.array([3.0, -2.0, 1.0]), vecs)
     else:
         rng = stream_rng(seed, "row-scan")
         m0 = Factored.from_eig(np.array([3.0, 2.0, 1.0]), np.linalg.qr(rng.standard_normal((90, 3)))[0])
@@ -499,7 +505,7 @@ def test_box_violations_match_a_dense_scan(seed):
     big_v = sbmlab.project._subspace_basis(m0.v, axes, n)
     spec = ProjectionSpec(delta=0.5, k=2, n=n)
     state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(np.diag(m0.c))), big_v, axes, spec)
-    if seed == "svd-theta-400":
+    if seed == "axis-in-span-400":
         assert state.mv_free >= 1.0 - 1e-12
     g = rng.standard_normal((big_v.shape[1],) * 2)
     found = 0
@@ -538,65 +544,3 @@ def test_sparse_planted_input_stays_on_subspace(monkeypatch):
     with pytest.raises(ProjectionDidNotConverge) as fast:
         corr_preserving_projection(m0, spec)
     assert str(fast.value) == str(dense.value)
-
-
-def svd_theta_input():
-    """theta_hat - (d/n) J of the clipped rank-2 learner at n = 400 (numerical rank ~ 30)."""
-    p = SbmParams(400, 50.0, eps=0.6, k=2)
-    graph, _ = sample_ssbm(p, 21)
-    return svd_theta(graph, p.k) - p.d / p.n
-
-
-def exact_rank_input(n, r, seed):
-    """A symmetric input of exact rank r with eigenvalues of both signs."""
-    rng = stream_rng(seed, "exact-rank")
-    vecs = np.linalg.qr(rng.standard_normal((n, r)))[0]
-    vals = rng.uniform(1.0, 3.0, r) * np.where(np.arange(r) % 2, -1.0, 1.0)
-    return Factored.from_eig(vals, vecs).dense()
-
-
-@pytest.mark.parametrize(
-    "make, range_first",
-    [
-        (svd_theta_input, True),
-        (lambda: noisy_instance(200, sigma=26.0, seed=5)[1], False),  # C3's full-rank form
-        (lambda: exact_rank_input(100, 49, 1), True),  # 2 (r + 1) = n
-        (lambda: exact_rank_input(100, 50, 2), False),  # 2 (r + 1) = n + 2
-        (lambda: exact_rank_input(3, 1, 3), False),
-        (lambda: exact_rank_input(2, 1, 4), False),
-    ],
-    ids=["svd-theta-400", "c3-full-rank", "rank-49-of-100", "rank-50-of-100", "n3", "n2"],
-)
-def test_eigenpairs_match_dense_eigh(make, range_first, monkeypatch):
-    # the range-first eigenpairs keep what a dense eigh with the same drop rule
-    # keeps, rebuild M0 to the drop level and repeat bit for bit; an n x n eigh
-    # runs only when 2 (r + 1) > n.  A width whose sketch R proves full rank
-    # runs no eigh, and skipping it leaves the result bit for bit unchanged
-    m0 = make()
-    n = len(m0)
-    w, _ = np.linalg.eigh(m0)
-    drop = n * np.finfo(float).eps * np.abs(w).max()
-    ref = w[np.abs(w) > drop]
-    sizes, skipped = [], []
-    eigh, proof = np.linalg.eigh, sbmlab.project._proves_full_rank
-
-    def recorded_proof(r, bound):
-        proved = proof(r, bound)
-        if proved:
-            skipped.append(len(r))
-        return proved
-
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-    monkeypatch.setattr(sbmlab.project, "_proves_full_rank", recorded_proof)
-    got = sbmlab.project._eigenpairs(m0)
-    assert (max(sizes) < n) == range_first
-    assert skipped and not set(skipped) & set(sizes)
-    vals = np.diag(got.c)
-    assert got.r == len(ref)
-    assert np.max(np.abs(vals - ref)) <= drop
-    assert np.linalg.norm((got.v * vals) @ got.v.T - m0) <= drop
-    again = sbmlab.project._eigenpairs(m0)
-    assert np.array_equal(again.v, got.v) and np.array_equal(again.c, got.c)
-    monkeypatch.setattr(sbmlab.project, "_proves_full_rank", lambda r, bound: False)
-    unproved = sbmlab.project._eigenpairs(m0)
-    assert np.array_equal(unproved.v, got.v) and np.array_equal(unproved.c, got.c)

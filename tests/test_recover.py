@@ -130,10 +130,15 @@ def test_spectral_membership_above_threshold():
     assert np.median(rates) >= 0.1
 
 
-@pytest.mark.parametrize("n", [30, 150, 400])
-def test_spectral_factors_match_dense_eigh(n):
-    # the Lanczos truncation against a dense eigh reference, centered or not
-    g, _ = sample_ssbm(SbmParams(n, 12.0, eps=0.7, k=2), seed=11)
+@pytest.mark.parametrize(
+    "n, d, eps",
+    [(30, 12.0, 0.7), (150, 12.0, 0.7), (400, 12.0, 0.7), (1000, 50.0, 0.0)],
+    ids=["30", "150", "400", "null-1000"],
+)
+def test_spectral_factors_match_dense_eigh(n, d, eps):
+    # the Lanczos truncation against a dense eigh reference, centered or not;
+    # the learning statistic reads the uncentered pairs of null draws directly
+    g, _ = sample_ssbm(SbmParams(n, d, eps=eps, k=2), seed=11)
     for d_hat in (estimate_degree(g), 0.0):
         vals, vecs = np.linalg.eigh(g.adjacency() - d_hat / n)
         top = np.argsort(np.abs(vals))[::-1][:2]

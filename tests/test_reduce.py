@@ -32,6 +32,23 @@ from sbmlab.seeds import derive_seed, stream_rng
 from sbmlab.split import subsample_edges
 
 
+def block_factors(p, lab, scale=1.0):
+    """scale * theta, the planted edge probabilities, as a Factored over the label blocks.
+
+    With V the normalized block indicators, theta = V ((p_in - p_out) diag(sizes)
+    + p_out sqrt(sizes) sqrt(sizes)^T) V^T."""
+    sizes = np.bincount(lab.assignment, minlength=lab.k).astype(float)
+    v = np.zeros((lab.n, lab.k))
+    v[np.arange(lab.n), lab.assignment] = 1.0 / np.sqrt(sizes[lab.assignment])
+    root = np.sqrt(sizes)
+    return Factored(v, (p.p_in - p.p_out) * np.diag(sizes) + p.p_out * np.outer(root, root), scale)
+
+
+def constant_factors(n, value):
+    """value * J as a Factored: one eigenpair, n value on ones / sqrt(n)."""
+    return Factored.from_eig(np.array([n * value]), np.full((n, 1), 1.0 / math.sqrt(n)))
+
+
 def test_statistic_diagonal_exclusion():
     g, _ = sample_ssbm(SbmParams(60, 5.0, eps=0.5, k=2), seed=3)
     rng = stream_rng(1, "m")
@@ -138,9 +155,10 @@ def test_side_channel_names_the_projection_outcome(monkeypatch):
     g, lab = sample_ssbm(p, seed=3)
     theta = edge_prob_matrix(p, lab) * (1 - p.eta)
     h = stream_rng(3, "noise").uniform(0.0, 0.05, (p.n, p.n))
+    noisy = Factored.from_eig(*np.linalg.eigh(theta + (h + h.T) / 2.0))
     for learner, backend, width in (
-        (lambda y1: theta, "subspace", 2),
-        (lambda y1: np.clip(theta + (h + h.T) / 2.0, 0.0, 1.0), "dense", p.n),
+        (lambda y1: block_factors(p, lab, 1 - p.eta), "subspace", 2),
+        (lambda y1: noisy, "dense", p.n),
     ):
         proj = learning_test_statistic(g, p, learner, seed=5).side_channel["projection"]
         assert proj["status"] == "ok"
@@ -208,12 +226,12 @@ def test_learning_oracle_separation():
     planted, null = [], []
     for t in range(8):
         gp, lab = sample_ssbm(p, derive_seed(41, "P", t))
-        theta = edge_prob_matrix(p, lab)
-        rp = learning_test_statistic(gp, p, lambda y1: theta * (1 - p.eta), derive_seed(41, "Ps", t))
+        theta = block_factors(p, lab, 1 - p.eta)
+        rp = learning_test_statistic(gp, p, lambda y1: theta, derive_seed(41, "Ps", t))
         planted.append(rp.statistic)
         gq = sample_er(p.n, p.d, derive_seed(41, "Q", t))
         rq = learning_test_statistic(
-            gq, p, lambda y1: np.full((p.n, p.n), (1 - p.eta) * p.d / p.n), derive_seed(41, "Qs", t)
+            gq, p, lambda y1: constant_factors(p.n, (1 - p.eta) * p.d / p.n), derive_seed(41, "Qs", t)
         )
         null.append(rq.statistic)
     assert np.median(planted) > 0
@@ -223,7 +241,7 @@ def test_learning_oracle_separation():
 def test_learning_constant_learner_degenerates():
     p = SbmParams(200, 10.0, eps=0.5, k=2, eta=0.1, delta=0.1)
     g, _ = sample_ssbm(p, seed=43)
-    rep = learning_test_statistic(g, p, lambda y1: np.full((p.n, p.n), p.d / p.n), seed=1)
+    rep = learning_test_statistic(g, p, lambda y1: constant_factors(p.n, p.d / p.n), seed=1)
     assert rep.statistic == 0.0
     assert "zero" in rep.side_channel["error"]
 
@@ -251,9 +269,10 @@ def test_learning_svd_separation_z(monkeypatch):
 
 @pytest.mark.parametrize("arm, t", [("P", 0), ("P", 1), ("P", 2), ("Q", 0), ("Q", 1), ("Q", 2)])
 def test_learning_statistic_matches_dense_eigh_reference(arm, t):
-    # the learning route's projection input is eigendecomposed range first;
-    # scoring the projection of the dense eigh truncation of the same
-    # theta_hat - (d/n) J gives the same g, status, backend, width and sweeps
+    # the learning route's projection input is theta_hat - (d/n) J as
+    # eigenpairs from the learner's factors; scoring the projection of the
+    # dense eigh of the same unclipped theta_hat - (d/n) J gives the same g,
+    # status, backend, width and sweeps
     p = SbmParams(400, 50.0, eps=math.sqrt(16.0 / 50.0), k=2, eta=0.1, delta=0.1)
     if arm == "P":
         g, _ = sample_ssbm(p, derive_seed(53, "P", t))
@@ -262,7 +281,7 @@ def test_learning_statistic_matches_dense_eigh_reference(arm, t):
     seed = derive_seed(53, f"{arm}s", t)
     rep = learning_test_statistic(g, p, lambda y1: svd_theta(y1, p.k), seed)
     split = subsample_edges(g, p.eta, derive_seed(seed, "pipeline-split"))
-    m0 = svd_theta(split.y1, p.k) - p.d / p.n
+    m0 = svd_theta(split.y1, p.k).dense() - p.d / p.n
     w, v = np.linalg.eigh(m0)
     keep = np.abs(w) > p.n * np.finfo(float).eps * np.abs(w).max()
     ref = sbmlab.reduce._project_and_score(
@@ -276,16 +295,12 @@ def test_learning_statistic_matches_dense_eigh_reference(arm, t):
 
 
 def test_learning_validates_learner_output():
+    # the learner returns a Factored with n rows; anything else is a caller error
     p = SbmParams(50, 5.0, eps=0.5, k=2)
     g, _ = sample_ssbm(p, seed=1)
-    with pytest.raises(ValueError):
-        learning_test_statistic(g, p, lambda y1: np.full((p.n, p.n), 1.5), seed=0)
-    with pytest.raises(ValueError):
-        learning_test_statistic(g, p, lambda y1: np.zeros((3, 3)), seed=0)
-    lopsided = np.full((p.n, p.n), p.d / p.n)
-    lopsided[0, 1] = 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        learning_test_statistic(g, p, lambda y1: lopsided, seed=0)
+    for wrong in (np.full((p.n, p.n), p.d / p.n), constant_factors(p.n - 1, p.d / p.n)):
+        with pytest.raises(ValueError, match="Factored estimate with n rows"):
+            learning_test_statistic(g, p, lambda y1, wrong=wrong: wrong, seed=0)
 
 
 def test_empirical_r_flags_and_null():
