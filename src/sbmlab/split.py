@@ -38,7 +38,11 @@ def subsample_edges(y: Graph, eta: float, seed: int) -> EdgeSplit:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
     rng = stream_rng(seed, "edge-split")
     keep = rng.random(y.edge_count) < 1.0 - eta
-    return EdgeSplit(Graph(y.n, y.edges[keep]), Graph(y.n, y.edges[~keep]), eta)
+    return EdgeSplit(
+        Graph(y.n, np.compress(keep, y.edges, axis=0)),
+        Graph(y.n, np.compress(~keep, y.edges, axis=0)),
+        eta,
+    )
 
 
 def decouple(split: EdgeSplit, p: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,36 @@ def test_graph_invariants():
         Graph(4, np.array([[1, 0]]))
     with pytest.raises(ValueError):
         Graph(4, np.array([[0, 1], [0, 1]]))
+
+
+def coo_adjacency(g):
+    """The adjacency the long way: both orientations as COO, summed into CSR."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return sps.csr_matrix((np.ones(2 * g.edge_count), (rows, cols)), shape=(g.n, g.n))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: sample_ssbm(SbmParams(400, 16.0, eps=0.5, k=2), seed=12)[0],
+        lambda: Graph(7, np.empty((0, 2), dtype=np.int64)),
+        lambda: Graph(9, np.array([[0, 3], [0, 5], [1, 2], [2, 5]])),  # 6, 7, 8 isolated
+        lambda: Graph(2, np.array([[0, 1]])),
+        lambda: sample_er(40, 40.0, seed=1),  # p = 1: the complete graph
+    ],
+    ids=["planted", "edgeless", "isolated-tail", "one-edge", "complete"],
+)
+def test_sparse_adjacency_is_the_coo_matrix(graph):
+    # U + U^T from the sorted edge list is the COO-built matrix array for array
+    g = graph()
+    got, want = g.sparse(), coo_adjacency(g)
+    assert type(got) is type(want) and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.indices.dtype == np.int32
+    assert got.has_sorted_indices and want.has_sorted_indices
 
 
 def test_sbm_graphon_blocks():

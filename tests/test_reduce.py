@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,24 @@ def test_run_trials_and_csv(tmp_path):
     assert buf1.getvalue() == buf2.getvalue()
     with pytest.raises(ValueError):
         run_test_trials(stat, p, "X", trials=2, seed=0)
+
+
+def test_recovery_trial_memory_is_linear():
+    # one planted draw and recovery trial at the C4 parameters, n = 2e4: split,
+    # Lanczos recovery, subspace projection and score stay O(n + m).  Under
+    # tracemalloc this read 64.0 MiB with the adjacency built through a COO
+    # round trip and 43.7 MiB with U + U^T from the sorted edge list.
+    p = SbmParams(20_000, 60.0, eps=math.sqrt(16.0 / 60.0), k=2, eta=0.1, delta=0.1)
+    tracemalloc.start()
+    try:
+        g, lab = sample_ssbm(p, seed=1)
+        rep = recovery_test_statistic(g, p, seed=5, method="spectral", labels=lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.statistic > 0.0
+    assert rep.side_channel["recovery_rate"] > 0.3
+    assert peak < 52 * 2**20
 
 
 def test_empty_graph_degenerates():

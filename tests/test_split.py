@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbmlab.model import Graph, SbmParams, edge_prob_matrix, sample_er, sample_ssbm
+from sbmlab.seeds import stream_rng
 from sbmlab.split import (
     EdgeSplit,
     decouple,
@@ -44,6 +45,17 @@ def test_subsample_partition_identity():
     merged = np.vstack([sp.y1.edges, sp.y2.edges])
     merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
     assert np.array_equal(merged, g.edges)
+
+
+@pytest.mark.parametrize(
+    "g", [sample_er(300, 10.0, seed=6), Graph(30, np.empty((0, 2), dtype=np.int64))], ids=["er", "edgeless"]
+)
+def test_subsample_halves_are_the_masked_rows(g):
+    # y1 and y2 are the rows edges[keep] and edges[~keep] of the split's stream, in order
+    sp = subsample_edges(g, 0.2, seed=11)
+    keep = stream_rng(11, "edge-split").random(g.edge_count) < 1.0 - 0.2
+    assert np.array_equal(sp.y1.edges, g.edges[keep])
+    assert np.array_equal(sp.y2.edges, g.edges[~keep])
 
 
 def test_subsample_single_edge_frequency():
