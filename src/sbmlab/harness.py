@@ -310,19 +310,9 @@ def centered_operator_norm(graph: Graph, params: SbmParams, labels: Labels) -> f
     lab = labels.assignment
     p_in, p_out = params.p_in, params.p_out
 
-    buf = np.empty(n), np.empty(n)
-
     def matvec(x):
-        # a @ x - (p_out * x.sum() + (p_in - p_out) * blocks[lab] - p_in * x),
-        # the same operations in the same order in two reused buffers
         blocks = np.bincount(lab, weights=x, minlength=labels.k)
-        theta_x = np.take(blocks, lab, out=buf[0])
-        theta_x *= p_in - p_out
-        theta_x += p_out * x.sum()
-        theta_x -= np.multiply(x, p_in, out=buf[1])
-        y = a @ x
-        y -= theta_x
-        return y
+        return a @ x - (p_out * x.sum() + (p_in - p_out) * blocks[lab] - p_in * x)
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = unit_vector(n, "concentration-start")

@@ -188,13 +188,11 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
     """
     s1, s2 = bipartite_partition(y.n, seed)
     p = params.d / params.n
-
-    def side(s):
-        # s is sorted, so relabelling by rank in it keeps u < v and the edge order
-        inside = np.isin(y.edges, s).all(axis=1)
-        return Graph(s.size, np.searchsorted(s, np.compress(inside, y.edges, axis=0)))
-
-    y1, y2 = side(s1), side(s2)
+    # each side is sorted, so relabelling by rank in it keeps u < v and the edge order
+    y1, y2 = (
+        Graph(s.size, np.searchsorted(s, np.compress(np.isin(y.edges, s).all(axis=1), y.edges, axis=0)))
+        for s in (s1, s2)
+    )
     f = f_plugin(y1)
     if not isinstance(f, Factored) or f.v.shape[0] != s1.size:
         raise ValueError("plugin must return a Factored estimate with m rows")

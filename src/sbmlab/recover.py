@@ -89,11 +89,9 @@ def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.nd
     a = y1.sparse()
 
     def matvec(x):
-        # the same IEEE operations as a @ x - c * x.sum() * ones(n), with no
-        # n-vector but the product; c = 0 would subtract 0.0, which is a no-op
+        # bit-identical to subtracting c * x.sum() * ones(n): the same IEEE operations
         y = a @ x
-        if c:
-            y -= c * x.sum()
+        y -= c * x.sum()
         return y
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
