@@ -44,10 +44,6 @@ class Factored:
         keep = np.abs(vals) > len(vecs) * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
         return cls.from_eig(vals[keep], vecs[:, keep])
 
-    @property
-    def r(self) -> int:
-        return self.v.shape[1]
-
     def scaled(self, factor: float) -> "Factored":
         return replace(self, scale=self.scale * factor)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -133,17 +132,15 @@ class Graph:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        if self.edges.size:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-            a[self.edges[:, 1], self.edges[:, 0]] = 1.0
-        return a
-
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 matrix, zero diagonal.  Cached; do not mutate."""
-        return self._dense
+        """Dense symmetric 0/1 matrix, zero diagonal, built from `sparse()` on each call.
+
+        Refused above n = 10^4, where the array would take 800 MB; no
+        eigensolver reads it.
+        """
+        if self.n > 10_000:
+            raise ValueError(f"a dense adjacency needs n <= 10000, got n={self.n}")
+        return self.sparse().toarray()
 
     def sparse(self) -> sps.csr_matrix:
         """Symmetric 0/1 adjacency in CSR form, zero diagonal, sorted indices.

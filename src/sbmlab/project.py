@@ -15,8 +15,11 @@ Cauchy-Schwarz.  The rescaled output lands in the 1/delta-inflated set K.
 The search runs Dykstra's alternating projections over three sets in one
 loop, `_dykstra`: the halfspace, the entry box, and the spectraplex
 {M = N + J/k psd, Tr M <= n}, projected exactly by one eigendecomposition and
-a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  A solve ends
-converged, certified infeasible before any sweep, or at the sweep cap.
+a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  The loop owns
+the halfspace step, y + (b - <U, y>) U when <U, y> < b, and its residual, the
+same on both states, since each state holds U in its own coordinates.  A
+solve ends converged, certified infeasible before any sweep, or at the sweep
+cap.
 
 Every input becomes eigenpairs first: the pipelines hand over a `Factored`
 that holds them, and a dense M0, which must equal its transpose, goes
@@ -40,9 +43,9 @@ largest, so an axis already in the span adds no column.  Entry-bound
 violations are found by a certified pair scan: |X_ij| <= |t_i| |v_j| for
 t = V C and the basis rows v_j, so a row is scanned only when it is an
 adjoined axis or its bound against the largest basis row passes 1, and only
-against the vertices, sorted once by basis-row norm, whose bound with it
-passes 1.  A violation off the adjoined axes raises `_ExtendNeeded`, and the
-solve restarts with those axes adjoined.
+against the vertices whose bound with the largest scanned row passes 1, in
+one product.  A violation off the adjoined axes raises `_ExtendNeeded`, and
+the solve restarts with those axes adjoined.
 Once every violation lies in axes x axes, the box clips in one product,
 C - V_A^T E V_A, for E the symmetric matrix of excesses over the bound and
 V_A the axes' rows of V.  The dense state holds X as an n x n array (one
@@ -136,10 +139,6 @@ class ProjectionReport:
 # closed-form projections onto the individual constraint sets
 
 
-def _project_box(m: np.ndarray, bound: float) -> np.ndarray:
-    return np.clip(m, -bound, bound)
-
-
 def _capped_shift(w: np.ndarray, cap: float) -> float:
     """theta >= 0 with max(w - theta, 0) the projection of w onto {x >= 0, sum x <= cap}.
 
@@ -167,14 +166,6 @@ def _project_spectraplex(m: np.ndarray, shift: float, cap: float) -> np.ndarray:
     return out - shift
 
 
-def _project_halfspace(m: np.ndarray, p: np.ndarray, b: float) -> np.ndarray:
-    """Project onto {M : <P, M> >= b}."""
-    val = float(np.sum(p * m))
-    if val >= b:
-        return m
-    return m + ((b - val) / float(np.sum(p * p))) * p
-
-
 def k_residuals(m: np.ndarray, spec: ProjectionSpec) -> dict[str, float]:
     """Absolute violations of m against the certificate set K(delta)."""
     n, k, d = spec.n, spec.k, spec.delta
@@ -198,12 +189,20 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
     """Dykstra from zero over the state's three projections, then the report.
 
     A point is a width x width array (X itself on the dense state, C on the
-    subspace state, where |N|_F = |C|_F).  The state fixes the three
-    projections, the residuals (box, halfspace: the exact last step satisfies
-    the spectraplex), and the unscaled solution N with |N|_F and <M0, N>.
+    subspace state, where |N|_F = |C|_F), and the state's `u` is U = M0/|M0|_F
+    in the same coordinates, |u|_F = 1, so the halfspace step is
+    y + (b - <u, y>) u whenever <u, y> < b.  The state fixes the box and spectraplex steps, the
+    box residual, and the unscaled solution N with |N|_F and <M0, N>; the
+    residuals are the box's and the halfspace's (the exact last step
+    satisfies the spectraplex).
     """
-    tol = spec.tol
-    steps = (state.halfspace, state.box, state.spectraplex)
+    tol, u, b = spec.tol, state.u, spec.delta * spec.target
+
+    def halfspace(y):
+        val = float(np.sum(u * y))
+        return y + (b - val) * u if val < b else y
+
+    steps = (halfspace, state.box, state.spectraplex)
     x = np.zeros((state.width,) * 2)
     corr = [np.zeros_like(x) for _ in steps]
     for sweep in range(1, spec.max_iters + 1):
@@ -212,7 +211,7 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
             y = x + corr[i]
             x = project(y)
             corr[i] = y - x
-        residuals = state.residuals(x)
+        residuals = (state.box_residual(x), max(0.0, (b - float(np.sum(u * x))) / max(b, 1.0)))
         if max(residuals) <= tol and np.linalg.norm(x - x_prev) <= 10 * tol * max(1.0, np.linalg.norm(x)):
             break
     else:
@@ -240,24 +239,17 @@ class _DenseState:
     def __init__(self, m0: np.ndarray, norm_m0: float, spec: ProjectionSpec):
         self.m0 = m0
         self.u = m0 / norm_m0
-        self.b = spec.delta * spec.target
         self.n = self.width = spec.n
         self.shift = 1.0 / spec.k
 
-    def halfspace(self, y):
-        return _project_halfspace(y, self.u, self.b)
-
     def box(self, y):
-        return _project_box(y, 1.0)
+        return np.clip(y, -1.0, 1.0)
+
+    def box_residual(self, x):
+        return max(0.0, float(np.max(np.abs(x))) - 1.0)
 
     def spectraplex(self, y):
         return _project_spectraplex(y, self.shift, self.n)
-
-    def residuals(self, x):
-        return (
-            max(0.0, float(np.max(np.abs(x))) - 1.0),
-            max(0.0, (self.b - float(np.sum(self.u * x))) / max(self.b, 1.0)),
-        )
 
     def solution(self, x):
         return x, float(np.linalg.norm(x)), float(np.sum(self.m0 * x))
@@ -275,13 +267,10 @@ def _subspace_basis(vecs, axes, n):
         e_axes[axes, np.arange(len(axes))] = 1.0
         vecs = np.column_stack([vecs, e_axes])
     w = vecs - np.outer(v0, v0 @ vecs)
-    if not w.size:
-        return v0[:, None]
     uu, ss, _ = np.linalg.svd(w, full_matrices=False)
     return np.column_stack([v0, uu[:, ss > 1e-12 * max(ss[0], 1.0)]])
 
 
-_SCAN_BLOCK = 64  # rows per block of the box scan
 _SCAN_FLOOR = 1.0 - 1e-9  # the scan's column bound, a hair under 1 for rounding in the norms
 
 
@@ -302,38 +291,28 @@ class _SubspaceState:
         self.big_v = big_v
         self.n = n
         self.width = big_v.shape[1]
-        self.b = spec.delta * spec.target
         self.shift_coord = n / spec.k
         proj = big_v.T @ m0.v
-        c_u = (proj * np.diag(m0.c)) @ proj.T / norm_m0
-        self.c_u = (c_u + c_u.T) / 2.0
+        u = (proj * np.diag(m0.c)) @ proj.T / norm_m0
+        self.u = (u + u.T) / 2.0
         self.axes = np.array(sorted(axes), dtype=np.int64)
         self.in_axes = np.zeros(n, dtype=bool)
         self.in_axes[self.axes] = True
-        row_norms = np.linalg.norm(big_v, axis=1)
+        self.row_norms = np.linalg.norm(big_v, axis=1)
         other = ~self.in_axes
-        self.mv_free = float(row_norms[other].max()) if other.any() else 0.0
-
-    @cached_property
-    def by_norm(self):
-        """Vertices by basis-row norm, largest first: (order, their basis rows, minus their norms)."""
-        row_norms = np.linalg.norm(self.big_v, axis=1)
-        order = np.argsort(-row_norms, kind="stable")
-        return order, self.big_v[order], -row_norms[order]
+        self.mv_free = float(self.row_norms[other].max()) if other.any() else 0.0
 
     def box_violations(self, c):
         """(largest excess of |V C V^T| over 1, its pairs (i, j) above 1, their values).
 
         An entry is X_ij = t_i . v_j for t = V C and the basis rows v_j, so
-        |X_ij| <= |t_i| |v_j|.  The rows scanned are the adjoined axes (unit
-        basis rows) and every row with |t_i| mv_free > 1, mv_free the largest
-        non-axis basis-row norm; no other row holds an entry above 1.  They go
-        largest |t_i| first, _SCAN_BLOCK at a time, each block against the
-        vertices, sorted once by basis-row norm, with |t_i| |v_j| > 1 - 1e-9
-        for the block's first row i: every pair left out is certified below
-        the bound, so the scan finds exactly a dense scan's pairs.  A pair
-        between two scanned rows is reported from both.  (0.0, None, None)
-        when no entry exceeds 1.
+        |X_ij| <= |t_i| |v_j|.  Two filters apply that bound.  The rows are the
+        adjoined axes (unit basis rows) and every row with |t_i| mv_free > 1,
+        mv_free the largest non-axis basis-row norm; the columns are the
+        vertices with |v_j| max_rows |t_i| > 1 - 1e-9.  One product of the
+        two sets holds every entry above 1, so the scan finds exactly a dense
+        scan's pairs.  A pair between two scanned rows is reported from both.
+        (0.0, None, None) when no entry exceeds 1.
         """
         t = self.big_v @ c
         t_norms = np.linalg.norm(t, axis=1)
@@ -341,30 +320,13 @@ class _SubspaceState:
         rows = np.union1d(rows[~self.in_axes[rows]], self.axes)
         if rows.size == 0:
             return 0.0, None, None
-        order, v_sorted, neg_norms = self.by_norm  # neg_norms ascends, for searchsorted
-        rows = rows[np.argsort(-t_norms[rows], kind="stable")]
-        found = []
-        for start in range(0, rows.size, _SCAN_BLOCK):
-            block = rows[start : start + _SCAN_BLOCK]
-            t_top = t_norms[block[0]]
-            if t_top * -neg_norms[0] <= _SCAN_FLOOR:
-                break  # and so for every later block
-            width = np.searchsorted(neg_norms, -_SCAN_FLOOR / t_top)
-            x = t[block] @ v_sorted[:width].T
-            over = np.abs(x) > 1.0
-            if over.any():
-                bi, bj = np.nonzero(over)
-                found.append((block[bi], order[bj], x[bi, bj]))
-        if not found:
+        cols = np.flatnonzero(self.row_norms * t_norms[rows].max() > _SCAN_FLOOR)
+        x = t[rows] @ self.big_v[cols].T
+        bi, bj = np.nonzero(np.abs(x) > 1.0)
+        if bi.size == 0:
             return 0.0, None, None
-        ii, jj, vals = (np.concatenate(parts) for parts in zip(*found))
-        return float(np.max(np.abs(vals)) - 1.0), (ii, jj), vals
-
-    def halfspace(self, y):
-        val = float(np.sum(self.c_u * y))
-        if val < self.b:
-            return y + (self.b - val) * self.c_u
-        return y
+        vals = x[bi, bj]
+        return float(np.max(np.abs(vals)) - 1.0), (rows[bi], cols[bj]), vals
 
     def box(self, y):
         viol, pairs, vals_over = self.box_violations(y)
@@ -391,10 +353,8 @@ class _SubspaceState:
         c[0, 0] -= self.shift_coord
         return (c + c.T) / 2.0
 
-    def residuals(self, x):
-        box_res, _, _ = self.box_violations(x)
-        half_res = max(0.0, (self.b - float(np.sum(self.c_u * x))) / max(self.b, 1.0))
-        return box_res, half_res
+    def box_residual(self, x):
+        return self.box_violations(x)[0]
 
     def solution(self, x):
         n_mat = Factored(self.big_v, x)

@@ -36,12 +36,7 @@ def stream_rng(master: int, stream: str, trial: int = 0) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, stream, trial))
 
 
-def fixed_rng(n: int, tag: str) -> np.random.Generator:
-    """Fixed generator per (tag, n): the random start of a deterministic solver."""
-    return stream_rng(0xC0FFEE, tag, n)
-
-
 def unit_vector(n: int, tag: str) -> np.ndarray:
-    """Fixed pseudorandom unit vector, a deterministic Lanczos start."""
-    v = fixed_rng(n, tag).standard_normal(n)
+    """Fixed pseudorandom unit vector per (tag, n), a deterministic Lanczos start."""
+    v = stream_rng(0xC0FFEE, tag, n).standard_normal(n)
     return v / np.linalg.norm(v)

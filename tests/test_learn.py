@@ -65,7 +65,7 @@ def test_centered_matches_the_dense_difference(scale):
     theta_hat = Factored(v, c_mat + c_mat.T, scale)
     got = centered(theta_hat, 0.07)
     ref = theta_hat.dense() - 0.07
-    assert got.r == 4 and got.scale == 1.0
+    assert got.v.shape[1] == 4 and got.scale == 1.0
     assert np.array_equal(got.c, np.diag(np.diag(got.c)))
     assert np.max(np.abs(got.v.T @ got.v - np.eye(4))) <= 1e-12
     assert np.linalg.norm(got.dense() - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -228,6 +228,20 @@ def test_sparse_adjacency_is_the_coo_matrix(graph):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.indices.dtype == np.int32
     assert got.has_sorted_indices and want.has_sorted_indices
+    assert np.array_equal(g.adjacency(), want.toarray())
+
+
+def test_dense_adjacency_refused_above_ten_thousand():
+    # the n x n array would take 800 MB: the call raises before building anything
+    g = Graph(10_001, np.array([[0, 1], [5, 10_000]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n <= 10000"):
+            g.adjacency()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_sbm_graphon_blocks():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from sbmlab.project import (
     ProjectionInfeasibleError,
     ProjectionSpec,
     _capped_shift,
-    _project_box,
-    _project_halfspace,
     _project_spectraplex,
     corr_preserving_projection,
     k_residuals,
@@ -32,11 +31,16 @@ def noisy_instance(n, sigma, seed, k=2):
     return m_true, m0
 
 
+def dense_box(n):
+    """The dense state's box step, which bounds the unscaled N's entries by 1."""
+    return sbmlab.project._DenseState(np.eye(n), 1.0, ProjectionSpec(delta=0.5, k=2, n=n)).box
+
+
 def test_project_constraints_identities():
-    # K(delta) at delta 0.5, k 2, n 4: box 1/delta, shift 1/(k delta), cap n/delta
+    # K(delta) at delta 0.5, k 2, n 4: shift 1/(k delta), cap n/delta
     inside = np.diag([0.5, 0.5, -0.25, -0.25])
-    # the box leaves an interior point alone
-    assert np.array_equal(_project_box(inside, 1.0 / 0.5), inside)
+    # the box of K', entries bounded by 1, leaves an interior point alone
+    assert np.array_equal(dense_box(4)(inside), inside)
     # the spectraplex step is the identity on a matrix meeting the shift and the cap
     lab = sample_labels(SbmParams(4, 1.0, k=2), seed=0, balanced=True)
     m = membership_matrix(lab)
@@ -119,17 +123,9 @@ def test_spec_needs_two_communities():
 
 
 def test_project_constraints_box_clamp():
-    # the box of K(delta) at delta 0.5 bounds entries by 1/delta = 2
-    m = np.array([[0.0, 3.0], [3.0, 0.0]])
-    assert _project_box(m, 1.0 / 0.5)[0, 1] == 2.0
-
-
-def test_project_constraints_halfspace():
-    p = np.eye(2)
-    m = np.zeros((2, 2))
-    out = _project_halfspace(m, p, 1.0)
-    # projection adds ((b - <P,m>)/|P|^2) P = 0.5 I
-    assert np.allclose(out, 0.5 * np.eye(2), atol=1e-14)
+    # the box of K' bounds entries by 1 and clamps each entry on its own
+    m = np.array([[0.5, 3.0], [-3.0, 0.0]])
+    assert np.array_equal(dense_box(2)(m), [[0.5, 1.0], [-1.0, 0.0]])
 
 
 def test_oracle_input_fixed_point():
@@ -481,16 +477,37 @@ def test_subspace_box_clips_axis_pairs_like_the_dense_box():
     assert grow.value.vertices == [23]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, "svd-theta-400", "axis-in-span-400"])
-def test_box_violations_match_a_dense_scan(seed):
+def sparse_planted_instance():
+    """A sparse-regime planted graph's spectral estimate (n = 400, d = 7) and its spec."""
+    p = SbmParams(400, 7.0, eps=0.9, k=2, delta=0.2)
+    graph, lab = sample_ssbm(p, 23)
+    m0 = run_recovery(graph, p, method="spectral", seed=23, labels=lab).estimate
+    return m0, ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=200)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "svd-theta-400", "axis-in-span-400", "sparse-planted-400"])
+def test_box_violations_match_a_dense_scan(seed, monkeypatch):
     # the certified pair scan over a basis with adjoined axes finds every
     # entry of V C V^T above 1, on and off the axes, with its value and the
     # largest excess.  The learning route's input at n = 400 is theta_hat -
     # (d/n) J of the rank-2 learner.  An eigenvector along a vertex axis puts
     # a basis row of norm 1 off the adjoined axes, so every row passes the
-    # row bound at the larger sizes and the pair bound alone narrows the columns
+    # row bound at the larger sizes and the pair bound alone narrows the
+    # columns.  The sparse planted input's solve adjoins 75 axes, so more than
+    # 64 rows of widely different norms are scanned against one column set
     axes = [4, 31, 77]
-    if seed == "svd-theta-400":
+    if seed == "sparse-planted-400":
+        m0, spec = sparse_planted_instance()
+        states = []
+        state = sbmlab.project._SubspaceState
+        monkeypatch.setattr(sbmlab.project, "_SubspaceState", lambda *a: states.append(state(*a)) or states[-1])
+        with pytest.raises(ProjectionDidNotConverge):
+            corr_preserving_projection(m0, replace(spec, max_iters=20))
+        axes = states[-1].axes.tolist()
+        assert len(axes) == 75
+        monkeypatch.undo()
+        rng = stream_rng(6, "row-scan")
+    elif seed == "svd-theta-400":
         p = SbmParams(400, 50.0, eps=0.6, k=2)
         m0 = centered(svd_theta(sample_ssbm(p, 21)[0], p.k), p.d / p.n)
         rng = stream_rng(4, "row-scan")
@@ -530,10 +547,7 @@ def test_sparse_planted_input_stays_on_subspace(monkeypatch):
     # a planted graph in the sparse regime whose spectral estimate adjoins 75
     # vertex axes: the solve stays on the subspace state, keeps in step with
     # the dense reference and ends at the sweep cap with the same residual
-    p = SbmParams(400, 7.0, eps=0.9, k=2, delta=0.2)
-    graph, lab = sample_ssbm(p, 23)
-    m0 = run_recovery(graph, p, method="spectral", seed=23, labels=lab).estimate
-    spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=200)
+    m0, spec = sparse_planted_instance()
     with pytest.raises(ProjectionDidNotConverge) as dense:
         dense_reference(m0.dense(), spec)
 

@@ -1,11 +1,15 @@
+import ast
 import dataclasses
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbmlab.learn
+import sbmlab.model
 import sbmlab.reduce
 from sbmlab.factored import Factored
 from sbmlab.harness import ExperimentConfig, run_two_arms
@@ -18,7 +22,7 @@ from sbmlab.model import (
     sample_labels,
     sample_ssbm,
 )
-from sbmlab.project import ProjectionSpec
+from sbmlab.project import ProjectionReport, ProjectionSpec
 from sbmlab.recover import RecoveryFailed, recovery_rate
 from sbmlab.reduce import (
     TrialRow,
@@ -384,3 +388,29 @@ def test_recovery_caller_errors_raise():
         with pytest.raises(ValueError, match=message) as exc:
             recovery_test_statistic(g, p, seed=1, method=method)
         assert not isinstance(exc.value, RecoveryFailed)
+
+
+def test_benchmark_entry_points_exist():
+    # perfbench wraps the module globals its REDUCE_HOOKS names and treats a
+    # missing one as an absent layer, not a failure, so a rename here would
+    # silently drop that layer's metrics; the hooks are read without importing
+    # the benchmark
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    (hooks,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["REDUCE_HOOKS"]
+    ]
+    assert hooks
+    for name, _layer in hooks:
+        assert name in vars(sbmlab.reduce), name
+    fields = {f.name for f in dataclasses.fields(ProjectionReport)}
+    assert {"iterations", "backend"} <= fields
+    for module, name in [
+        (sbmlab.model, "sample_ssbm"),
+        (sbmlab.model, "sample_er"),
+        (sbmlab.learn, "svd_theta"),
+        (sbmlab.reduce, "recovery_test_statistic"),
+        (sbmlab.reduce, "learning_test_statistic"),
+    ]:
+        assert callable(getattr(module, name, None)), name
