@@ -44,7 +44,7 @@ from .project import (
     corr_preserving_projection,
 )
 from .recover import METHODS, membership_factors, recovery_rate, run_recovery
-from .reduce import projection_outcome, recovery_projection_spec, write_trial_csv
+from .reduce import projection_outcome, projection_spec, write_trial_csv
 from .seeds import derive_seed
 from .split import subsample_edges, write_edge_split
 
@@ -188,10 +188,10 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         res = run_recovery(g, p, method=cfg.recovery_method, seed=cfg.seed, labels=labels)
         if cmd == "recover":
             with _open_out(args) as fh:
-                fh.write(f"method,rate\n{res.method},{res.rate!r}\n")
+                fh.write(f"method,rate\n{cfg.recovery_method},{res.rate!r}\n")
             return 0
         try:
-            rep = corr_preserving_projection(res.estimate, recovery_projection_spec(p))
+            rep = corr_preserving_projection(res.estimate, projection_spec(p))
         except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
             _log(f"project: {exc}")
             solved, status = ",,,,", projection_outcome(exc)["status"]
@@ -201,7 +201,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
             status = "ok"
         with _open_out(args) as fh:
             fh.write("method,rate_before,rate_after,iterations,max_violation,n_norm,backend,status\n")
-            fh.write(f"{res.method},{res.rate!r},{solved},{status}\n")
+            fh.write(f"{cfg.recovery_method},{res.rate!r},{solved},{status}\n")
         return 0
 
     if cmd == "test":

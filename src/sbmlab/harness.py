@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
         if not 0.5 < self.threshold_quantile < 1.0:
             raise ValueError(f"threshold quantile {self.threshold_quantile} is not in (0.5, 1)")
+        if math.isnan(self.threshold_value):
+            raise ValueError("threshold value is nan; a fixed threshold must be a number or +-inf")
         if self.recovery_method not in METHODS:
             raise ValueError(f"unknown recovery method {self.recovery_method!r}")
         if self.eta_policy not in ("fixed", "slack"):

@@ -113,7 +113,7 @@ class ProjectionSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionReport:
-    """Solver output: rescaled estimate plus the feasibility certificate.
+    """Solver output: the rescaled estimate and how the solve ended.
 
     `estimate` is factored on the subspace backend and dense on the dense one;
     `width` is the basis width on the subspace backend and n on the dense one.
@@ -121,8 +121,7 @@ class ProjectionReport:
 
     estimate: np.ndarray | Factored
     iterations: int
-    max_violation: float
-    halfspace_value: float  # achieved <M0, N>
+    max_violation: float  # the last sweep's larger residual, box or halfspace
     n_norm: float  # |N|_F of the pre-rescaling solution
     backend: str
     width: int
@@ -191,10 +190,10 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
     A point is a width x width array (X itself on the dense state, C on the
     subspace state, where |N|_F = |C|_F), and the state's `u` is U = M0/|M0|_F
     in the same coordinates, |u|_F = 1, so the halfspace step is
-    y + (b - <u, y>) u whenever <u, y> < b.  The state fixes the box and spectraplex steps, the
-    box residual, and the unscaled solution N with |N|_F and <M0, N>; the
-    residuals are the box's and the halfspace's (the exact last step
-    satisfies the spectraplex).
+    y + (b - <u, y>) u whenever <u, y> < b.  The state fixes the box and
+    spectraplex steps, the box residual, and the unscaled solution N with
+    |N|_F; the residuals are the box's and the halfspace's (the exact last
+    step satisfies the spectraplex).
     """
     tol, u, b = spec.tol, state.u, spec.delta * spec.target
 
@@ -216,7 +215,7 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
             break
     else:
         raise ProjectionDidNotConverge(f"max residual {max(residuals):.3e} after {spec.max_iters} sweeps")
-    solution, n_norm, halfspace_value = state.solution(x)
+    solution, n_norm = state.solution(x)
     if n_norm <= 0.0:
         raise ProjectionDidNotConverge("solver returned the zero matrix")
     factor = spec.target / n_norm
@@ -224,7 +223,6 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
         estimate=solution.scaled(factor) if isinstance(solution, Factored) else factor * solution,
         iterations=sweep,
         max_violation=max(residuals),
-        halfspace_value=halfspace_value,
         n_norm=n_norm,
         backend=state.backend,
         width=state.width,
@@ -237,7 +235,6 @@ class _DenseState:
     backend = "dense"
 
     def __init__(self, m0: np.ndarray, norm_m0: float, spec: ProjectionSpec):
-        self.m0 = m0
         self.u = m0 / norm_m0
         self.n = self.width = spec.n
         self.shift = 1.0 / spec.k
@@ -252,7 +249,7 @@ class _DenseState:
         return _project_spectraplex(y, self.shift, self.n)
 
     def solution(self, x):
-        return x, float(np.linalg.norm(x)), float(np.sum(self.m0 * x))
+        return x, float(np.linalg.norm(x))
 
 
 def _subspace_basis(vecs, axes, n):
@@ -287,7 +284,6 @@ class _SubspaceState:
 
     def __init__(self, m0: Factored, norm_m0: float, big_v, axes, spec: ProjectionSpec):
         n = spec.n
-        self.m0 = m0
         self.big_v = big_v
         self.n = n
         self.width = big_v.shape[1]
@@ -358,7 +354,7 @@ class _SubspaceState:
 
     def solution(self, x):
         n_mat = Factored(self.big_v, x)
-        return n_mat, n_mat.norm(), self.m0.inner(n_mat)
+        return n_mat, n_mat.norm()
 
 
 def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):

@@ -28,9 +28,8 @@ class RecoveryFailed(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Estimate of the membership matrix as eigenpairs, plus how it was produced."""
+    """Estimate of the membership matrix as eigenpairs, and its rate when labels are given."""
 
-    method: str
     estimate: Factored  # Factored.from_eig(vals, vecs), vecs n x r orthonormal
     rate: float | None = None
 
@@ -148,4 +147,4 @@ def run_recovery(
     rate = None
     if labels is not None:
         rate = recovery_rate(estimate, Factored.from_eig(*membership_factors(labels)))
-    return RecoveryResult(method=method, estimate=estimate, rate=rate)
+    return RecoveryResult(estimate=estimate, rate=rate)

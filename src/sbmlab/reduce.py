@@ -73,10 +73,7 @@ class RScore:
 
     mean_p: float
     mean_q: float
-    var_q: float
     r_value: float
-    trials: int
-    degenerate: bool
 
 
 def statistic_from_m_hat(m_hat: np.ndarray | Factored, y2: Graph, center: float) -> float:
@@ -114,16 +111,10 @@ def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
     return {"status": "invalid"}
 
 
-def recovery_projection_spec(params: SbmParams) -> ProjectionSpec:
-    """The recovery route's projection: tolerance 1e-6, at most 2000 sweeps."""
+def projection_spec(params: SbmParams) -> ProjectionSpec:
+    """The one projection of both routes and `sbmlab project`: tol 1e-6, at most 2000 sweeps."""
     return ProjectionSpec(
         delta=params.delta, k=params.k, n=params.n, tol=1e-6, max_iters=2000
-    )
-
-
-def _default_learning_spec(params: SbmParams) -> ProjectionSpec:
-    return ProjectionSpec(
-        delta=params.delta, k=params.k, n=params.n, tol=1e-6, max_iters=300
     )
 
 
@@ -158,7 +149,7 @@ def recovery_test_statistic(
     except RecoveryFailed as exc:
         return TestReport(0.0, dict(side, error=f"recovery: {exc}"))
     side["recovery_rate"] = rec.rate
-    return _project_and_score(rec.estimate, recovery_projection_spec(params), split.y2, params, side)
+    return _project_and_score(rec.estimate, projection_spec(params), split.y2, params, side)
 
 
 def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> TestReport:
@@ -174,25 +165,25 @@ def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> 
     m0 = centered(theta_hat, params.d / params.n)
     if m0.norm() < 1e-12:
         return TestReport(0.0, dict(side, error="learning: centered estimate is zero"))
-    return _project_and_score(m0, _default_learning_spec(params), split.y2, params, side)
+    return _project_and_score(m0, projection_spec(params), split.y2, params, side)
 
 
 def le_cam_score(p_vals, q_vals) -> RScore:
-    """(mean_P - mean_Q) / sqrt(Var_Q) of per-trial values, one list per arm.
+    """Both arms' means and R = (mean_P - mean_Q) / sqrt(Var_Q), one list of values per arm.
 
-    A null arm without spread is flagged degenerate, with R = +-inf, or nan
-    when the means agree too (or when it has fewer than two values).
+    A null arm without spread gives R = +-inf by the sign of the gap, or nan
+    when the means agree too; a null arm of fewer than two values gives nan.
     """
     mean_p = float(np.mean(p_vals))
     mean_q = float(np.mean(q_vals))
     if len(q_vals) < 2:
-        return RScore(mean_p, mean_q, math.nan, math.nan, len(p_vals), degenerate=True)
+        return RScore(mean_p, mean_q, math.nan)
     var_q = float(np.var(q_vals, ddof=1))
     gap = mean_p - mean_q
     if var_q == 0.0:
         r = math.inf if gap > 0 else (-math.inf if gap < 0 else math.nan)
-        return RScore(mean_p, mean_q, var_q, r, len(p_vals), degenerate=True)
-    return RScore(mean_p, mean_q, var_q, gap / math.sqrt(var_q), len(p_vals), degenerate=False)
+        return RScore(mean_p, mean_q, r)
+    return RScore(mean_p, mean_q, gap / math.sqrt(var_q))
 
 
 # ---------------------------------------------------------------------------

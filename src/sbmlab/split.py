@@ -75,7 +75,6 @@ class DecouplingReport:
     var_gap: float
     corr_with_y1: float
     n_entries: int
-    trials: int
 
 
 def decoupling_diagnostics(params: SbmParams, trials: int, seed: int) -> DecouplingReport:
@@ -109,7 +108,6 @@ def decoupling_diagnostics(params: SbmParams, trials: int, seed: int) -> Decoupl
         var_gap=gap_sq_sum / n_entries,
         corr_with_y1=float(corr),
         n_entries=n_entries,
-        trials=trials,
     )
 
 

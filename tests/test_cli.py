@@ -336,11 +336,14 @@ def test_usage_errors_exit_code_one():
         # a flag applied to the file's keys leaves the merged config at SNR 2.25
         (["--config", "{slack}", "--eps", "0.75", "test"],
          "eta.policy = slack is undefined at SNR >= 1, got SNR 2.25"),
+        # a nan threshold would decide every trial 0
+        (["--config", "{nan}", "--n", "200", "--d", "10", "--trials", "3", "test", "--no-timing"],
+         "threshold value is nan"),
     ],
     ids=[
         "unknown-key", "bad-value", "zero-trials", "one-vertex", "missing-file", "threads-key",
         "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "slack-at-snr-1",
-        "slack-after-flags",
+        "slack-after-flags", "nan-threshold",
     ],
 )
 def test_bad_config_file(tmp_path, capsys, argv, message):
@@ -352,6 +355,7 @@ def test_bad_config_file(tmp_path, capsys, argv, message):
         ("ldlr", "pipeline = ldlr\n"),
         ("slack", "eta.policy = slack\n"),
         ("threads", "threads = 2\n"),
+        ("nan", "threshold.policy = fixed\nthreshold.value = nan\n"),
     ):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)

@@ -76,7 +76,6 @@ def _check_trial(g, p, seed, method, labels):
     est = rep.estimate
     x = Factored(est.v, est.c).dense()
     assert rep.n_norm == pytest.approx(float(np.linalg.norm(x)), rel=REL)
-    assert rep.halfspace_value == pytest.approx(float(np.sum(m0 * x)), rel=REL)
     m_hat = rep.m_hat
     assert np.max(np.abs(m_hat - (spec.target / rep.n_norm) * x)) <= REL * np.max(np.abs(m_hat))
     assert g_fact == pytest.approx(statistic_from_m_hat(m_hat, split.y2, center), rel=REL)

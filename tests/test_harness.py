@@ -91,6 +91,11 @@ def test_config_rejects_unknown_and_malformed():
     for q in ("0.3", "0.5", "1.0", "1.5"):
         with pytest.raises(ValueError, match="quantile"):
             parse_config(f"threshold.quantile = {q}\n")
+    # a fixed threshold may be +-inf (never / always reject), never nan
+    with pytest.raises(ValueError, match="threshold value is nan"):
+        parse_config("threshold.policy = fixed\nthreshold.value = nan\n")
+    for v in ("inf", "-inf"):
+        assert parse_config(f"threshold.value = {v}\n").threshold_value == float(v)
 
 
 def test_config_comments_and_defaults():

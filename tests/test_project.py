@@ -167,8 +167,9 @@ def test_noisy_certificate_and_feasibility():
     assert rep.max_violation <= spec.tol
     # Cauchy-Schwarz floor: the halfspace forces |N| >= delta * target
     assert rep.n_norm >= spec.delta * spec.target * (1 - 1e-6)
-    # halfspace achieved: <M0, N> >= delta * target * |M0|_F
-    assert rep.halfspace_value >= spec.delta * spec.target * np.linalg.norm(m0) * (1 - 1e-6)
+    # halfspace achieved: <M0, N> >= delta * target * |M0|_F, N = M_hat |N|_F / target
+    n_mat = rep.m_hat * (rep.n_norm / spec.target)
+    assert np.sum(m0 * n_mat) >= spec.delta * spec.target * np.linalg.norm(m0) * (1 - 1e-6)
 
 
 def test_scaling_invariance():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sbmlab.cli
 import sbmlab.learn
 import sbmlab.model
 import sbmlab.reduce
@@ -22,12 +23,13 @@ from sbmlab.model import (
     sample_labels,
     sample_ssbm,
 )
-from sbmlab.project import ProjectionReport, ProjectionSpec
+from sbmlab.project import ProjectionReport, ProjectionSpec, corr_preserving_projection
 from sbmlab.recover import RecoveryFailed, recovery_rate
 from sbmlab.reduce import (
     TrialRow,
     le_cam_score,
     learning_test_statistic,
+    projection_spec,
     recovery_test_statistic,
     run_test_trials,
     statistic_from_m_hat,
@@ -255,7 +257,7 @@ def test_learning_svd_separation_z(monkeypatch):
     # z-score between arms with the rank-k learner plugged in
     p = SbmParams(1000, 50.0, eps=math.sqrt(16.0 / 50.0), k=2, eta=0.1, delta=0.1)
     proj = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-5, max_iters=300)
-    monkeypatch.setattr(sbmlab.reduce, "_default_learning_spec", lambda params: proj)
+    monkeypatch.setattr(sbmlab.reduce, "projection_spec", lambda params: proj)
     planted, null = [], []
     for t in range(40):
         gp, _ = sample_ssbm(p, derive_seed(47, "P", t))
@@ -290,7 +292,7 @@ def test_learning_statistic_matches_dense_eigh_reference(arm, t):
     w, v = np.linalg.eigh(m0)
     keep = np.abs(w) > p.n * np.finfo(float).eps * np.abs(w).max()
     ref = sbmlab.reduce._project_and_score(
-        Factored.from_eig(w[keep], v[:, keep]), sbmlab.reduce._default_learning_spec(p), split.y2, p, {}
+        Factored.from_eig(w[keep], v[:, keep]), projection_spec(p), split.y2, p, {}
     )
     got, want = rep.side_channel["projection"], ref.side_channel["projection"]
     assert got["status"] == want["status"]
@@ -308,15 +310,39 @@ def test_learning_validates_learner_output():
             learning_test_statistic(g, p, lambda y1, wrong=wrong: wrong, seed=0)
 
 
+def test_both_routes_project_with_one_spec(monkeypatch, tmp_path):
+    # the recovery route, the learning route and `sbmlab project` solve the
+    # one projection that projection_spec names
+    p = SbmParams(200, 20.0, eps=0.8, k=2, eta=0.1, delta=0.1)
+    specs = []
+
+    def spy(m0, spec):
+        specs.append(spec)
+        return corr_preserving_projection(m0, spec)
+
+    monkeypatch.setattr(sbmlab.reduce, "corr_preserving_projection", spy)
+    monkeypatch.setattr(sbmlab.cli, "corr_preserving_projection", spy)
+    g, lab = sample_ssbm(p, seed=59)
+    recovery_test_statistic(g, p, seed=1, labels=lab)
+    learning_test_statistic(g, p, lambda y1: svd_theta(y1, p.k), seed=1)
+    argv = ["--n", "200", "--d", "20", "--eps", "0.8", "--out", str(tmp_path / "p.csv"), "project"]
+    assert sbmlab.cli.main(argv) == 0
+    assert specs == [projection_spec(p)] * 3
+
+
 def test_empirical_r_flags_and_null():
+    # a null arm without spread: nan when the means agree, else +-inf by the gap
     const = le_cam_score([1.0] * 50, [1.0] * 50)
-    assert const.degenerate and math.isnan(const.r_value)
+    assert math.isnan(const.r_value)
     shifted = le_cam_score([2.0] * 50, [1.0] * 50)
-    assert shifted.degenerate and shifted.r_value == math.inf
+    assert shifted.r_value == math.inf
+    assert le_cam_score([0.0] * 50, [1.0] * 50).r_value == -math.inf
+    assert math.isnan(le_cam_score([1.0, 2.0], [1.0]).r_value)  # one null value
 
     coins = stream_rng(5, "coin").integers(0, 2, 120).astype(float)
     fair = le_cam_score(coins[:60], coins[60:])
-    assert not fair.degenerate and fair.trials == 60
+    assert math.isfinite(fair.r_value)
+    assert (fair.mean_p, fair.mean_q) == (np.mean(coins[:60]), np.mean(coins[60:]))
     assert abs(fair.r_value) <= 4.0 / math.sqrt(60)  # null correlation scale
 
 
