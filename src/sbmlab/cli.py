@@ -210,7 +210,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         )
         with _open_out(args) as fh:
             write_trial_csv(rows_p + rows_q, fh, timing=not args.no_timing)
-        _log(f"threshold {tau} under policy {cfg.threshold_policy}")
+        _log(f"threshold {tau}: the {cfg.threshold_quantile} quantile of {len(rows_q)} null statistics")
         return 0
 
     if cmd == "learn":

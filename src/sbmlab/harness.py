@@ -52,11 +52,8 @@ class ExperimentConfig:
     trials: int = 40
     seed: int = 0
     pipeline: str = "recovery"
-    threshold_policy: str = "calibrated"  # calibrated | fixed | asymptotic
     threshold_quantile: float = 0.99
-    threshold_value: float = 0.0
     recovery_method: str = "spectral"  # one of recover.METHODS
-    eta_policy: str = "fixed"  # fixed | slack (slack needs SNR < 1)
     ell: int = 3
 
     def __post_init__(self):
@@ -64,30 +61,14 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
-        if self.threshold_policy not in ("calibrated", "fixed", "asymptotic"):
-            raise ValueError(f"unknown threshold policy {self.threshold_policy!r}")
+        n, k = self.params.n, self.params.k
+        if self.pipeline == "bipartite" and (n % 2 or k >= n // 2):
+            # the vertex split puts n/2 vertices on a side; the plug-in fits rank k on one side
+            raise ValueError(f"pipeline = bipartite needs an even n and k < n/2, got n={n}, k={k}")
         if not 0.5 < self.threshold_quantile < 1.0:
             raise ValueError(f"threshold quantile {self.threshold_quantile} is not in (0.5, 1)")
-        if math.isnan(self.threshold_value):
-            raise ValueError("threshold value is nan; a fixed threshold must be a number or +-inf")
         if self.recovery_method not in METHODS:
             raise ValueError(f"unknown recovery method {self.recovery_method!r}")
-        if self.eta_policy not in ("fixed", "slack"):
-            raise ValueError(f"unknown eta policy {self.eta_policy!r}")
-        if self.eta_policy == "slack" and self.params.ks_snr >= 1.0:
-            raise ValueError(
-                f"eta.policy = slack is undefined at SNR >= 1, got SNR {self.params.ks_snr!r}"
-            )
-
-    def effective_eta(self) -> float:
-        """eta = 0.001 (1 - snr) under the 'slack' policy, else params.eta."""
-        if self.eta_policy == "fixed":
-            return self.params.eta
-        return 0.001 * (1.0 - self.params.ks_snr)
-
-    def asymptotic_threshold(self) -> float:
-        """Raw n^0.51 sqrt(d) override for asymptotic experiments."""
-        return self.params.n**0.51 * math.sqrt(self.params.d)
 
 
 # dotted config key -> (field, type); a "params." key names an SbmParams
@@ -102,11 +83,8 @@ _CONFIG_KEYS = {
     "trials": ("trials", int),
     "seed": ("seed", int),
     "pipeline": ("pipeline", str),
-    "threshold.policy": ("threshold_policy", str),
     "threshold.quantile": ("threshold_quantile", float),
-    "threshold.value": ("threshold_value", float),
     "recovery.method": ("recovery_method", str),
-    "eta.policy": ("eta_policy", str),
     "ldlr.ell": ("ell", int),
 }
 
@@ -163,10 +141,10 @@ class PhasePoint:
 def pipeline_statistic(cfg: ExperimentConfig):
     """cfg's per-trial statistic, (graph, stat_seed, labels) -> TestReport.
 
-    Scores with eta from cfg.effective_eta(); run_two_arms decides.  No
-    pipeline's statistic reads eps, only n, d, k, eta and delta.
+    Scores with cfg.params; run_two_arms decides.  No pipeline's
+    statistic reads eps, only n, d, k, eta and delta.
     """
-    params = replace(cfg.params, eta=cfg.effective_eta())
+    params = cfg.params
 
     def learner(y1):
         return svd_theta(y1, params.k)
@@ -182,8 +160,7 @@ def pipeline_statistic(cfg: ExperimentConfig):
             return learning_test_statistic(g, params, learner, s)
         if cfg.pipeline == "graphon":
             # distance |theta_hat - (d/n) J|_F / n of the estimated graphon to
-            # the flat one, calibrated on the null arm: a fixed testing radius
-            # presumes an estimator below the error floor that desk-scale runs reach
+            # the flat one, calibrated on the null arm like every statistic
             val = centered(learner(g), params.d / params.n).norm() / params.n
         else:
             val = bipartite_quadratic_statistic(g, learner, params, s)
@@ -196,9 +173,8 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, arms):
     """cfg's pipeline on cfg.trials draws of the null arm and of each planted arm.
 
     `arms` lists the planted arms as (eps, seed_p) pairs; no statistic reads
-    eps, so one null arm serves them all.  The threshold follows
-    cfg.threshold_policy: threshold_value when fixed, asymptotic_threshold()
-    when asymptotic, else the threshold_quantile of the null statistics.
+    eps, so one null arm serves them all.  tau is the threshold_quantile of
+    the null statistics.
     Returns (tau, rows_p per planted arm, rows_q), each row decided against tau.
     """
     stat = pipeline_statistic(cfg)
@@ -206,12 +182,7 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, arms):
     planted = [(replace(cfg.params, eps=eps), seed_p) for eps, seed_p in arms]
     rows_q = run_test_trials(stat, cfg.params, "Q", cfg.trials, seed_q)
     arms_p = [run_test_trials(stat, params, "P", cfg.trials, seed_p) for params, seed_p in planted]
-    if cfg.threshold_policy == "fixed":
-        tau = cfg.threshold_value
-    elif cfg.threshold_policy == "asymptotic":
-        tau = cfg.asymptotic_threshold()
-    else:
-        tau = float(np.quantile(np.array([r.statistic for r in rows_q]), cfg.threshold_quantile))
+    tau = float(np.quantile(np.array([r.statistic for r in rows_q]), cfg.threshold_quantile))
 
     def decide(rows):
         return [replace(r, threshold=tau) for r in rows]
@@ -242,12 +213,7 @@ def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
     Points are the distinct SNR values in order, eps set from each; an eps
     above 1 gets no arm.
     The grid must be finite and positive, checked before any trial runs.
-    eta.policy = slack is rejected: it is undefined at SNR >= 1.
     """
-    if cfg.eta_policy == "slack":
-        raise ValueError(
-            "eta.policy = slack is undefined at SNR >= 1; sweep with eta.policy = fixed"
-        )
     grid = sorted(set(snr_grid))
     for snr in grid:
         if not (math.isfinite(snr) and snr > 0):

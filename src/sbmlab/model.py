@@ -253,7 +253,7 @@ def _sample_block_pairs(n: int, labels: Labels, p_in: float, p_out: float, rng) 
     return Graph(n, np.column_stack(np.divmod(key, n)))
 
 
-def sample_ssbm(params: SbmParams, seed: int, balanced: bool = False) -> tuple[Graph, Labels]:
+def sample_ssbm(params: SbmParams, seed: int) -> tuple[Graph, Labels]:
     """Draw (graph, labels) from SSBM(n, d/n, eps, k).
 
     Each unordered pair is an independent Bernoulli with parameter p_in or
@@ -263,7 +263,7 @@ def sample_ssbm(params: SbmParams, seed: int, balanced: bool = False) -> tuple[G
     O(n k + m log m) time for m edges, and O(n + m) memory while p_in is at
     most 1/20 (above it, see `_sample_block_pairs`).
     """
-    labels = sample_labels(params, seed, balanced=balanced)
+    labels = sample_labels(params, seed)
     rng = stream_rng(seed, "edges")
     return _sample_block_pairs(params.n, labels, params.p_in, params.p_out, rng), labels
 
@@ -337,6 +337,8 @@ def read_edge_list(path) -> Graph:
         edges = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
     if edges.shape[0] != m:
         raise ValueError(f"expected {m} edges, found {edges.shape[0]}")
+    if edges.shape[1] != 2:
+        raise ValueError(f"edge-list rows must be 'u v', found {edges.shape[1]} columns")
     return Graph(n, edges)
 
 

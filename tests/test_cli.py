@@ -9,7 +9,7 @@ import pytest
 
 import sbmlab.cli
 from sbmlab.cli import build_parser, main
-from sbmlab.harness import _CONFIG_KEYS, SWEEP_CSV_COLUMNS
+from sbmlab.harness import _CONFIG_KEYS, SWEEP_CSV_COLUMNS, parse_config
 from sbmlab.learn import read_graphon, svd_theta
 from sbmlab.model import (
     SbmParams,
@@ -331,19 +331,26 @@ def test_usage_errors_exit_code_one():
         (["--config", "{ldlr}", "test"], "unknown pipeline 'ldlr'"),
         (["--n", "20", "--d", "4", "--k", "1", "test"], "need 2 <= k < n communities, got k=1, n=20"),
         (["--n", "20", "--d", "4", "--k", "20", "test"], "need 2 <= k < n communities, got k=20, n=20"),
-        # the default parameters sit at SNR = 0.25 * 16 / 4 = 1 exactly
-        (["--config", "{slack}", "test"], "eta.policy = slack is undefined at SNR >= 1"),
-        # a flag applied to the file's keys leaves the merged config at SNR 2.25
-        (["--config", "{slack}", "--eps", "0.75", "test"],
-         "eta.policy = slack is undefined at SNR >= 1, got SNR 2.25"),
-        # a nan threshold would decide every trial 0
+        # tau is always the null arm's calibrated quantile and eta is params.eta,
+        # so the keys that once chose another rule are stale, whatever the flags
+        (["--config", "{slack}", "test"], "line 1: unknown key 'eta.policy'"),
+        (["--config", "{slack}", "--eps", "0.25", "test"], "line 1: unknown key 'eta.policy'"),
+        (["--config", "{fixed}", "test"], "line 1: unknown key 'threshold.policy'"),
+        (["--config", "{value}", "test"], "line 1: unknown key 'threshold.value'"),
+        # a nan quantile would leave tau nan and decide every trial 0
         (["--config", "{nan}", "--n", "200", "--d", "10", "--trials", "3", "test", "--no-timing"],
-         "threshold value is nan"),
+         "threshold quantile nan is not in (0.5, 1)"),
+        # the bipartite split needs an even n, and the plug-in's rank k below a side's n/2
+        (["--config", "{bipartite}", "--n", "401", "--d", "16", "--trials", "3", "test"],
+         "pipeline = bipartite needs an even n and k < n/2, got n=401, k=2"),
+        (["--config", "{bipartite}", "--n", "10", "--d", "4", "--k", "5", "--eps", "0.1", "test"],
+         "pipeline = bipartite needs an even n and k < n/2, got n=10, k=5"),
     ],
     ids=[
         "unknown-key", "bad-value", "zero-trials", "one-vertex", "missing-file", "threads-key",
-        "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "slack-at-snr-1",
-        "slack-after-flags", "nan-threshold",
+        "unknown-method", "ldlr-pipeline", "one-community", "k-equals-n", "eta-policy-key",
+        "eta-policy-after-flags", "threshold-policy-key", "threshold-value-key", "nan-threshold",
+        "bipartite-odd-n", "bipartite-rank-too-large",
     ],
 )
 def test_bad_config_file(tmp_path, capsys, argv, message):
@@ -354,8 +361,11 @@ def test_bad_config_file(tmp_path, capsys, argv, message):
         ("spectrl", "recovery.method = spectrl\n"),
         ("ldlr", "pipeline = ldlr\n"),
         ("slack", "eta.policy = slack\n"),
+        ("fixed", "threshold.policy = fixed\n"),
+        ("value", "threshold.value = 12.5\n"),
         ("threads", "threads = 2\n"),
-        ("nan", "threshold.policy = fixed\nthreshold.value = nan\n"),
+        ("nan", "threshold.quantile = nan\n"),
+        ("bipartite", "pipeline = bipartite\n"),
     ):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)
@@ -367,11 +377,13 @@ def test_bad_config_file(tmp_path, capsys, argv, message):
 
 
 def test_flags_repair_an_invalid_config_file(tmp_path, capsys):
-    # the file alone sits at SNR 1, where slack is undefined; the config is
-    # checked once with the flags applied, at SNR 0.25 * 0.25 * 16 / 4 = 0.25
-    cfg = tmp_path / "slack.cfg"
-    cfg.write_text("eta.policy = slack\n")
-    assert main(["--config", str(cfg), "--eps", "0.25", "--trials", "1", "test", "--no-timing"]) == 0
+    # the file alone keeps the default d = 16 at n = 10, outside (0, n); the
+    # config is checked once with the flags applied, at d = 4
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("params.n = 10\n")
+    assert main(["--config", str(cfg), "--trials", "1", "test"]) == 1
+    assert capsys.readouterr().err == "sbmlab: average degree must be in (0, n), got d=16.0\n"
+    assert main(["--config", str(cfg), "--d", "4", "--trials", "1", "test", "--no-timing"]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 3
     assert "Traceback" not in captured.err
@@ -532,9 +544,11 @@ def test_readme_names_every_flag_and_config_key():
     line = re.search(r"global flags (.*?) valid before", readme, re.S).group(1)
     usage = build_parser().format_usage()
     assert sorted(re.findall(r"--[a-z-]+", line)) == sorted(re.findall(r"\[(--[a-z-]+)", usage))
-    section = readme.split("## Config files", 1)[1].split("```", 1)[0]
+    section, example = readme.split("## Config files", 1)[1].split("```")[:2]
     keys = re.findall(r"^- `([^`]+)`", section, re.M) + re.findall(r"`([^`]+)`:", section)
     assert sorted(set(keys)) == sorted(_CONFIG_KEYS)
+    # the example config loads as it is printed
+    assert parse_config(example).params.n == 2000
 
 
 def test_global_flags_on_both_sides_of_the_verb(tmp_path):

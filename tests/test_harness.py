@@ -21,7 +21,7 @@ from sbmlab.harness import (
     write_sweep_csv,
 )
 from sbmlab.learn import centered, frob_error_sq, svd_theta
-from sbmlab.model import Graph, SbmParams, edge_prob_matrix, sample_ssbm
+from sbmlab.model import Graph, SbmParams, edge_prob_matrix, sample_er, sample_ssbm
 from sbmlab.reduce import run_test_trials
 from sbmlab.seeds import derive_seed
 
@@ -38,11 +38,8 @@ def test_config_roundtrip():
         trials = 17
         seed = 99
         pipeline = learning
-        threshold.policy = fixed
         threshold.quantile = 0.95
-        threshold.value = 12.5
         recovery.method = oracle
-        eta.policy = slack
         ldlr.ell = 4
     """
     named = [line.split("=")[0].strip() for line in text.splitlines() if line.strip()]
@@ -52,11 +49,8 @@ def test_config_roundtrip():
         trials=17,
         seed=99,
         pipeline="learning",
-        threshold_policy="fixed",
         threshold_quantile=0.95,
-        threshold_value=12.5,
         recovery_method="oracle",
-        eta_policy="slack",
         ell=4,
     )
 
@@ -87,15 +81,23 @@ def test_config_rejects_unknown_and_malformed():
         parse_config("trials = 3\ntrials = 4\n")
     with pytest.raises(ValueError, match="pipeline"):
         parse_config("pipeline = nonsense\n")
-    # a calibrated threshold is an upper quantile of the null statistics
-    for q in ("0.3", "0.5", "1.0", "1.5"):
+    # ldlr has its own verb: the config does not load
+    with pytest.raises(ValueError, match="unknown pipeline 'ldlr'"):
+        parse_config("params.n = 150\nparams.d = 10.0\npipeline = ldlr\n")
+    # the threshold is an upper quantile of the null statistics, never nan
+    for q in ("0.3", "0.5", "1.0", "1.5", "nan"):
         with pytest.raises(ValueError, match="quantile"):
             parse_config(f"threshold.quantile = {q}\n")
-    # a fixed threshold may be +-inf (never / always reject), never nan
-    with pytest.raises(ValueError, match="threshold value is nan"):
-        parse_config("threshold.policy = fixed\nthreshold.value = nan\n")
-    for v in ("inf", "-inf"):
-        assert parse_config(f"threshold.value = {v}\n").threshold_value == float(v)
+    # tau is always the calibrated quantile and eta is params.eta: the keys
+    # that once chose another rule are stale
+    for key in ("threshold.policy = fixed", "threshold.value = 12.5", "eta.policy = slack"):
+        with pytest.raises(ValueError, match=f"line 2: unknown key '{key.split()[0]}'"):
+            parse_config(f"trials = 3\n{key}\n")
+    # the bipartite plug-in fits rank k on a side of n/2 vertices: k = n/2 - 1
+    # loads, k = n/2 does not (test_cli covers the CLI's exit)
+    assert parse_config("params.n = 12\nparams.d = 4.0\nparams.k = 5\npipeline = bipartite\n").params.k == 5
+    with pytest.raises(ValueError, match="pipeline = bipartite needs an even n and k < n/2"):
+        parse_config("params.n = 12\nparams.d = 4.0\nparams.k = 6\npipeline = bipartite\n")
 
 
 def test_config_comments_and_defaults():
@@ -103,26 +105,6 @@ def test_config_comments_and_defaults():
     assert cfg.params.n == 100
     assert cfg.trials == 40
     assert cfg.pipeline == "recovery"
-
-
-def test_eta_policies():
-    cfg = parse_config("params.n = 400\nparams.d = 16.0\nparams.eps = 0.5\nparams.k = 2\n")
-    assert cfg.effective_eta() == cfg.params.eta
-    # snr = 0.25 * 16 / 4 = 1 exactly: degenerate, so the config does not load
-    with pytest.raises(ValueError, match="slack is undefined at SNR >= 1"):
-        parse_config(
-            "params.n = 400\nparams.d = 16.0\nparams.eps = 0.5\nparams.k = 2\neta.policy = slack\n"
-        )
-    slack_cfg2 = parse_config(
-        "params.n = 400\nparams.d = 16.0\nparams.eps = 0.25\nparams.k = 2\neta.policy = slack\n"
-    )
-    snr = 0.0625 * 16.0 / 4.0
-    assert slack_cfg2.effective_eta() == pytest.approx(0.001 * (1 - snr), rel=1e-12)
-
-
-def test_asymptotic_threshold():
-    cfg = parse_config("params.n = 400\nparams.d = 16.0\n")
-    assert cfg.asymptotic_threshold() == pytest.approx(400**0.51 * 4.0, rel=1e-12)
 
 
 def test_sweep_empty_grid():
@@ -287,21 +269,27 @@ def test_sweep_seed_distinguishes_close_snrs():
     assert sweep_seed(7, 1.0) != derive_seed(7, "sweep-q")
 
 
-def test_sweep_honours_pipeline_and_threshold_policy():
+def test_sweep_honours_pipeline_and_threshold_quantile():
     cfg = parse_config(
         "params.n = 150\nparams.d = 10.0\nparams.eps = 0.6\npipeline = graphon\n"
-        "threshold.policy = fixed\nthreshold.value = 1e9\ntrials = 4\nseed = 3\n"
+        "threshold.quantile = 0.6\ntrials = 4\nseed = 3\n"
     )
     (pt,) = sweep_phase(cfg, [1.0])
-    assert pt.power == 0.0 and pt.size == 0.0
-    # the P arm's statistics are graphon distances, not recovery scores
+    # both arms' statistics are graphon distances, not recovery scores
     p = SbmParams(150, 10.0, eps=pt.eps, k=2)
-    seed_p = sweep_seed(cfg.seed, 1.0)
-    dists = [
-        centered(svd_theta(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0], 2), p.d / p.n).norm() / p.n
-        for t in range(4)
-    ]
-    assert pt.median_stat_p == float(np.median(dists))
+
+    def dist(g):
+        return centered(svd_theta(g, 2), p.d / p.n).norm() / p.n
+
+    seed_p, seed_q = sweep_seed(cfg.seed, 1.0), derive_seed(cfg.seed, "sweep-q")
+    dists_p = [dist(sample_ssbm(p, derive_seed(seed_p, "trial-P", t))[0]) for t in range(4)]
+    dists_q = [dist(sample_er(p.n, p.d, derive_seed(seed_q, "trial-Q", t))) for t in range(4)]
+    assert pt.median_stat_p == float(np.median(dists_p))
+    assert pt.median_stat_q == float(np.median(dists_q))
+    # tau is the configured quantile of the null distances, not the default 0.99
+    tau = float(np.quantile(dists_q, 0.6))
+    assert pt.power == np.mean(np.array(dists_p) >= tau)
+    assert pt.size == np.mean(np.array(dists_q) >= tau) == 0.5
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -341,11 +329,3 @@ def test_sweep_draws_one_null_arm(monkeypatch):
         sweep_phase(cfg, grid)
     assert arms == []
 
-
-def test_sweep_rejects_ldlr_and_slack():
-    base = "params.n = 150\nparams.d = 10.0\ntrials = 2\n"
-    # ldlr has its own verb: the config does not load
-    with pytest.raises(ValueError, match="unknown pipeline 'ldlr'"):
-        parse_config(base + "pipeline = ldlr\n")
-    with pytest.raises(ValueError, match="eta.policy"):
-        sweep_phase(parse_config(base + "eta.policy = slack\n"), [0.25])

@@ -157,7 +157,7 @@ def test_sample_ssbm_within_block_density():
     hits = 0
     pairs = 0
     for s in range(10):
-        g, lab = sample_ssbm(p, seed=s, balanced=True)
+        g, lab = sample_ssbm(p, seed=s)
         a = lab.assignment
         same = a[g.edges[:, 0]] == a[g.edges[:, 1]]
         hits += int(same.sum())
@@ -295,6 +295,23 @@ def test_empty_edge_list_roundtrip(tmp_path):
     write_edge_list(g, path)
     g2 = read_edge_list(path)
     assert g2.n == 7 and g2.edge_count == 0
+
+
+@pytest.mark.parametrize(
+    "text,columns",
+    [
+        # three columns whose 6 integers would regroup into 3 edges against a header of 2
+        ("6 2\n0 1 2\n3 4 5\n", 3),
+        # one row of four integers would regroup into 2 edges against a header of 1
+        ("6 1\n0 1 2 3\n", 4),
+    ],
+    ids=["three-columns", "four-columns"],
+)
+def test_read_edge_list_rejects_rows_not_two_integers(tmp_path, text, columns):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"rows must be 'u v', found {columns} columns"):
+        read_edge_list(path)
 
 
 def _pair_keys(g):

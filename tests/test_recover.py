@@ -167,7 +167,7 @@ def test_membership_factors_exact():
 
 def test_run_recovery_dispatch():
     p = SbmParams(200, 12.0, eps=0.9, k=2)
-    g, lab = sample_ssbm(p, seed=13, balanced=True)
+    g, lab = sample_ssbm(p, seed=13)
     res = run_recovery(g, p, method="oracle", labels=lab)
     assert res.rate == pytest.approx(1.0, abs=1e-12)
     res = run_recovery(g, p, method="spectral", labels=lab)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import io
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -432,11 +433,17 @@ def test_benchmark_entry_points_exist():
         assert name in vars(sbmlab.reduce), name
     fields = {f.name for f in dataclasses.fields(ProjectionReport)}
     assert {"iterations", "backend"} <= fields
-    for module, name in [
-        (sbmlab.model, "sample_ssbm"),
-        (sbmlab.model, "sample_er"),
-        (sbmlab.learn, "svd_theta"),
-        (sbmlab.reduce, "recovery_test_statistic"),
-        (sbmlab.reduce, "learning_test_statistic"),
-    ]:
-        assert callable(getattr(module, name, None)), name
+    # make_trial turns any exception into a failed trial, so each call it
+    # makes must bind to the callee's signature as written there
+    calls = [
+        (sbmlab.model, "sample_ssbm", ("p", "seed"), {}),
+        (sbmlab.model, "sample_er", ("n", "d", "seed"), {}),
+        (sbmlab.learn, "svd_theta", ("y1", "k"), {}),
+        (sbmlab.reduce, "recovery_test_statistic", ("g", "p"),
+         {"seed": "s", "method": "spectral", "labels": "labels"}),
+        (sbmlab.reduce, "learning_test_statistic", ("g", "p", "learner", "s"), {}),
+    ]
+    for module, name, args, kwargs in calls:
+        fn = getattr(module, name, None)
+        assert callable(fn), name
+        inspect.signature(fn).bind(*args, **kwargs)
