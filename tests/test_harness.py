@@ -81,9 +81,6 @@ def test_config_rejects_unknown_and_malformed():
         parse_config("trials = 3\ntrials = 4\n")
     with pytest.raises(ValueError, match="pipeline"):
         parse_config("pipeline = nonsense\n")
-    # ldlr has its own verb: the config does not load
-    with pytest.raises(ValueError, match="unknown pipeline 'ldlr'"):
-        parse_config("params.n = 150\nparams.d = 10.0\npipeline = ldlr\n")
     # the threshold is an upper quantile of the null statistics, never nan
     for q in ("0.3", "0.5", "1.0", "1.5", "nan"):
         with pytest.raises(ValueError, match="quantile"):
@@ -329,3 +326,13 @@ def test_sweep_draws_one_null_arm(monkeypatch):
         sweep_phase(cfg, grid)
     assert arms == []
 
+
+def test_sweep_rejects_ldlr_and_slack():
+    base = "params.n = 150\nparams.d = 10.0\ntrials = 2\n"
+    # ldlr has its own verb: the config does not load
+    with pytest.raises(ValueError, match="unknown pipeline 'ldlr'"):
+        parse_config(base + "pipeline = ldlr\n")
+    # eta is always params.eta: a sweep config asking for slack does not load,
+    # so no sweep starts at any SNR
+    with pytest.raises(ValueError, match="line 4: unknown key 'eta.policy'"):
+        parse_config(base + "eta.policy = slack\n")
