@@ -17,7 +17,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .acceptance import DEFAULT_SEED, acceptance_csv, run_acceptance
-from .factored import Factored
 from .harness import (
     _CONFIG_KEYS,
     ExperimentConfig,
@@ -196,7 +195,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
             _log(f"project: {exc}")
             solved, status = ",,,,", projection_outcome(exc)["status"]
         else:
-            rate_after = recovery_rate(rep.estimate, Factored.from_eig(*membership_factors(labels)))
+            rate_after = recovery_rate(rep.estimate, membership_factors(labels))
             solved = f"{rate_after!r},{rep.iterations},{rep.max_violation!r},{rep.n_norm!r},{rep.backend}"
             status = "ok"
         with _open_out(args) as fh:

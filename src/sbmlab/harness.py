@@ -164,7 +164,7 @@ def pipeline_statistic(cfg: ExperimentConfig):
             val = centered(learner(g), params.d / params.n).norm() / params.n
         else:
             val = bipartite_quadratic_statistic(g, learner, params, s)
-        return TestReport(val, {"pipeline": cfg.pipeline})
+        return TestReport(val, {})
 
     return stat
 

@@ -181,10 +181,10 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
     relabelled in s1's sorted order, to a `Factored` estimate with m rows.
     X = `centered`(f, p) / p = V C V^T stays factored, so Z = W12^T X W12 for
     W12 = Y12 - p J is U C U^T with U = Y12^T V - p 1 (1^T V), read off the
-    sparse cross block.  After one QR of U, g is scored like the testing
-    routes' statistic, from Y2's edge list and Z's off-diagonal sum, in
-    O(m r + n r^2) with no n x n array.  g reads n and d but not eps, so the
-    null law G(n, d/n) fixes its distribution.
+    sparse cross block.  With Z = `Factored.spanned`(U, C), g is scored like
+    the testing routes' statistic, from Y2's edge list and Z's off-diagonal
+    sum, in O(m r + n r^2) with no n x n array.  g reads n and d but not
+    eps, so the null law G(n, d/n) fixes its distribution.
     """
     s1, s2 = bipartite_partition(y.n, seed)
     p = params.d / params.n
@@ -198,8 +198,7 @@ def bipartite_quadratic_statistic(y: Graph, f_plugin, params: SbmParams, seed: i
         raise ValueError("plugin must return a Factored estimate with m rows")
     x = centered(f, p).scaled(1.0 / p)
     u = y.sparse()[s1][:, s2].T @ x.v - p * x.v.sum(axis=0)
-    q, r = np.linalg.qr(u)
-    return statistic_from_m_hat(Factored(q, r @ x.c @ r.T, x.scale), y2, p)
+    return statistic_from_m_hat(Factored.spanned(u, x.c), y2, p)
 
 
 @dataclass(frozen=True)

@@ -38,18 +38,14 @@ def svd_theta(y: Graph, k: int) -> Factored:
 def centered(theta_hat: Factored, c: float) -> Factored:
     """theta_hat - c J as eigenpairs, |w| <= n eps max|w| dropped.
 
-    With u = 1/sqrt(n), theta_hat - c J = [V | u] B [V | u]^T for
-    B = diag(s C, -c n).  One QR, [V | u] = Q R, and one eigh of the
-    (r + 1) x (r + 1) matrix R B R^T give its eigenpairs (w, Q U), in O(n r^2).
+    theta_hat - c J = [V | 1] diag(C, -c) [V | 1]^T, so one QR of [V | 1] and
+    one (r + 1) x (r + 1) eigh give its eigenpairs, in O(n r^2).
     """
     n, r = theta_hat.v.shape
-    q, rr = np.linalg.qr(np.column_stack([theta_hat.v, np.full(n, 1.0 / math.sqrt(n))]))
-    b = np.zeros((r + 1, r + 1))
-    b[:r, :r] = theta_hat.scale * theta_hat.c
-    b[r, r] = -c * n
-    small = rr @ b @ rr.T
-    w, u = np.linalg.eigh((small + small.T) / 2.0)
-    return Factored.from_eig_truncated(w, q @ u)
+    core = np.zeros((r + 1, r + 1))
+    core[:r, :r] = theta_hat.c
+    core[r, r] = -c
+    return Factored.spanned(np.column_stack([theta_hat.v, np.ones(n)]), core).eigenpairs()
 
 
 def frob_error_sq(theta_hat: Factored, params: SbmParams, labels: Labels) -> float:
@@ -60,7 +56,7 @@ def frob_error_sq(theta_hat: Factored, params: SbmParams, labels: Labels) -> flo
     factored, the error is |A|^2 - 2 <A, B> + |B|^2, in O(n k^2).
     """
     a = centered(theta_hat, params.d / params.n)
-    b = Factored.from_eig(*membership_factors(labels)).scaled(params.p_in - params.p_out)
+    b = membership_factors(labels).scaled(params.p_in - params.p_out)
     return a.norm() ** 2 - 2.0 * a.inner(b) + b.norm() ** 2
 
 

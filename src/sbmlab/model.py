@@ -86,7 +86,6 @@ class Labels:
 
     assignment: np.ndarray
     k: int
-    balanced: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64)
@@ -95,10 +94,6 @@ class Labels:
             raise ValueError("assignment must be a flat vector")
         if a.size and (a.min() < 0 or a.max() >= self.k):
             raise ValueError("labels must lie in [0, k)")
-        if self.balanced:
-            counts = np.bincount(a, minlength=self.k)
-            if np.any(counts != a.size // self.k):
-                raise ValueError("balanced labels must have equal block sizes")
 
     @property
     def n(self) -> int:
@@ -186,7 +181,7 @@ def sample_labels(params: SbmParams, seed: int, balanced: bool = False) -> Label
         if params.n % params.k != 0:
             raise ValueError(f"balanced labels need k | n, got n={params.n}, k={params.k}")
         base = np.repeat(np.arange(params.k), params.n // params.k)
-        return Labels(rng.permutation(base), params.k, balanced=True)
+        return Labels(rng.permutation(base), params.k)
     return Labels(rng.integers(0, params.k, size=params.n), params.k)
 
 

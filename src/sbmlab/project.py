@@ -15,11 +15,13 @@ Cauchy-Schwarz.  The rescaled output lands in the 1/delta-inflated set K.
 The search runs Dykstra's alternating projections over three sets in one
 loop, `_dykstra`: the halfspace, the entry box, and the spectraplex
 {M = N + J/k psd, Tr M <= n}, projected exactly by one eigendecomposition and
-a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  The loop owns
-the halfspace step, y + (b - <U, y>) U when <U, y> < b, and its residual, the
-same on both states, since each state holds U in its own coordinates.  A
-solve ends converged, certified infeasible before any sweep, or at the sweep
-cap.
+a shift theta of its eigenvalues onto {w >= 0, sum w <= n}.  The loop runs
+the halfspace step, y + (b - <U, y>) U when <U, y> < b, and the spectraplex
+step, `_project_spectraplex`, the same on both states: each state holds U and
+J/k in its own coordinates.  The loop also takes |N|_F = |x|_F and rescales;
+the state supplies the box step and maps the rescaled point to its estimate.
+A solve ends converged, certified infeasible before any sweep, or at the
+sweep cap.
 
 Every input becomes eigenpairs first: the pipelines hand over a `Factored`
 that holds them, and a dense M0, which must equal its transpose, goes
@@ -31,9 +33,9 @@ below b = delta * target proves that no point of K' meets the halfspace.
 The loop runs over one of two states.  The subspace state holds M0 as a
 `Factored` of its eigenpairs: every iterate is V C V^T for the basis V of
 span{all-ones, eigenvectors of M0, adjoined vertex axes}, so it holds the
-r x r coordinates C, a sweep costs O(n r^2), and its report carries a
-`Factored` estimate s V C V^T that the pipeline scores without an n x n
-array.  No iterate leaves the span: Dykstra starts at zero, the halfspace
+r x r coordinates C, a sweep costs O(n r^2), and its report carries the
+rescaled `Factored` estimate V C V^T that the pipeline scores without an
+n x n array.  No iterate leaves the span: Dykstra starts at zero, the halfspace
 and box steps move only C, and the spectraplex shift theta is never
 negative, so the complementary block I - V V^T, at eigenvalue 0, stays at
 max(0 - theta, 0) = 0.  One rule builds the basis V (`_subspace_basis`): the
@@ -93,8 +95,8 @@ class ProjectionSpec:
     delta: float
     k: int
     n: int
-    tol: float = 1e-8
-    max_iters: int = 500
+    tol: float
+    max_iters: int
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
@@ -149,20 +151,17 @@ def _capped_shift(w: np.ndarray, cap: float) -> float:
     return float(thetas[np.flatnonzero(ws > thetas)[-1]])
 
 
-def _project_spectraplex(m: np.ndarray, shift: float, cap: float) -> np.ndarray:
-    """Project onto {M : M + shift J psd, Tr(M + shift J) <= cap}.
+def _project_spectraplex(y: np.ndarray, shift, cap: float) -> np.ndarray:
+    """Project onto {Y : Y + S psd, Tr(Y + S) <= cap}, S the state's J/k shift.
 
-    B = M + shift J = sum w v v^T goes to B - sum_{w < theta} (w - theta) v v^T - theta I.
+    B = Y + S = q diag(w) q^T goes to q diag(max(w - theta, 0)) q^T - S,
+    symmetrized.  S is the scalar 1/k on the dense state (added to every
+    entry) and the matrix (n/k) e_0 e_0^T on the subspace state.
     """
-    b = m + shift
-    w, v = np.linalg.eigh(b)
+    w, q = np.linalg.eigh(y + shift)
     theta = _capped_shift(w, cap)
-    if theta == 0.0 and w[0] >= 0.0:
-        return m
-    lo = w < theta
-    out = b - (v[:, lo] * (w[lo] - theta)) @ v[:, lo].T
-    out[np.diag_indices_from(out)] -= theta
-    return out - shift
+    out = (q * np.maximum(w - theta, 0.0)) @ q.T - shift
+    return (out + out.T) / 2.0
 
 
 def k_residuals(m: np.ndarray, spec: ProjectionSpec) -> dict[str, float]:
@@ -185,23 +184,27 @@ class _ExtendNeeded(Exception):
 
 
 def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
-    """Dykstra from zero over the state's three projections, then the report.
+    """Dykstra from zero over halfspace, box and spectraplex, then the report.
 
     A point is a width x width array (X itself on the dense state, C on the
     subspace state, where |N|_F = |C|_F), and the state's `u` is U = M0/|M0|_F
     in the same coordinates, |u|_F = 1, so the halfspace step is
-    y + (b - <u, y>) u whenever <u, y> < b.  The state fixes the box and
-    spectraplex steps, the box residual, and the unscaled solution N with
-    |N|_F; the residuals are the box's and the halfspace's (the exact last
-    step satisfies the spectraplex).
+    y + (b - <u, y>) u whenever <u, y> < b.  The spectraplex step is
+    `_project_spectraplex` with the state's `shift`, J/k in its coordinates.
+    The state supplies the box step, the box residual, and the map from the
+    rescaled point to its estimate; the residuals are the box's and the
+    halfspace's (the exact last step satisfies the spectraplex).
     """
-    tol, u, b = spec.tol, state.u, spec.delta * spec.target
+    tol, u, b, shift = spec.tol, state.u, spec.delta * spec.target, state.shift
 
     def halfspace(y):
         val = float(np.sum(u * y))
         return y + (b - val) * u if val < b else y
 
-    steps = (halfspace, state.box, state.spectraplex)
+    def spectraplex(y):
+        return _project_spectraplex(y, shift, spec.n)
+
+    steps = (halfspace, state.box, spectraplex)
     x = np.zeros((state.width,) * 2)
     corr = [np.zeros_like(x) for _ in steps]
     for sweep in range(1, spec.max_iters + 1):
@@ -215,12 +218,11 @@ def _dykstra(state, spec: ProjectionSpec) -> ProjectionReport:
             break
     else:
         raise ProjectionDidNotConverge(f"max residual {max(residuals):.3e} after {spec.max_iters} sweeps")
-    solution, n_norm = state.solution(x)
+    n_norm = float(np.linalg.norm(x))
     if n_norm <= 0.0:
         raise ProjectionDidNotConverge("solver returned the zero matrix")
-    factor = spec.target / n_norm
     return ProjectionReport(
-        estimate=solution.scaled(factor) if isinstance(solution, Factored) else factor * solution,
+        estimate=state.estimate((spec.target / n_norm) * x),
         iterations=sweep,
         max_violation=max(residuals),
         n_norm=n_norm,
@@ -236,7 +238,7 @@ class _DenseState:
 
     def __init__(self, m0: np.ndarray, norm_m0: float, spec: ProjectionSpec):
         self.u = m0 / norm_m0
-        self.n = self.width = spec.n
+        self.width = spec.n
         self.shift = 1.0 / spec.k
 
     def box(self, y):
@@ -245,11 +247,8 @@ class _DenseState:
     def box_residual(self, x):
         return max(0.0, float(np.max(np.abs(x))) - 1.0)
 
-    def spectraplex(self, y):
-        return _project_spectraplex(y, self.shift, self.n)
-
-    def solution(self, x):
-        return x, float(np.linalg.norm(x))
+    def estimate(self, x):
+        return x
 
 
 def _subspace_basis(vecs, axes, n):
@@ -275,9 +274,10 @@ class _SubspaceState:
     """Points x = V C V^T as their r x r coordinates C, plus box helpers.
 
     V is orthonormal with the all-ones direction exactly first, so the shift
-    (1/k) J is (n/k) e_0 e_0^T in coordinates.  The box step clips inside the
-    family; an entry above the bound off the adjoined vertex axes raises
-    `_ExtendNeeded`, and the caller rebuilds V with those axes and restarts.
+    J/k is `shift` = (n/k) e_0 e_0^T in coordinates.  The box step clips
+    inside the family; an entry above the bound off the adjoined vertex axes
+    raises `_ExtendNeeded`, and the caller rebuilds V with those axes and
+    restarts.
     """
 
     backend = "subspace"
@@ -285,9 +285,9 @@ class _SubspaceState:
     def __init__(self, m0: Factored, norm_m0: float, big_v, axes, spec: ProjectionSpec):
         n = spec.n
         self.big_v = big_v
-        self.n = n
         self.width = big_v.shape[1]
-        self.shift_coord = n / spec.k
+        self.shift = np.zeros((self.width, self.width))
+        self.shift[0, 0] = n / spec.k
         proj = big_v.T @ m0.v
         u = (proj * np.diag(m0.c)) @ proj.T / norm_m0
         self.u = (u + u.T) / 2.0
@@ -340,21 +340,11 @@ class _SubspaceState:
         v_a = self.big_v[self.axes]
         return y - v_a.T @ excess @ v_a
 
-    def spectraplex(self, y):
-        bmat = y.copy()
-        bmat[0, 0] += self.shift_coord
-        w, q = np.linalg.eigh(bmat)
-        theta = _capped_shift(w, self.n)
-        c = (q * np.maximum(w - theta, 0.0)) @ q.T
-        c[0, 0] -= self.shift_coord
-        return (c + c.T) / 2.0
-
     def box_residual(self, x):
         return self.box_violations(x)[0]
 
-    def solution(self, x):
-        n_mat = Factored(self.big_v, x)
-        return n_mat, n_mat.norm()
+    def estimate(self, c):
+        return Factored(self.big_v, c)
 
 
 def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):
@@ -373,8 +363,8 @@ def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):
 def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) -> ProjectionReport:
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
-    M0 comes as eigenpairs, a `Factored` as `Factored.from_eig` builds them
-    (scale 1, diagonal C), or as a dense array equal to its transpose,
+    M0 comes as eigenpairs, a `Factored` with diagonal C as `Factored.from_eig`
+    builds them, or as a dense array equal to its transpose,
     eigendecomposed by one `eigh` with the drop rule of
     `Factored.from_eig_truncated`.  The certificate reads the
     eigenpairs.  The solve builds the basis, runs the subspace backend while
@@ -384,7 +374,7 @@ def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) 
     """
     if isinstance(m0, Factored):
         vals = np.diag(m0.c)
-        if m0.scale != 1.0 or not np.array_equal(m0.c, np.diag(vals)):
+        if not np.array_equal(m0.c, np.diag(vals)):
             raise ValueError("a factored projection input must hold eigenpairs (Factored.from_eig)")
         norm_m0 = float(np.linalg.norm(vals))
     else:

@@ -30,7 +30,7 @@ class RecoveryFailed(ValueError):
 class RecoveryResult:
     """Estimate of the membership matrix as eigenpairs, and its rate when labels are given."""
 
-    estimate: Factored  # Factored.from_eig(vals, vecs), vecs n x r orthonormal
+    estimate: Factored  # eigenpairs: C diagonal
     rate: float | None = None
 
 
@@ -97,17 +97,15 @@ def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.nd
     return spla.eigsh(op, k=k, which="LM", v0=unit_vector(n, "spectral-start"), tol=1e-10)
 
 
-def membership_factors(labels: Labels) -> tuple[np.ndarray, np.ndarray]:
-    """Exact low-rank eigenpairs of the membership matrix of the labels."""
+def membership_factors(labels: Labels) -> Factored:
+    """The membership matrix of the labels as eigenpairs.
+
+    With the n x k indicator matrix W, W 1 = 1, so the matrix is W (I - J/k) W^T.
+    """
     n, k = labels.n, labels.k
     ind = np.zeros((n, k))
     ind[np.arange(n), labels.assignment] = 1.0
-    q, r = np.linalg.qr(ind)
-    ones_coord = r @ np.ones(k)
-    small = r @ r.T - np.outer(ones_coord, ones_coord) / k
-    vals, w = np.linalg.eigh((small + small.T) / 2.0)
-    keep = np.abs(vals) > 1e-9
-    return vals[keep], q @ w[:, keep]
+    return Factored.spanned(ind, np.eye(k) - 1.0 / k).eigenpairs()
 
 
 def random_labels(n: int, k: int, seed: int) -> Labels:
@@ -132,19 +130,17 @@ def run_recovery(
         d_used = estimate_degree(y1)
         if d_used <= 0:
             raise RecoveryFailed("empty graph: cannot center the adjacency")
-        factors = spectral_factors(y1, params.k, d_used)
-        if np.all(np.abs(factors[0]) < 1e-12):
+        vals, vecs = spectral_factors(y1, params.k, d_used)
+        if np.all(np.abs(vals) < 1e-12):
             raise RecoveryFailed("spectral truncation vanished; no usable estimate")
+        estimate = Factored.from_eig(vals, vecs)
     elif method == "random":
-        factors = membership_factors(random_labels(y1.n, params.k, seed))
+        estimate = membership_factors(random_labels(y1.n, params.k, seed))
     elif method == "oracle":
         if labels is None:
             raise ValueError("oracle recovery needs the true labels")
-        factors = membership_factors(labels)
+        estimate = membership_factors(labels)
     else:
         raise ValueError(f"unknown recovery method {method!r}")
-    estimate = Factored.from_eig(*factors)
-    rate = None
-    if labels is not None:
-        rate = recovery_rate(estimate, Factored.from_eig(*membership_factors(labels)))
+    rate = None if labels is None else recovery_rate(estimate, membership_factors(labels))
     return RecoveryResult(estimate=estimate, rate=rate)

@@ -141,7 +141,7 @@ def recovery_test_statistic(
 ) -> TestReport:
     """Full testing-from-recovery pipeline on one graph."""
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
-    side = {"eta": params.eta, "method": method, "recovery_rate": None, "projection": None}
+    side = {"recovery_rate": None, "projection": None}
     try:
         rec = run_recovery(
             split.y1, params, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
@@ -158,7 +158,7 @@ def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> 
     The learner maps the kept part Y1 to theta_hat, a `Factored` with n rows.
     """
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
-    side = {"eta": params.eta, "method": "learning", "projection": None}
+    side = {"projection": None}
     theta_hat = learner(split.y1)
     if not isinstance(theta_hat, Factored) or theta_hat.v.shape[0] != params.n:
         raise ValueError("learner must return a Factored estimate with n rows")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbmlab.factored import Factored
-from sbmlab.model import SbmParams, membership_matrix, sample_labels, sample_ssbm
+from sbmlab.model import Labels, SbmParams, membership_matrix, sample_labels, sample_ssbm
 from sbmlab.project import ProjectionSpec, corr_preserving_projection
 from sbmlab.recover import membership_factors, recovery_rate, run_recovery
 from sbmlab.reduce import recovery_test_statistic, statistic_from_m_hat
@@ -19,7 +19,7 @@ def random_factored(n, r, scale, seed, shift=0.0):
     rng = stream_rng(seed, "factored")
     v, _ = np.linalg.qr(rng.standard_normal((n, r)))
     c = rng.standard_normal((r, r))
-    return Factored(v, (c + c.T) / 2.0 + shift * np.eye(r), scale=scale)
+    return Factored(v, scale * ((c + c.T) / 2.0 + shift * np.eye(r)))
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37])
@@ -40,6 +40,34 @@ def test_factored_operations_match_dense(shift):
     assert y.inner(x) == pytest.approx(float(np.sum(xd * yd)), rel=REL)
     assert x.offdiag_inner(y) == pytest.approx(float(np.sum((xd * yd)[off])), rel=REL)
     assert recovery_rate(x, y) == pytest.approx(recovery_rate(xd, yd), rel=REL)
+
+
+def test_spanned_rank_deficient_column_sets():
+    # W core W^T from one QR of a rank-deficient W: the indicators of labels
+    # with an empty block (a zero column), and [V | 1] with 1 in span V.
+    # eigenpairs() keeps the rank and drops the rounding-level eigenvalue
+    n = 30
+    lab = Labels(np.arange(n) % 3, 4)  # block 3 has no vertices
+    ind = np.zeros((n, 4))
+    ind[np.arange(n), lab.assignment] = 1.0
+    rng = stream_rng(3, "spanned")
+    v = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, 2))]))[0]
+    g = rng.standard_normal((3, 3))
+    core = np.zeros((4, 4))
+    core[:3, :3] = g + g.T
+    core[3, 3] = -0.3
+    for w, core in ((ind, np.eye(4) - 0.25), (np.column_stack([v, np.ones(n)]), core)):
+        want = w @ core @ w.T
+        f = Factored.spanned(w, core)
+        assert f.v.shape == (n, 4)
+        assert np.max(np.abs(f.dense() - want)) <= 1e-12 * np.max(np.abs(want))
+        pairs = f.eigenpairs()
+        assert pairs.v.shape[1] == 3 == np.linalg.matrix_rank(want)
+        assert np.array_equal(pairs.c, np.diag(np.diag(pairs.c)))
+        assert np.max(np.abs(pairs.v.T @ pairs.v - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(pairs.dense() - want)) <= 1e-12 * np.max(np.abs(want))
+    # the membership factors of those labels are the same construction
+    assert np.max(np.abs(membership_factors(lab).dense() - membership_matrix(lab))) <= 1e-12
 
 
 def test_statistic_factored_general_c_matches_dense():
@@ -73,11 +101,10 @@ def _check_trial(g, p, seed, method, labels):
     m0 = (vecs * vals) @ vecs.T
     m0 = (m0 + m0.T) / 2.0
     assert rec.rate == pytest.approx(recovery_rate(m0, membership_matrix(labels)), rel=REL)
-    est = rep.estimate
-    x = Factored(est.v, est.c).dense()
-    assert rep.n_norm == pytest.approx(float(np.linalg.norm(x)), rel=REL)
+    # the estimate is rescaled to the target norm, in factored and dense form
     m_hat = rep.m_hat
-    assert np.max(np.abs(m_hat - (spec.target / rep.n_norm) * x)) <= REL * np.max(np.abs(m_hat))
+    assert rep.estimate.norm() == pytest.approx(spec.target, rel=REL)
+    assert float(np.linalg.norm(m_hat)) == pytest.approx(spec.target, rel=REL)
     assert g_fact == pytest.approx(statistic_from_m_hat(m_hat, split.y2, center), rel=REL)
     return rec.rate
 
@@ -103,8 +130,8 @@ def test_factored_pipeline_matches_dense_small(method):
 def test_membership_factored_rate_exact():
     lab = sample_labels(SbmParams(90, 3.0, k=3), seed=8)
     other = sample_labels(SbmParams(90, 3.0, k=3), seed=9)
-    mine = Factored.from_eig(*membership_factors(lab))
-    theirs = Factored.from_eig(*membership_factors(other))
+    mine = membership_factors(lab)
+    theirs = membership_factors(other)
     dense = recovery_rate(membership_matrix(lab), membership_matrix(other))
     assert recovery_rate(mine, theirs) == pytest.approx(dense, rel=REL)
     assert recovery_rate(mine, mine) == pytest.approx(1.0, abs=1e-12)

@@ -62,10 +62,10 @@ def test_centered_matches_the_dense_difference(scale):
     n = 120
     v = np.linalg.qr(rng.standard_normal((n, 3)))[0]
     c_mat = rng.standard_normal((3, 3))
-    theta_hat = Factored(v, c_mat + c_mat.T, scale)
+    theta_hat = Factored(v, scale * (c_mat + c_mat.T))
     got = centered(theta_hat, 0.07)
     ref = theta_hat.dense() - 0.07
-    assert got.v.shape[1] == 4 and got.scale == 1.0
+    assert got.v.shape[1] == 4
     assert np.array_equal(got.c, np.diag(np.diag(got.c)))
     assert np.max(np.abs(got.v.T @ got.v - np.eye(4))) <= 1e-12
     assert np.linalg.norm(got.dense() - ref) <= 1e-12 * np.linalg.norm(ref)

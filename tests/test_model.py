@@ -59,7 +59,6 @@ def test_sample_labels_single_community():
 def test_sample_labels_balanced_small():
     lab = sample_labels(SbmParams(4, 1.0, k=2), seed=3, balanced=True)
     assert sorted(lab.assignment.tolist()) == [0, 0, 1, 1]
-    assert lab.balanced
 
 
 def test_sample_labels_balanced_requires_divisibility():
@@ -273,7 +272,7 @@ def test_edge_list_roundtrip(tmp_path):
 def test_membership_norm_property(k, mult, seed):
     # balanced labels built directly: n = k (mult = 1) is below SbmParams' k < n
     n = k * mult
-    lab = Labels(np.random.default_rng(seed).permutation(np.repeat(np.arange(k), mult)), k, balanced=True)
+    lab = Labels(np.random.default_rng(seed).permutation(np.repeat(np.arange(k), mult)), k)
     m = membership_matrix(lab)
     assert np.linalg.norm(m) ** 2 == pytest.approx(n**2 * (1 / k) * (1 - 1 / k), rel=1e-10)
     assert abs(m.sum()) < 1e-8

@@ -18,6 +18,7 @@ from sbmlab.project import (
     k_residuals,
 )
 from sbmlab.recover import membership_factors, recovery_rate, run_recovery
+from sbmlab.reduce import projection_spec
 from sbmlab.seeds import stream_rng
 
 
@@ -33,7 +34,8 @@ def noisy_instance(n, sigma, seed, k=2):
 
 def dense_box(n):
     """The dense state's box step, which bounds the unscaled N's entries by 1."""
-    return sbmlab.project._DenseState(np.eye(n), 1.0, ProjectionSpec(delta=0.5, k=2, n=n)).box
+    spec = ProjectionSpec(delta=0.5, k=2, n=n, tol=1e-8, max_iters=500)
+    return sbmlab.project._DenseState(np.eye(n), 1.0, spec).box
 
 
 def test_project_constraints_identities():
@@ -84,7 +86,7 @@ def test_capped_shift_matches_bisection(seed):
 def test_spectraplex_step_with_binding_cap(seed):
     # the trace cap binds (theta > 0): the output lies in the set, meets the
     # cap with equality, and satisfies the variational inequality of a projection
-    n, spec = 30, ProjectionSpec(delta=0.5, k=3, n=30)
+    n, spec = 30, ProjectionSpec(delta=0.5, k=3, n=30, tol=1e-8, max_iters=500)
     shift, cap = 1.0 / (spec.k * spec.delta), spec.n / spec.delta
     rng = stream_rng(seed, "spectraplex")
     g = rng.standard_normal((n, n))
@@ -101,11 +103,33 @@ def test_spectraplex_step_with_binding_cap(seed):
         assert np.sum((y - out) * (z - shift - out)) <= 1e-9
 
 
+@pytest.mark.parametrize("size, binds", [(0.5, False), (200.0, True)])
+def test_spectraplex_step_in_coordinates_matches_dense(size, binds):
+    # one step on a point V C V^T, ones first in V: the subspace state places
+    # J/k as n/k at [0, 0] and the dense state as 1/k on every entry, so the
+    # step of C mapped back, V step(C) V^T, is the dense step of V C V^T
+    n, k = 60, 3
+    spec = ProjectionSpec(delta=0.5, k=k, n=n, tol=1e-8, max_iters=500)
+    rng = stream_rng(7, "coordinates")
+    m0 = Factored.from_eig(np.array([3.0, -2.0]), np.linalg.qr(rng.standard_normal((n, 2)))[0])
+    big_v = sbmlab.project._subspace_basis(m0.v, [], n)
+    sub = sbmlab.project._SubspaceState(m0, m0.norm(), big_v, [], spec)
+    dense = sbmlab.project._DenseState(m0.dense(), m0.norm(), spec)
+    g = rng.standard_normal((big_v.shape[1],) * 2)
+    c = size * (g + g.T) / 2.0
+    x = Factored(big_v, c).dense()
+    want = _project_spectraplex(x, dense.shift, n)
+    got = Factored(big_v, _project_spectraplex(c, sub.shift, n)).dense()
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(want - x)) > 0.1  # the step moves the point
+    assert (abs(np.trace(want) + n / k - n) <= 1e-9) == binds  # the trace cap binds
+
+
 @pytest.mark.parametrize("k, n", [(2, 8), (2, 12), (2, 200), (3, 12), (3, 201), (4, 200)])
 def test_target_is_the_balanced_membership_norm(k, n):
     # the projection's fixed target n sqrt(k-1)/k is |M_true|_F of balanced labels
     m_true = membership_matrix(sample_labels(SbmParams(n, 2.0, k=k), seed=n, balanced=True))
-    target = ProjectionSpec(delta=0.5, k=k, n=n).target
+    target = projection_spec(SbmParams(n, 2.0, k=k)).target
     if k == 2:
         assert target == float(np.linalg.norm(m_true))
     else:
@@ -114,12 +138,12 @@ def test_target_is_the_balanced_membership_norm(k, n):
 
 def test_max_iters_must_be_positive():
     with pytest.raises(ValueError, match="max_iters"):
-        ProjectionSpec(delta=0.5, k=2, n=4, max_iters=0)
+        ProjectionSpec(delta=0.5, k=2, n=4, tol=1e-8, max_iters=0)
 
 
 def test_spec_needs_two_communities():
     with pytest.raises(ValueError, match="k >= 2"):
-        ProjectionSpec(delta=0.5, k=1, n=4)
+        ProjectionSpec(delta=0.5, k=1, n=4, tol=1e-8, max_iters=500)
 
 
 def test_project_constraints_box_clamp():
@@ -134,7 +158,7 @@ def test_oracle_input_fixed_point():
     p = SbmParams(8, 2.0, k=2, delta=0.5)
     lab = sample_labels(p, seed=1, balanced=True)
     m_true = membership_matrix(lab)
-    spec = ProjectionSpec(delta=0.5, k=2, n=8)
+    spec = ProjectionSpec(delta=0.5, k=2, n=8, tol=1e-8, max_iters=500)
     rep = corr_preserving_projection(m_true, spec)
     assert rep.iterations <= 5
     assert recovery_rate(rep.m_hat, m_true) >= 0.25
@@ -149,7 +173,7 @@ def test_feasible_minimizer_is_fixed_point():
     p = SbmParams(12, 2.0, k=2, delta=0.4)
     lab = sample_labels(p, seed=3, balanced=True)
     m_true = membership_matrix(lab)
-    spec = ProjectionSpec(delta=0.4, k=2, n=12)
+    spec = ProjectionSpec(delta=0.4, k=2, n=12, tol=1e-8, max_iters=500)
     first = corr_preserving_projection(m_true, spec)
     again = corr_preserving_projection(0.4 * m_true, spec)
     assert again.iterations <= 5
@@ -203,13 +227,12 @@ def test_infeasible_halfspace_detected(factored, monkeypatch):
     p = SbmParams(60, 2.0, k=2, delta=0.5)
     lab = sample_labels(p, seed=11, balanced=True)
     m_true = membership_matrix(lab)
-    vals, vecs = membership_factors(lab)
-    spec = ProjectionSpec(delta=0.5, k=2, n=60, max_iters=3000)
+    spec = ProjectionSpec(delta=0.5, k=2, n=60, tol=1e-8, max_iters=3000)
     sweeps = []
     dykstra = sbmlab.project._dykstra
     monkeypatch.setattr(sbmlab.project, "_dykstra", lambda *a: sweeps.append(1) or dykstra(*a))
     with pytest.raises(ProjectionInfeasibleError) as err:
-        corr_preserving_projection(Factored.from_eig(-vals, vecs) if factored else -m_true, spec)
+        corr_preserving_projection(membership_factors(lab).scaled(-1.0) if factored else -m_true, spec)
     assert not sweeps
     assert err.value.b == spec.delta * spec.target
     assert err.value.bound < err.value.b
@@ -220,10 +243,9 @@ def test_certificate_bound_agrees_across_input_forms():
     # bound is off zero) gets one certificate as a dense array and as eigenpairs
     p = SbmParams(60, 2.0, k=3, delta=0.5)
     lab = sample_labels(p, seed=11)
-    vals, vecs = membership_factors(lab)
-    spec = ProjectionSpec(delta=0.5, k=3, n=60)
+    spec = ProjectionSpec(delta=0.5, k=3, n=60, tol=1e-8, max_iters=500)
     bounds = []
-    for m0 in (-membership_matrix(lab), Factored.from_eig(-vals, vecs)):
+    for m0 in (-membership_matrix(lab), membership_factors(lab).scaled(-1.0)):
         with pytest.raises(ProjectionInfeasibleError) as err:
             corr_preserving_projection(m0, spec)
         bounds.append(err.value.bound)
@@ -235,7 +257,7 @@ def test_nonsymmetric_dense_input_rejected():
     m0 = np.diag([3.0, 2.0, 1.0, 0.5])
     m0[0, 1] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
-        corr_preserving_projection(m0, ProjectionSpec(delta=0.5, k=2, n=4))
+        corr_preserving_projection(m0, ProjectionSpec(delta=0.5, k=2, n=4, tol=1e-8, max_iters=500))
 
 
 class _SweepsReached(Exception):
@@ -249,9 +271,9 @@ def test_planted_and_oracle_inputs_pass_the_certificate(seed, monkeypatch):
     # so both reach the sweeps
     p = SbmParams(400, 30.0, eps=0.6, k=2, eta=0.1, delta=0.1)
     graph, lab = sample_ssbm(p, seed)
-    spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n)
+    spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-8, max_iters=500)
     spectral = run_recovery(graph, p, method="spectral", seed=seed).estimate
-    oracle = Factored.from_eig(*membership_factors(lab))
+    oracle = membership_factors(lab)
 
     def reached(*args):
         raise _SweepsReached
@@ -276,7 +298,7 @@ def test_nonconvergence_raises(factored):
 
 
 def test_zero_input_rejected():
-    spec = ProjectionSpec(delta=0.5, k=2, n=10)
+    spec = ProjectionSpec(delta=0.5, k=2, n=10, tol=1e-8, max_iters=500)
     with pytest.raises(ValueError):
         corr_preserving_projection(np.zeros((10, 10)), spec)
     with pytest.raises(ValueError, match="nonzero"):
@@ -284,14 +306,15 @@ def test_zero_input_rejected():
 
 
 def test_factored_input_must_hold_eigenpairs():
-    spec = ProjectionSpec(delta=0.5, k=2, n=10)
+    spec = ProjectionSpec(delta=0.5, k=2, n=10, tol=1e-8, max_iters=500)
     v = np.eye(10)[:, :2]
-    for m0 in (
-        Factored(v, np.ones((2, 2))),
-        Factored.from_eig(np.ones(2), v).scaled(2.0),
-    ):
-        with pytest.raises(ValueError, match="eigenpairs"):
-            corr_preserving_projection(m0, spec)
+    with pytest.raises(ValueError, match="eigenpairs"):
+        corr_preserving_projection(Factored(v, np.ones((2, 2))), spec)
+    # scaled eigenpairs are eigenpairs, and the projection ignores the scale
+    oracle = membership_factors(sample_labels(SbmParams(10, 1.0, k=2), seed=0, balanced=True))
+    one = corr_preserving_projection(oracle, spec)
+    two = corr_preserving_projection(oracle.scaled(2.0), spec)
+    assert np.max(np.abs(one.m_hat - two.m_hat)) <= 1e-9
 
 
 def dense_reference(m0, spec):
@@ -313,7 +336,8 @@ def assert_in_span(dense, big_v, spec):
 def membership_instance():
     p = SbmParams(150, 4.0, k=3, delta=0.3)
     lab = sample_labels(p, seed=17, balanced=True)
-    vals, vecs = membership_factors(lab)
+    m = membership_factors(lab)
+    vals, vecs = np.diag(m.c), m.v
     spec = ProjectionSpec(delta=0.3, k=3, n=150, tol=1e-9, max_iters=4000)
     return membership_matrix(lab), vals, vecs, spec
 
@@ -521,7 +545,7 @@ def test_box_violations_match_a_dense_scan(seed, monkeypatch):
         m0 = Factored.from_eig(np.array([3.0, 2.0, 1.0]), np.linalg.qr(rng.standard_normal((90, 3)))[0])
     n = len(m0.v)
     big_v = sbmlab.project._subspace_basis(m0.v, axes, n)
-    spec = ProjectionSpec(delta=0.5, k=2, n=n)
+    spec = ProjectionSpec(delta=0.5, k=2, n=n, tol=1e-8, max_iters=500)
     state = sbmlab.project._SubspaceState(m0, float(np.linalg.norm(np.diag(m0.c))), big_v, axes, spec)
     if seed == "axis-in-span-400":
         assert state.mv_free >= 1.0 - 1e-12

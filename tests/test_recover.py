@@ -38,9 +38,7 @@ def two_cliques(half):
         for i in range(half):
             for j in range(i + 1, half):
                 edges.append((base + i, base + j))
-    return Graph(n, np.array(sorted(edges))), Labels(
-        np.repeat([0, 1], half), 2, balanced=True
-    )
+    return Graph(n, np.array(sorted(edges))), Labels(np.repeat([0, 1], half), 2)
 
 
 def test_estimate_degree():
@@ -159,10 +157,10 @@ def test_spectral_factors_edgeless_graph(n):
 
 def test_membership_factors_exact():
     lab = sample_labels(SbmParams(90, 3.0, k=3), seed=7)
-    vals, vecs = membership_factors(lab)
-    assert vecs.shape[1] <= 4
-    recon = (vecs * vals) @ vecs.T
-    assert np.allclose(recon, membership_matrix(lab), atol=1e-10)
+    m = membership_factors(lab)
+    assert m.v.shape[1] <= 4
+    assert np.array_equal(m.c, np.diag(np.diag(m.c)))
+    assert np.allclose(m.dense(), membership_matrix(lab), atol=1e-10)
 
 
 def test_run_recovery_dispatch():

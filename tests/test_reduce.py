@@ -49,7 +49,7 @@ def block_factors(p, lab, scale=1.0):
     v = np.zeros((lab.n, lab.k))
     v[np.arange(lab.n), lab.assignment] = 1.0 / np.sqrt(sizes[lab.assignment])
     root = np.sqrt(sizes)
-    return Factored(v, (p.p_in - p.p_out) * np.diag(sizes) + p.p_out * np.outer(root, root), scale)
+    return Factored(v, scale * ((p.p_in - p.p_out) * np.diag(sizes) + p.p_out * np.outer(root, root)))
 
 
 def constant_factors(n, value):
@@ -178,7 +178,7 @@ def test_side_channel_names_the_projection_outcome(monkeypatch):
     rep = recovery_test_statistic(g, p, seed=derive_seed(12345, "probe-stat", 0))
     proj = rep.side_channel["projection"]
     assert rep.statistic == 0.0 and proj["status"] == "infeasible"
-    assert proj["bound"] < p.delta * ProjectionSpec(delta=p.delta, k=p.k, n=p.n).target
+    assert proj["bound"] < p.delta * projection_spec(p).target
     for exc, status in (
         (sbmlab.reduce.ProjectionDidNotConverge("cap"), "no_convergence"),
         (ValueError("projection input must be nonzero"), "invalid"),
