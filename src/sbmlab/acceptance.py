@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .factored import Factored
 from .harness import (
     ExperimentConfig,
     check_spectral_concentration,
@@ -43,7 +44,7 @@ from .model import (
     sbm_graphon,
 )
 from .project import ProjectionSpec, corr_preserving_projection, k_residuals
-from .recover import recovery_rate
+from .recover import membership_factors, recovery_rate
 from .reduce import le_cam_score, run_test_trials, write_trial_csv
 from .seeds import derive_seed, stream_rng
 from .split import EdgeSplit, decouple, decoupling_diagnostics
@@ -138,16 +139,16 @@ def _c3_projection_certificate(seed, n=200, instances=20, sigma=26.0):
     min_margin = math.inf
     for t in range(instances):
         lab = sample_labels(p, derive_seed(seed, "c3-labels", t), balanced=True)
-        m_true = membership_matrix(lab)
+        truth = membership_factors(lab)
         rng = stream_rng(derive_seed(seed, "c3-noise", t), "noise")
         g = rng.standard_normal((n, n))
-        m0 = m_true + sigma * (g + g.T) / (2.0 * math.sqrt(n))
-        d0 = recovery_rate(m0, m_true)
+        m0 = Factored.from_dense(membership_matrix(lab) + sigma * (g + g.T) / (2.0 * math.sqrt(n)))
+        d0 = recovery_rate(m0, truth)
         min_d0 = min(min_d0, d0)
         spec = ProjectionSpec(delta=d0, k=2, n=n, tol=1e-7, max_iters=4000)
         rep = corr_preserving_projection(m0, spec)
-        worst_residual = max(worst_residual, max(k_residuals(rep.m_hat, spec).values()))
-        min_margin = min(min_margin, recovery_rate(rep.m_hat, m_true) - (d0 / 2 - 1e-3))
+        worst_residual = max(worst_residual, max(k_residuals(rep.estimate.dense(), spec).values()))
+        min_margin = min(min_margin, recovery_rate(rep.estimate, truth) - (d0 / 2 - 1e-3))
     passed = min_d0 >= 0.3 and worst_residual <= 1e-6 and min_margin >= 0.0
     return passed, {
         "min_delta0": min_d0,

@@ -7,6 +7,7 @@ A `Factored` estimate stands for the n x n matrix
 with V an n x r matrix of orthonormal columns and C a symmetric r x r
 matrix.  Spectral truncations and membership matrices have C diagonal (their
 eigenpairs); the subspace projection solver returns a general symmetric C.
+`from_dense` is the one conversion of an n x n array, by one `eigh`, and
 `spanned` builds W core W^T for any column set W by one QR, the one place the
 package orthonormalizes, and `eigenpairs` diagonalizes C.  Every quantity the
 pipeline needs (single entries, the diagonal, the entry sum, inner products
@@ -44,6 +45,14 @@ class Factored:
         """`from_eig` with |vals| <= n eps max|vals| dropped (the rule of matrix_rank), n = len(vecs)."""
         keep = np.abs(vals) > len(vecs) * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
         return cls.from_eig(vals[keep], vecs[:, keep])
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray) -> "Factored":
+        """A symmetric n x n array as eigenpairs: one eigh, then the drop rule of `from_eig_truncated`."""
+        m = np.asarray(m, dtype=float)
+        if not np.array_equal(m, m.T):
+            raise ValueError("a dense matrix must be symmetric")
+        return cls.from_eig_truncated(*np.linalg.eigh(m))
 
     @classmethod
     def spanned(cls, w: np.ndarray, core: np.ndarray) -> "Factored":

@@ -1,4 +1,4 @@
-"""Experiment configs, phase-diagram sweeps, concentration checks, acceptance.
+"""Experiment configs, the two-arm trial engine, phase-diagram sweeps, concentration checks.
 
 Configs are flat ``key = value`` text with dotted keys; unknown keys are
 rejected so stale files fail loudly.  Every setting is checked when the
@@ -200,11 +200,14 @@ def sweep_seed(seed: int, snr: float) -> int:
 
 
 def parse_snr_grid(text: str) -> list[float]:
-    """The comma-separated SNR grid of `sbmlab sweep` and the sweep script."""
+    """The comma-separated SNR grid of `sbmlab sweep` and the sweep script, at least one value."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"SNR grid must be comma-separated numbers, got {text!r}") from None
+    if not grid:
+        raise ValueError(f"SNR grid must hold at least one value, got {text!r}")
+    return grid
 
 
 def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:

@@ -23,21 +23,21 @@ the state supplies the box step and maps the rescaled point to its estimate.
 A solve ends converged, certified infeasible before any sweep, or at the
 sweep cap.
 
-Every input becomes eigenpairs first: the pipelines hand over a `Factored`
-that holds them, and a dense M0, which must equal its transpose, goes
-through one `eigh` with eigenvalues |w| <= n eps max|w| dropped.
-The certificate reads them: every N in K' has
-<U, N> <= n max(lambda_max(U), 0) - <U, J>/k for U = M0 / |M0|_F, so a bound
-below b = delta * target proves that no point of K' meets the halfspace.
+M0 comes as a `Factored` of its eigenpairs, U = sum_l c_l v_l v_l^T / |c|,
+as the pipelines build it (a dense array goes through `Factored.from_dense`
+first).  The certificate reads them: every N in K' has
+<U, N> <= n max(lambda_max(U), 0) - <U, J>/k (the spectraplex) and
+<U, N> <= sum_l |c_l| |v_l|_1^2 / |c| (the box, |N_ij| <= 1), so the smaller
+bound below b = delta * target proves that no point of K' meets the halfspace.
 
 The loop runs over one of two states.  The subspace state holds M0 as a
 `Factored` of its eigenpairs: every iterate is V C V^T for the basis V of
 span{all-ones, eigenvectors of M0, adjoined vertex axes}, so it holds the
-r x r coordinates C, a sweep costs O(n r^2), and its report carries the
-rescaled `Factored` estimate V C V^T that the pipeline scores without an
-n x n array.  No iterate leaves the span: Dykstra starts at zero, the halfspace
-and box steps move only C, and the spectraplex shift theta is never
-negative, so the complementary block I - V V^T, at eigenvalue 0, stays at
+r x r coordinates C, a sweep costs O(n r^2), and its estimate is the
+rescaled V C V^T that the pipeline scores without an n x n array.  No
+iterate leaves the span: Dykstra starts at zero, the halfspace and box steps
+move only C, and the spectraplex shift theta is never negative, so the
+complementary block I - V V^T, at eigenvalue 0, stays at
 max(0 - theta, 0) = 0.  One rule builds the basis V (`_subspace_basis`): the
 all-ones direction first, then one SVD of the eigenvectors and the adjoined
 axes e_v, projected off it, keeping singular values above 1e-12 of the
@@ -51,8 +51,9 @@ the solve restarts with those axes adjoined.
 Once every violation lies in axes x axes, the box clips in one product,
 C - V_A^T E V_A, for E the symmetric matrix of excesses over the bound and
 V_A the axes' rows of V.  The dense state holds X as an n x n array (one
-eigendecomposition per sweep) and remains the reference.  The width rule is
-checked once on every basis built: the subspace state runs while its width r
+eigendecomposition per sweep), remains the reference, and hands its
+rescaled X back as eigenpairs, so every estimate is a `Factored`.  The width
+rule is checked once on every basis built: the subspace state runs while its width r
 satisfies 2 r <= n, past which an O(n r^2) sweep no longer undercuts an
 n x n eigendecomposition; the dense state then solves the matrix rebuilt
 from the eigenpairs.
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,23 +117,15 @@ class ProjectionSpec:
 class ProjectionReport:
     """Solver output: the rescaled estimate and how the solve ended.
 
-    `estimate` is factored on the subspace backend and dense on the dense one;
     `width` is the basis width on the subspace backend and n on the dense one.
     """
 
-    estimate: np.ndarray | Factored
+    estimate: Factored
     iterations: int
     max_violation: float  # the last sweep's larger residual, box or halfspace
     n_norm: float  # |N|_F of the pre-rescaling solution
     backend: str
     width: int
-
-    @cached_property
-    def m_hat(self) -> np.ndarray:
-        """The rescaled estimate as a dense n x n matrix (built on first read)."""
-        if isinstance(self.estimate, Factored):
-            return self.estimate.dense()
-        return self.estimate
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ class _DenseState:
         return max(0.0, float(np.max(np.abs(x))) - 1.0)
 
     def estimate(self, x):
-        return x
+        return Factored.from_dense(x)
 
 
 def _subspace_basis(vecs, axes, n):
@@ -348,41 +340,37 @@ class _SubspaceState:
 
 
 def _certify_infeasible(m0: Factored, norm_m0: float, spec: ProjectionSpec):
-    """Raise ProjectionInfeasibleError when n max(lambda_max(U), 0) - <U, J>/k < b.
+    """Raise ProjectionInfeasibleError when the smaller bound on <U, N> over K' is below b.
 
-    U = M0 / norm_m0 is read from M0's eigenpairs: lambda_max from diag C,
-    <U, J> from V^T 1."""
+    U = M0 / norm_m0 is read from M0's eigenpairs: the spectraplex bound
+    n max(lambda_max(U), 0) - <U, J>/k takes lambda_max from diag C and <U, J>
+    from V^T 1; the box bound sum_l |c_l| |v_l|_1^2 / norm_m0 holds because
+    v^T N v <= |v|_1^2 when every |N_ij| <= 1."""
     b = spec.delta * spec.target
     vals = np.diag(m0.c) / norm_m0
     u_j = float(vals @ m0.v.sum(axis=0) ** 2)
-    bound = spec.n * max(float(vals.max()), 0.0) - u_j / spec.k
+    spectral = spec.n * max(float(vals.max()), 0.0) - u_j / spec.k
+    box = float(np.abs(vals) @ np.abs(m0.v).sum(axis=0) ** 2)
+    bound = min(spectral, box)
     if bound < b:
         raise ProjectionInfeasibleError(bound, b)
 
 
-def corr_preserving_projection(m0: np.ndarray | Factored, spec: ProjectionSpec) -> ProjectionReport:
+def corr_preserving_projection(m0: Factored, spec: ProjectionSpec) -> ProjectionReport:
     """Minimum-norm point of K' meeting the correlation halfspace, rescaled.
 
     M0 comes as eigenpairs, a `Factored` with diagonal C as `Factored.from_eig`
-    builds them, or as a dense array equal to its transpose,
-    eigendecomposed by one `eigh` with the drop rule of
-    `Factored.from_eig_truncated`.  The certificate reads the
-    eigenpairs.  The solve builds the basis, runs the subspace backend while
-    the width rule admits it and restarts with the axes `_ExtendNeeded`
-    names; once a basis fails the rule, the dense backend solves the matrix
-    rebuilt from the eigenpairs.
+    and `Factored.from_dense` build them, and |M0|_F = |diag C|.  The
+    certificate reads the eigenpairs.  The solve builds the basis, runs the
+    subspace backend while the width rule admits it and restarts with the
+    axes `_ExtendNeeded` names; once a basis fails the rule, the dense
+    backend solves the matrix rebuilt from the eigenpairs.  Either backend's
+    estimate is a `Factored`.
     """
-    if isinstance(m0, Factored):
-        vals = np.diag(m0.c)
-        if not np.array_equal(m0.c, np.diag(vals)):
-            raise ValueError("a factored projection input must hold eigenpairs (Factored.from_eig)")
-        norm_m0 = float(np.linalg.norm(vals))
-    else:
-        m0 = np.asarray(m0, dtype=float)
-        if not np.array_equal(m0, m0.T):
-            raise ValueError("a dense projection input must be symmetric")
-        norm_m0 = float(np.linalg.norm(m0))
-        m0 = Factored.from_eig_truncated(*np.linalg.eigh(m0))
+    vals = np.diag(m0.c)
+    if not np.array_equal(m0.c, np.diag(vals)):
+        raise ValueError("a projection input must hold eigenpairs (Factored.from_eig or from_dense)")
+    norm_m0 = float(np.linalg.norm(vals))
     if norm_m0 <= 0.0:
         raise ValueError("projection input must be nonzero")
     _certify_infeasible(m0, norm_m0, spec)

@@ -3,7 +3,8 @@
 The spectral baseline is a rank-k truncation of the degree-centered
 adjacency A - (d_hat/n) J, a stand-in for any estimator achieving some
 recovery rate; it is reliable for d at least around log n.  Its solver,
-`spectral_factors`, computes every spectrum of a graph in the package.  The
+`spectral_factors`, is one Lanczos run on the sparse adjacency, and it also
+serves `learn.svd_theta` (`harness.centered_operator_norm` runs its own).  The
 random baseline produces a membership matrix from uniformly random labels
 and carries no signal by construction.
 """
@@ -41,32 +42,17 @@ def estimate_degree(y: Graph) -> float:
     return 2.0 * y.edge_count / y.n
 
 
-def offdiag_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> with diagonal terms excluded (the package-wide convention)."""
-    return float(np.sum(a * b) - np.sum(np.diag(a) * np.diag(b)))
-
-
-def offdiag_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0)))
-
-
-def recovery_rate(m: np.ndarray | Factored, m_true: np.ndarray | Factored) -> float:
+def recovery_rate(m: Factored, m_true: Factored) -> float:
     """Normalized correlation <M, M*> / (|M|_F |M*|_F), diagonal excluded.
 
-    Two `Factored` arguments are evaluated in factored form, without n x n
-    arrays; a lone `Factored` beside a dense argument is densified.
+    Evaluated from the factors, without n x n arrays.
     """
-    if isinstance(m, Factored) and isinstance(m_true, Factored):
-        inner, nm, nt = m.offdiag_inner(m_true), m.offdiag_norm(), m_true.offdiag_norm()
-    else:
-        m = m.dense() if isinstance(m, Factored) else np.asarray(m, dtype=float)
-        m_true = m_true.dense() if isinstance(m_true, Factored) else np.asarray(m_true, dtype=float)
-        if m.shape != m_true.shape:
-            raise ValueError("matrices must have equal shape")
-        inner, nm, nt = offdiag_inner(m, m_true), offdiag_norm(m), offdiag_norm(m_true)
+    if m.v.shape[0] != m_true.v.shape[0]:
+        raise ValueError("matrices must have equal shape")
+    nm, nt = m.offdiag_norm(), m_true.offdiag_norm()
     if nm == 0.0 or nt == 0.0:
         raise ValueError("recovery rate undefined for a zero matrix")
-    return inner / (nm * nt)
+    return m.offdiag_inner(m_true) / (nm * nt)
 
 
 def spectral_factors(y1: Graph, k: int, d_hat: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,10 @@ harness.run_two_arms calibrates the threshold and decides every trial.
 Both routes end in one project-and-score step, and both hand the projection
 eigenpairs: the recovery route its estimate's, the learning route those of
 theta_hat - (d/n) J, which `learn.centered` reads from the learner's
-`Factored` output in O(n r^2).  When the eigenpairs are few the projected
-estimate comes back factored and g is evaluated from the factors in
-O((m + n) r^2), so neither route builds an n x n array from the estimate to
-the score.
+`Factored` output in O(n r^2).  The projected estimate comes back as a
+`Factored` and g is evaluated from its factors in O((m + n) r^2), so neither
+route builds an n x n array from the estimate to the score while the
+subspace backend solves.
 
 When the projection degenerates (infeasible correlation constraint, solver
 non-convergence, or a zero estimate) or recovery fails on the graph
@@ -76,21 +76,14 @@ class RScore:
     r_value: float
 
 
-def statistic_from_m_hat(m_hat: np.ndarray | Factored, y2: Graph, center: float) -> float:
+def statistic_from_m_hat(m_hat: Factored, y2: Graph, center: float) -> float:
     """g = <M_hat, Y2 - center * J> with diagonal terms excluded.
 
-    For a dense M_hat the diagonal never enters the arithmetic, so adding any
-    diagonal matrix to M_hat leaves g unchanged bit for bit.  A factored
-    M_hat is scored in O((m + n) r^2): edge entries from the rows of V, the
+    Scored in O((m + n) r^2): edge entries from the rows of V, the
     off-diagonal sum from V^T 1 minus the diagonal.
     """
-    if isinstance(m_hat, Factored):
-        edge_part = 2.0 * float(m_hat.entries(y2.edges[:, 0], y2.edges[:, 1]).sum())
-        return edge_part - center * m_hat.offdiag_sum()
-    edge_part = 2.0 * float(m_hat[y2.edges[:, 0], y2.edges[:, 1]].sum())
-    off = m_hat.copy()
-    np.fill_diagonal(off, 0.0)
-    return edge_part - center * float(off.sum())
+    edge_part = 2.0 * float(m_hat.entries(y2.edges[:, 0], y2.edges[:, 1]).sum())
+    return edge_part - center * m_hat.offdiag_sum()
 
 
 def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
@@ -119,7 +112,7 @@ def projection_spec(params: SbmParams) -> ProjectionSpec:
 
 
 def _project_and_score(
-    m0: np.ndarray | Factored, spec: ProjectionSpec, y2: Graph, params: SbmParams, side: dict
+    m0: Factored, spec: ProjectionSpec, y2: Graph, params: SbmParams, side: dict
 ) -> TestReport:
     """Both routes' last step: project M0, then score g on the held-out part Y2."""
     try:

@@ -211,6 +211,7 @@ def test_sweep_bad_grid(capsys):
         ("1.0,oops", "SNR grid must be comma-separated numbers, got '1.0,oops'"),
         ("1.0,-1", "SNR grid values must be finite and positive, got -1.0"),
         ("nan", "SNR grid values must be finite and positive, got nan"),
+        (",", "SNR grid must hold at least one value, got ','"),
     ):
         assert main(["--n", "100", "--d", "8", "sweep", "--grid", grid]) == 1
         assert capsys.readouterr().err == f"sweep: {message}\n"
@@ -257,6 +258,7 @@ def test_scripts_run(tmp_path):
         (["--grid", "1.0,oops"], "SNR grid must be comma-separated numbers, got '1.0,oops'"),
         (["--grid=-1"], "SNR grid values must be finite and positive, got -1.0"),
         (["--grid", "1,nan"], "SNR grid values must be finite and positive, got nan"),
+        (["--grid", ","], "SNR grid must hold at least one value, got ','"),
     ):
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "run_phase_sweep.py"),

@@ -14,6 +14,18 @@ from sbmlab.split import subsample_edges
 REL = 1e-9
 
 
+def dense_rate(a, b):
+    """<a, b> / (|a|_F |b|_F) over the off-diagonal entries of two n x n arrays."""
+    off = ~np.eye(len(a), dtype=bool)
+    return float(np.sum((a * b)[off]) / math.sqrt(np.sum((a * a)[off]) * np.sum((b * b)[off])))
+
+
+def dense_statistic(m, y2, center):
+    """g = <m, A(Y2) - center J> over the off-diagonal entries of an n x n array."""
+    off = ~np.eye(len(m), dtype=bool)
+    return float(np.sum((m * (y2.adjacency() - center))[off]))
+
+
 def random_factored(n, r, scale, seed, shift=0.0):
     """A general symmetric (not diagonal) C on a random orthonormal V, plus shift * I."""
     rng = stream_rng(seed, "factored")
@@ -39,7 +51,7 @@ def test_factored_operations_match_dense(shift):
     assert x.inner(y) == pytest.approx(float(np.sum(xd * yd)), rel=REL)
     assert y.inner(x) == pytest.approx(float(np.sum(xd * yd)), rel=REL)
     assert x.offdiag_inner(y) == pytest.approx(float(np.sum((xd * yd)[off])), rel=REL)
-    assert recovery_rate(x, y) == pytest.approx(recovery_rate(xd, yd), rel=REL)
+    assert recovery_rate(x, y) == pytest.approx(dense_rate(xd, yd), rel=REL)
 
 
 def test_spanned_rank_deficient_column_sets():
@@ -77,7 +89,7 @@ def test_statistic_factored_general_c_matches_dense():
     g, _ = sample_ssbm(p, seed=4)
     est = random_factored(p.n, 3, 3.0, seed=5)
     assert len(g.edges) > 0
-    dense = statistic_from_m_hat(est.dense(), g, 0.03)
+    dense = dense_statistic(est.dense(), g, 0.03)
     assert statistic_from_m_hat(est, g, 0.03) == pytest.approx(dense, rel=REL)
     # and the diagonal of the dense form is not zero, so the test has teeth
     assert np.max(np.abs(np.diag(est.dense()))) > 0.1
@@ -100,12 +112,12 @@ def _check_trial(g, p, seed, method, labels):
     vals, vecs = np.diag(rec.estimate.c), rec.estimate.v
     m0 = (vecs * vals) @ vecs.T
     m0 = (m0 + m0.T) / 2.0
-    assert rec.rate == pytest.approx(recovery_rate(m0, membership_matrix(labels)), rel=REL)
+    assert rec.rate == pytest.approx(dense_rate(m0, membership_matrix(labels)), rel=REL)
     # the estimate is rescaled to the target norm, in factored and dense form
-    m_hat = rep.m_hat
+    m_hat = rep.estimate.dense()
     assert rep.estimate.norm() == pytest.approx(spec.target, rel=REL)
     assert float(np.linalg.norm(m_hat)) == pytest.approx(spec.target, rel=REL)
-    assert g_fact == pytest.approx(statistic_from_m_hat(m_hat, split.y2, center), rel=REL)
+    assert g_fact == pytest.approx(dense_statistic(m_hat, split.y2, center), rel=REL)
     return rec.rate
 
 
@@ -132,6 +144,6 @@ def test_membership_factored_rate_exact():
     other = sample_labels(SbmParams(90, 3.0, k=3), seed=9)
     mine = membership_factors(lab)
     theirs = membership_factors(other)
-    dense = recovery_rate(membership_matrix(lab), membership_matrix(other))
+    dense = dense_rate(membership_matrix(lab), membership_matrix(other))
     assert recovery_rate(mine, theirs) == pytest.approx(dense, rel=REL)
     assert recovery_rate(mine, mine) == pytest.approx(1.0, abs=1e-12)

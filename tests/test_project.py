@@ -159,11 +159,12 @@ def test_oracle_input_fixed_point():
     lab = sample_labels(p, seed=1, balanced=True)
     m_true = membership_matrix(lab)
     spec = ProjectionSpec(delta=0.5, k=2, n=8, tol=1e-8, max_iters=500)
-    rep = corr_preserving_projection(m_true, spec)
+    rep = corr_preserving_projection(Factored.from_dense(m_true), spec)
     assert rep.iterations <= 5
-    assert recovery_rate(rep.m_hat, m_true) >= 0.25
-    assert np.allclose(rep.m_hat, m_true, atol=1e-7)
-    assert max(k_residuals(rep.m_hat, spec).values()) <= 1e-6
+    assert recovery_rate(rep.estimate, Factored.from_dense(m_true)) >= 0.25
+    m_hat = rep.estimate.dense()
+    assert np.allclose(m_hat, m_true, atol=1e-7)
+    assert max(k_residuals(m_hat, spec).values()) <= 1e-6
     # n_norm hits the Cauchy-Schwarz floor delta * target exactly
     assert rep.n_norm == pytest.approx(spec.delta * spec.target, rel=1e-9)
 
@@ -174,34 +175,35 @@ def test_feasible_minimizer_is_fixed_point():
     lab = sample_labels(p, seed=3, balanced=True)
     m_true = membership_matrix(lab)
     spec = ProjectionSpec(delta=0.4, k=2, n=12, tol=1e-8, max_iters=500)
-    first = corr_preserving_projection(m_true, spec)
-    again = corr_preserving_projection(0.4 * m_true, spec)
+    first = corr_preserving_projection(Factored.from_dense(m_true), spec)
+    again = corr_preserving_projection(Factored.from_dense(0.4 * m_true), spec)
     assert again.iterations <= 5
-    assert np.allclose(first.m_hat, again.m_hat, atol=1e-7)
+    assert np.allclose(first.estimate.dense(), again.estimate.dense(), atol=1e-7)
 
 
 def test_noisy_certificate_and_feasibility():
     m_true, m0 = noisy_instance(200, sigma=26.0, seed=5)
-    d0 = recovery_rate(m0, m_true)
+    truth = Factored.from_dense(m_true)
+    d0 = recovery_rate(Factored.from_dense(m0), truth)
     assert d0 >= 0.3
     spec = ProjectionSpec(delta=d0, k=2, n=200, tol=1e-7, max_iters=4000)
-    rep = corr_preserving_projection(m0, spec)
-    assert recovery_rate(rep.m_hat, m_true) >= d0 / 2 - 1e-3
-    assert max(k_residuals(rep.m_hat, spec).values()) <= 1e-6
+    rep = corr_preserving_projection(Factored.from_dense(m0), spec)
+    assert recovery_rate(rep.estimate, truth) >= d0 / 2 - 1e-3
+    assert max(k_residuals(rep.estimate.dense(), spec).values()) <= 1e-6
     assert rep.max_violation <= spec.tol
     # Cauchy-Schwarz floor: the halfspace forces |N| >= delta * target
     assert rep.n_norm >= spec.delta * spec.target * (1 - 1e-6)
     # halfspace achieved: <M0, N> >= delta * target * |M0|_F, N = M_hat |N|_F / target
-    n_mat = rep.m_hat * (rep.n_norm / spec.target)
+    n_mat = rep.estimate.dense() * (rep.n_norm / spec.target)
     assert np.sum(m0 * n_mat) >= spec.delta * spec.target * np.linalg.norm(m0) * (1 - 1e-6)
 
 
 def test_scaling_invariance():
     m_true, m0 = noisy_instance(80, sigma=10.0, seed=7)
     spec = ProjectionSpec(delta=0.4, k=2, n=80, tol=1e-9, max_iters=4000)
-    rep1 = corr_preserving_projection(m0, spec)
-    rep2 = corr_preserving_projection(3.7 * m0, spec)
-    assert np.max(np.abs(rep1.m_hat - rep2.m_hat)) <= 1e-8
+    rep1 = corr_preserving_projection(Factored.from_dense(m0), spec)
+    rep2 = corr_preserving_projection(Factored.from_dense(3.7 * m0), spec)
+    assert np.max(np.abs(rep1.estimate.dense() - rep2.estimate.dense())) <= 1e-8
     # the symmetric input is full rank, too wide for the subspace state
     assert np.array_equal(m0, m0.T)
     assert rep1.backend == "dense" and rep1.width == spec.n
@@ -214,7 +216,7 @@ def test_norm_converges_monotonically_with_tol():
     norms = []
     for tol in (1e-4, 1e-6, 1e-8):
         spec = ProjectionSpec(delta=0.4, k=2, n=100, tol=tol, max_iters=6000)
-        norms.append(corr_preserving_projection(m0, spec).n_norm)
+        norms.append(corr_preserving_projection(Factored.from_dense(m0), spec).n_norm)
     assert norms[0] <= norms[1] + 1e-9
     assert norms[1] <= norms[2] + 1e-9
     assert norms[2] - norms[0] <= 1e-3 * norms[2]
@@ -232,7 +234,9 @@ def test_infeasible_halfspace_detected(factored, monkeypatch):
     dykstra = sbmlab.project._dykstra
     monkeypatch.setattr(sbmlab.project, "_dykstra", lambda *a: sweeps.append(1) or dykstra(*a))
     with pytest.raises(ProjectionInfeasibleError) as err:
-        corr_preserving_projection(membership_factors(lab).scaled(-1.0) if factored else -m_true, spec)
+        corr_preserving_projection(
+            membership_factors(lab).scaled(-1.0) if factored else Factored.from_dense(-m_true), spec
+        )
     assert not sweeps
     assert err.value.b == spec.delta * spec.target
     assert err.value.bound < err.value.b
@@ -245,7 +249,7 @@ def test_certificate_bound_agrees_across_input_forms():
     lab = sample_labels(p, seed=11)
     spec = ProjectionSpec(delta=0.5, k=3, n=60, tol=1e-8, max_iters=500)
     bounds = []
-    for m0 in (-membership_matrix(lab), membership_factors(lab).scaled(-1.0)):
+    for m0 in (Factored.from_dense(-membership_matrix(lab)), membership_factors(lab).scaled(-1.0)):
         with pytest.raises(ProjectionInfeasibleError) as err:
             corr_preserving_projection(m0, spec)
         bounds.append(err.value.bound)
@@ -253,11 +257,27 @@ def test_certificate_bound_agrees_across_input_forms():
     assert bounds[0] == pytest.approx(bounds[1], rel=1e-12)
 
 
+def test_box_bound_certifies_an_input_on_few_vertices(monkeypatch):
+    # U = (e_1 e_1^T + e_2 e_2^T) / sqrt 2 has <U, N> = (N_11 + N_22) / sqrt 2
+    # <= sqrt 2 on the box |N_ij| <= 1, below b = delta * target = 2.5, while
+    # the spectraplex bound n lambda_max(U) - <U, J>/k reads 6.36: the box
+    # bound proves infeasibility before any sweep
+    spec = ProjectionSpec(delta=0.5, k=2, n=10, tol=1e-6, max_iters=2000)
+    sweeps = []
+    dykstra = sbmlab.project._dykstra
+    monkeypatch.setattr(sbmlab.project, "_dykstra", lambda *a: sweeps.append(1) or dykstra(*a))
+    with pytest.raises(ProjectionInfeasibleError) as err:
+        corr_preserving_projection(Factored.from_eig(np.ones(2), np.eye(10)[:, :2]), spec)
+    assert not sweeps
+    assert err.value.b == 2.5
+    assert err.value.bound == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
 def test_nonsymmetric_dense_input_rejected():
     m0 = np.diag([3.0, 2.0, 1.0, 0.5])
     m0[0, 1] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
-        corr_preserving_projection(m0, ProjectionSpec(delta=0.5, k=2, n=4, tol=1e-8, max_iters=500))
+        Factored.from_dense(m0)
 
 
 class _SweepsReached(Exception):
@@ -280,7 +300,7 @@ def test_planted_and_oracle_inputs_pass_the_certificate(seed, monkeypatch):
 
     monkeypatch.setattr(sbmlab.project, "_dykstra", reached)
     for m0 in (spectral, oracle):
-        for form in (m0, m0.dense()):
+        for form in (m0, Factored.from_dense(m0.dense())):
             with pytest.raises(_SweepsReached):
                 corr_preserving_projection(form, spec)
 
@@ -292,6 +312,8 @@ def test_nonconvergence_raises(factored):
         vals, vecs = np.linalg.eigh(m0)
         top = np.argsort(-np.abs(vals))[:10]
         m0 = Factored.from_eig(vals[top], vecs[:, top])
+    else:
+        m0 = Factored.from_dense(m0)
     spec = ProjectionSpec(delta=0.35, k=2, n=100, tol=1e-10, max_iters=2)
     with pytest.raises(ProjectionDidNotConverge):
         corr_preserving_projection(m0, spec)
@@ -300,7 +322,7 @@ def test_nonconvergence_raises(factored):
 def test_zero_input_rejected():
     spec = ProjectionSpec(delta=0.5, k=2, n=10, tol=1e-8, max_iters=500)
     with pytest.raises(ValueError):
-        corr_preserving_projection(np.zeros((10, 10)), spec)
+        corr_preserving_projection(Factored.from_dense(np.zeros((10, 10))), spec)
     with pytest.raises(ValueError, match="nonzero"):
         corr_preserving_projection(Factored.from_eig(np.zeros(2), np.eye(10)[:, :2]), spec)
 
@@ -314,7 +336,7 @@ def test_factored_input_must_hold_eigenpairs():
     oracle = membership_factors(sample_labels(SbmParams(10, 1.0, k=2), seed=0, balanced=True))
     one = corr_preserving_projection(oracle, spec)
     two = corr_preserving_projection(oracle.scaled(2.0), spec)
-    assert np.max(np.abs(one.m_hat - two.m_hat)) <= 1e-9
+    assert np.max(np.abs(one.estimate.dense() - two.estimate.dense())) <= 1e-9
 
 
 def dense_reference(m0, spec):
@@ -328,7 +350,7 @@ def assert_in_span(dense, big_v, spec):
 
     The subspace state represents N as V C V^T with no complementary term;
     the dense solve, which has no basis, lands in that family too."""
-    n_mat = dense.m_hat * dense.n_norm / spec.target
+    n_mat = dense.estimate.dense() * dense.n_norm / spec.target
     proj = big_v @ (big_v.T @ n_mat @ big_v) @ big_v.T
     assert np.linalg.norm(n_mat - proj) <= 1e-12 * np.linalg.norm(n_mat)
 
@@ -361,10 +383,10 @@ def test_subspace_matches_dense_low_rank(instance):
     dense = dense_reference(m0, spec)
     fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert dense.backend == "dense" and fast.backend == "subspace"
-    assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-7
+    assert np.max(np.abs(dense.estimate.dense() - fast.estimate.dense())) <= 1e-7
     assert dense.iterations == fast.iterations
     # the trace cap Tr(N + J/k) <= n binds on the truncation only
-    n_mat = fast.m_hat * fast.n_norm / spec.target
+    n_mat = fast.estimate.dense() * fast.n_norm / spec.target
     assert (np.trace(n_mat) + spec.n / spec.k > spec.n - 1e-6) == (instance is truncation_instance)
     assert_in_span(dense, fast.estimate.v, spec)
 
@@ -393,8 +415,8 @@ def test_subspace_matches_dense_with_active_entry_bound():
     fast = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert dense.backend == "dense" and fast.backend == "subspace"
     # bound is genuinely active on the unscaled solution N
-    assert np.abs(dense.m_hat).max() * dense.n_norm / spec.target > 1.0 - 1e-6
-    assert np.max(np.abs(dense.m_hat - fast.m_hat)) <= 1e-9
+    assert np.abs(dense.estimate.dense()).max() * dense.n_norm / spec.target > 1.0 - 1e-6
+    assert np.max(np.abs(dense.estimate.dense() - fast.estimate.dense())) <= 1e-9
     assert dense.iterations == fast.iterations
     assert_in_span(dense, fast.estimate.v, spec)
 
@@ -420,8 +442,11 @@ def test_subspace_falls_back_to_dense(monkeypatch):
     fallback = corr_preserving_projection(Factored.from_eig(vals, vecs), spec)
     assert widths == [n // 2]
     assert fallback.backend == "dense"
+    # the dense backend hands back its estimate as eigenpairs, like the subspace one
+    assert isinstance(fallback.estimate, Factored)
+    assert np.array_equal(fallback.estimate.c, np.diag(np.diag(fallback.estimate.c)))
     assert fallback.iterations == dense.iterations
-    assert np.max(np.abs(fallback.m_hat - dense.m_hat)) <= 1e-9
+    assert np.max(np.abs(fallback.estimate.dense() - dense.estimate.dense())) <= 1e-9
 
 
 def test_width_does_not_depend_on_the_eigenbasis():
@@ -440,7 +465,7 @@ def test_width_does_not_depend_on_the_eigenbasis():
     assert a.backend == b.backend == "subspace"
     assert a.width == b.width
     assert a.iterations == b.iterations
-    assert np.max(np.abs(a.m_hat - b.m_hat)) <= 1e-9
+    assert np.max(np.abs(a.estimate.dense() - b.estimate.dense())) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -454,10 +479,10 @@ def test_symmetric_low_rank_dense_input_runs_on_subspace(instance):
     # with the dense reference
     *_, vals, vecs, spec = instance()
     m0 = Factored.from_eig(vals, vecs).dense()
-    fast = corr_preserving_projection(m0, spec)
+    fast = corr_preserving_projection(Factored.from_dense(m0), spec)
     dense = dense_reference(m0, spec)
     assert fast.backend == "subspace" and 1 + len(vals) <= fast.width <= spec.n // 2
-    assert np.max(np.abs(fast.m_hat - dense.m_hat)) <= 1e-9
+    assert np.max(np.abs(fast.estimate.dense() - dense.estimate.dense())) <= 1e-9
     assert fast.iterations == dense.iterations
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmlab.factored import Factored
 from sbmlab.model import (
     Graph,
     Labels,
@@ -29,6 +30,11 @@ def dense_truncation(y1, k, d_hat):
     vals, vecs = spectral_factors(y1, k, d_hat)
     m = (vecs * vals) @ vecs.T
     return (m + m.T) / 2.0
+
+
+def truncation(y1, k, d_hat):
+    """The rank-k spectral truncation as eigenpairs."""
+    return Factored.from_eig(*spectral_factors(y1, k, d_hat))
 
 
 def two_cliques(half):
@@ -56,19 +62,20 @@ def test_estimate_degree():
 def test_recovery_rate_extremes():
     lab = sample_labels(SbmParams(30, 2.0, k=3), seed=1, balanced=True)
     m = membership_matrix(lab)
-    assert recovery_rate(m, m) == pytest.approx(1.0, abs=1e-12)
-    assert recovery_rate(-m, m) == pytest.approx(-1.0, abs=1e-12)
+    f = Factored.from_dense(m)
+    assert recovery_rate(f, f) == pytest.approx(1.0, abs=1e-12)
+    assert recovery_rate(Factored.from_dense(-m), f) == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        recovery_rate(np.zeros_like(m), m)
+        recovery_rate(Factored.from_dense(np.zeros_like(m)), f)
 
 
 def test_recovery_rate_null_baseline():
     # null correlation oracle: independent partitions are near-orthogonal
     n = 1000
     lab = sample_labels(SbmParams(n, 2.0, k=2), seed=2, balanced=True)
-    m_true = membership_matrix(lab)
+    m_true = membership_factors(lab)
     for s in range(20):
-        m_rand = membership_matrix(random_labels(n, 2, seed=s))
+        m_rand = membership_factors(random_labels(n, 2, seed=s))
         assert abs(recovery_rate(m_rand, m_true)) <= 4 / math.sqrt(n)
 
 
@@ -76,10 +83,10 @@ def test_recovery_rate_null_baseline():
 @given(st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-6), st.integers(0, 1000))
 def test_recovery_rate_scale_invariance(c, seed):
     lab = sample_labels(SbmParams(24, 2.0, k=2), seed=seed, balanced=True)
-    m_true = membership_matrix(lab)
+    m_true = Factored.from_dense(membership_matrix(lab))
     m_rand = membership_matrix(random_labels(24, 2, seed=seed + 1))
-    base = recovery_rate(m_rand, m_true)
-    scaled = recovery_rate(c * m_rand, m_true)
+    base = recovery_rate(Factored.from_dense(m_rand), m_true)
+    scaled = recovery_rate(Factored.from_dense(c * m_rand), m_true)
     assert scaled == pytest.approx(math.copysign(1.0, c) * base, abs=1e-12)
 
 
@@ -88,14 +95,14 @@ def test_recovery_rate_in_unit_interval():
     for _ in range(20):
         a = rng.standard_normal((15, 15))
         b = rng.standard_normal((15, 15))
-        assert -1.0 - 1e-12 <= recovery_rate(a + a.T, b + b.T) <= 1.0 + 1e-12
+        rate = recovery_rate(Factored.from_dense(a + a.T), Factored.from_dense(b + b.T))
+        assert -1.0 - 1e-12 <= rate <= 1.0 + 1e-12
 
 
 def test_spectral_membership_two_cliques():
     # exact eigenvectors of the block matrix recover the planted bipartition
     g, lab = two_cliques(20)
-    m_hat = dense_truncation(g, 2, d_hat=estimate_degree(g))
-    rate = recovery_rate(m_hat, membership_matrix(lab))
+    rate = recovery_rate(truncation(g, 2, d_hat=estimate_degree(g)), membership_factors(lab))
     assert rate >= 0.99
 
 
@@ -110,10 +117,10 @@ def test_spectral_membership_null_has_no_signal():
     # no signal at eps = 0: rate stays small against an independent partition
     p = SbmParams(1000, 50.0, eps=0.0, k=2)
     lab = sample_labels(p, seed=99, balanced=True)
-    m_true = membership_matrix(lab)
+    m_true = membership_factors(lab)
     for s in range(20):
         g = sample_er(p.n, p.d, seed=s)
-        m_hat = dense_truncation(g, 2, d_hat=estimate_degree(g))
+        m_hat = truncation(g, 2, d_hat=estimate_degree(g))
         assert abs(recovery_rate(m_hat, m_true)) <= 0.1
 
 
@@ -123,8 +130,8 @@ def test_spectral_membership_above_threshold():
     rates = []
     for s in range(20):
         g, lab = sample_ssbm(p, seed=s)
-        m_hat = dense_truncation(g, 2, d_hat=estimate_degree(g))
-        rates.append(recovery_rate(m_hat, membership_matrix(lab)))
+        m_hat = truncation(g, 2, d_hat=estimate_degree(g))
+        rates.append(recovery_rate(m_hat, membership_factors(lab)))
     assert np.median(rates) >= 0.1
 
 

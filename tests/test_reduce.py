@@ -62,9 +62,9 @@ def test_statistic_diagonal_exclusion():
     rng = stream_rng(1, "m")
     m = rng.standard_normal((60, 60))
     m = m + m.T
-    base = statistic_from_m_hat(m, g, center=0.01)
-    shifted = statistic_from_m_hat(m + 100.0 * np.eye(60), g, center=0.01)
-    assert shifted == base  # exactly: the diagonal never enters
+    base = statistic_from_m_hat(Factored.from_dense(m), g, center=0.01)
+    shifted = statistic_from_m_hat(Factored.from_dense(m + 100.0 * np.eye(60)), g, center=0.01)
+    assert shifted == pytest.approx(base, rel=1e-12)  # the diagonal never enters
 
 
 def test_statistic_matches_dense_formula():
@@ -76,7 +76,7 @@ def test_statistic_matches_dense_formula():
     a = g.adjacency()
     off = ~np.eye(50, dtype=bool)
     dense = float(np.sum((m * (a - c))[off]))
-    assert statistic_from_m_hat(m, g, c) == pytest.approx(dense, rel=1e-12)
+    assert statistic_from_m_hat(Factored.from_dense(m), g, c) == pytest.approx(dense, rel=1e-12)
 
 
 def test_trial_row_decision_follows_threshold():
@@ -93,9 +93,9 @@ def test_decision_scale_invariance():
     m = rng.standard_normal((80, 80))
     m = m + m.T
     tau = 1.7
-    g_val = statistic_from_m_hat(m, g, 0.005)
+    g_val = statistic_from_m_hat(Factored.from_dense(m), g, 0.005)
     for c in (0.3, 2.0, 17.0):
-        g_scaled = statistic_from_m_hat(c * m, g, 0.005)
+        g_scaled = statistic_from_m_hat(Factored.from_dense(c * m), g, 0.005)
         # g is linear in M_hat, so rescaling tau by the same c keeps the decision
         assert (g_scaled >= c * tau) == (g_val >= tau)
         assert g_scaled == pytest.approx(c * g_val, rel=1e-12)
