@@ -184,23 +184,25 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
 
     if cmd in ("recover", "project"):
         g, labels = sample_ssbm(p, cfg.seed)
-        res = run_recovery(g, p, method=cfg.recovery_method, seed=cfg.seed, labels=labels)
+        truth = membership_factors(labels)
+        m0 = run_recovery(g, p, method=cfg.recovery_method, seed=cfg.seed, labels=labels)
+        rate_before = recovery_rate(m0, truth)
         if cmd == "recover":
             with _open_out(args) as fh:
-                fh.write(f"method,rate\n{cfg.recovery_method},{res.rate!r}\n")
+                fh.write(f"method,rate\n{cfg.recovery_method},{rate_before!r}\n")
             return 0
         try:
-            rep = corr_preserving_projection(res.estimate, projection_spec(p))
+            rep = corr_preserving_projection(m0, projection_spec(p))
         except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
             _log(f"project: {exc}")
             solved, status = ",,,,", projection_outcome(exc)["status"]
         else:
-            rate_after = recovery_rate(rep.estimate, membership_factors(labels))
+            rate_after = recovery_rate(rep.estimate, truth)
             solved = f"{rate_after!r},{rep.iterations},{rep.max_violation!r},{rep.n_norm!r},{rep.backend}"
             status = "ok"
         with _open_out(args) as fh:
             fh.write("method,rate_before,rate_after,iterations,max_violation,n_norm,backend,status\n")
-            fh.write(f"{cfg.recovery_method},{res.rate!r},{solved},{status}\n")
+            fh.write(f"{cfg.recovery_method},{rate_before!r},{solved},{status}\n")
         return 0
 
     if cmd == "test":

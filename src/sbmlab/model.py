@@ -329,7 +329,9 @@ def read_edge_list(path) -> Graph:
         if len(header) != 2:
             raise ValueError("edge-list header must be 'n m'")
         n, m = int(header[0]), int(header[1])
-        edges = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
+        rows = [line for line in fh if line.strip()]
+    # loadtxt warns on an empty body
+    edges = np.loadtxt(rows, dtype=np.int64, ndmin=2) if rows else np.empty((0, 2), np.int64)
     if edges.shape[0] != m:
         raise ValueError(f"expected {m} edges, found {edges.shape[0]}")
     if edges.shape[1] != 2:

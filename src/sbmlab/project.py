@@ -367,6 +367,8 @@ def corr_preserving_projection(m0: Factored, spec: ProjectionSpec) -> Projection
     backend solves the matrix rebuilt from the eigenpairs.  Either backend's
     estimate is a `Factored`.
     """
+    if m0.v.shape[0] != spec.n:
+        raise ValueError(f"projection input has {m0.v.shape[0]} rows, the spec n = {spec.n}")
     vals = np.diag(m0.c)
     if not np.array_equal(m0.c, np.diag(vals)):
         raise ValueError("a projection input must hold eigenpairs (Factored.from_eig or from_dense)")

@@ -6,12 +6,12 @@ recovery rate; it is reliable for d at least around log n.  Its solver,
 `spectral_factors`, is one Lanczos run on the sparse adjacency, and it also
 serves `learn.svd_theta` (`harness.centered_operator_norm` runs its own).  The
 random baseline produces a membership matrix from uniformly random labels
-and carries no signal by construction.
+and carries no signal by construction.  `run_recovery` returns the estimate
+alone, as eigenpairs; a caller holding the true labels scores it with
+`recovery_rate(estimate, membership_factors(labels))`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -24,15 +24,7 @@ METHODS = ("spectral", "random", "oracle")
 
 
 class RecoveryFailed(ValueError):
-    """The graph admits no estimate: it has no edges, or its truncation vanished."""
-
-
-@dataclass(frozen=True, eq=False)
-class RecoveryResult:
-    """Estimate of the membership matrix as eigenpairs, and its rate when labels are given."""
-
-    estimate: Factored  # eigenpairs: C diagonal
-    rate: float | None = None
+    """The graph admits no estimate: it has no edges to center the adjacency with."""
 
 
 def estimate_degree(y: Graph) -> float:
@@ -94,39 +86,30 @@ def membership_factors(labels: Labels) -> Factored:
     return Factored.spanned(ind, np.eye(k) - 1.0 / k).eigenpairs()
 
 
-def random_labels(n: int, k: int, seed: int) -> Labels:
-    """Uniformly random labels (the signal-free baseline)."""
-    return sample_labels(SbmParams(n, 1.0, k=k), seed)
-
-
 def run_recovery(
     y1: Graph,
     params: SbmParams,
     method: str = "spectral",
     seed: int = 0,
     labels: Labels | None = None,
-) -> RecoveryResult:
-    """Dispatch a recovery baseline of METHODS; attaches rate when true labels are given.
+) -> Factored:
+    """The estimate of the membership matrix by a recovery baseline of METHODS.
 
-    The estimate stays in eigenpair form, a `Factored`, and the rate is
-    computed from the factors, so no n x n array is built.  A graph with no
-    estimate raises RecoveryFailed, a caller error plain ValueError.
+    The estimate is eigenpairs, a `Factored` with diagonal C, so no n x n
+    array is built; `labels` is read by the oracle alone.  A graph with no
+    edges raises RecoveryFailed, a caller error plain ValueError.  On a graph
+    with an edge (u, v), x = (e_u - e_v)/sqrt(2) has x^T (A - c J) x = -1,
+    so the spectral truncation keeps an eigenvalue of magnitude at least 1.
     """
     if method == "spectral":
         d_used = estimate_degree(y1)
         if d_used <= 0:
             raise RecoveryFailed("empty graph: cannot center the adjacency")
-        vals, vecs = spectral_factors(y1, params.k, d_used)
-        if np.all(np.abs(vals) < 1e-12):
-            raise RecoveryFailed("spectral truncation vanished; no usable estimate")
-        estimate = Factored.from_eig(vals, vecs)
-    elif method == "random":
-        estimate = membership_factors(random_labels(y1.n, params.k, seed))
-    elif method == "oracle":
+        return Factored.from_eig(*spectral_factors(y1, params.k, d_used))
+    if method == "random":
+        return membership_factors(sample_labels(params, seed))
+    if method == "oracle":
         if labels is None:
             raise ValueError("oracle recovery needs the true labels")
-        estimate = membership_factors(labels)
-    else:
-        raise ValueError(f"unknown recovery method {method!r}")
-    rate = None if labels is None else recovery_rate(estimate, membership_factors(labels))
-    return RecoveryResult(estimate=estimate, rate=rate)
+        return membership_factors(labels)
+    raise ValueError(f"unknown recovery method {method!r}")

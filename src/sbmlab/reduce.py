@@ -15,13 +15,15 @@ theta_hat - (d/n) J, which `learn.centered` reads from the learner's
 route builds an n x n array from the estimate to the score while the
 subspace backend solves.
 
-When the projection degenerates (infeasible correlation constraint, solver
-non-convergence, or a zero estimate) or recovery fails on the graph
-(`RecoveryFailed`) the report carries M_hat = 0, hence g = 0 exactly, with
-the reason recorded in the side channel.  Every trial that reaches the
+A trial whose estimate cannot be projected reports M_hat = 0, hence g = 0
+exactly, with the reason in side_channel["error"].  The recovery route
+reaches g = 0 in three ways: the kept part Y1 has no edges
+(`RecoveryFailed`), the certificate proves the correlation constraint
+infeasible, or the projection ends at its sweep cap; the learning route
+also when its centered estimate is zero.  Every trial that reaches the
 projection names its outcome in side_channel["projection"]["status"]: ok,
-infeasible (with the certificate's bound), no_convergence, or invalid (the
-projection rejected its input).
+infeasible (with the certificate's bound) or no_convergence.  A caller
+error, such as a graph whose size differs from params.n, raises.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .project import (
     ProjectionSpec,
     corr_preserving_projection,
 )
-from .recover import RecoveryFailed, run_recovery
+from .recover import RecoveryFailed, membership_factors, recovery_rate, run_recovery
 from .seeds import derive_seed
 from .split import subsample_edges
 
@@ -86,8 +88,10 @@ def statistic_from_m_hat(m_hat: Factored, y2: Graph, center: float) -> float:
     return edge_part - center * m_hat.offdiag_sum()
 
 
-def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
-    """The side channel's projection record for a report or a raised exception."""
+def projection_outcome(
+    outcome: ProjectionReport | ProjectionInfeasibleError | ProjectionDidNotConverge,
+) -> dict:
+    """The side channel's projection record for a report or a degenerate solve's exception."""
     if isinstance(outcome, ProjectionReport):
         return {
             "status": "ok",
@@ -99,9 +103,7 @@ def projection_outcome(outcome: ProjectionReport | Exception) -> dict:
         }
     if isinstance(outcome, ProjectionInfeasibleError):
         return {"status": "infeasible", "bound": outcome.bound}
-    if isinstance(outcome, ProjectionDidNotConverge):
-        return {"status": "no_convergence"}
-    return {"status": "invalid"}
+    return {"status": "no_convergence"}
 
 
 def projection_spec(params: SbmParams) -> ProjectionSpec:
@@ -111,13 +113,13 @@ def projection_spec(params: SbmParams) -> ProjectionSpec:
     )
 
 
-def _project_and_score(
-    m0: Factored, spec: ProjectionSpec, y2: Graph, params: SbmParams, side: dict
-) -> TestReport:
+def _project_and_score(m0: Factored, y2: Graph, params: SbmParams, side: dict) -> TestReport:
     """Both routes' last step: project M0, then score g on the held-out part Y2."""
+    if y2.n != params.n:
+        raise ValueError(f"the graph has {y2.n} vertices, the params n = {params.n}")
     try:
-        rep = corr_preserving_projection(m0, spec)
-    except (ProjectionInfeasibleError, ProjectionDidNotConverge, ValueError) as exc:
+        rep = corr_preserving_projection(m0, projection_spec(params))
+    except (ProjectionInfeasibleError, ProjectionDidNotConverge) as exc:
         side["projection"] = projection_outcome(exc)
         return TestReport(0.0, dict(side, error=f"projection: {exc}"))
     side["projection"] = projection_outcome(rep)
@@ -136,13 +138,14 @@ def recovery_test_statistic(
     split = subsample_edges(y, params.eta, derive_seed(seed, "pipeline-split"))
     side = {"recovery_rate": None, "projection": None}
     try:
-        rec = run_recovery(
+        m0 = run_recovery(
             split.y1, params, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
         )
     except RecoveryFailed as exc:
         return TestReport(0.0, dict(side, error=f"recovery: {exc}"))
-    side["recovery_rate"] = rec.rate
-    return _project_and_score(rec.estimate, projection_spec(params), split.y2, params, side)
+    if labels is not None:
+        side["recovery_rate"] = recovery_rate(m0, membership_factors(labels))
+    return _project_and_score(m0, split.y2, params, side)
 
 
 def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> TestReport:
@@ -158,7 +161,7 @@ def learning_test_statistic(y: Graph, params: SbmParams, learner, seed: int) -> 
     m0 = centered(theta_hat, params.d / params.n)
     if m0.norm() < 1e-12:
         return TestReport(0.0, dict(side, error="learning: centered estimate is zero"))
-    return _project_and_score(m0, projection_spec(params), split.y2, params, side)
+    return _project_and_score(m0, split.y2, params, side)
 
 
 def le_cam_score(p_vals, q_vals) -> RScore:

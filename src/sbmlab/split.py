@@ -122,5 +122,8 @@ def write_edge_split(split: EdgeSplit, y1_path, y2_path, meta_path, seed: int) -
 def read_edge_split(y1_path, y2_path, meta_path) -> tuple[EdgeSplit, int]:
     with open(meta_path) as fh:
         parts = dict(tok.split("=", 1) for tok in fh.readline().split())
+    missing = {"eta", "seed"} - parts.keys()
+    if missing:
+        raise ValueError(f"split metadata needs 'eta=... seed=...', missing {sorted(missing)}")
     split = EdgeSplit(read_edge_list(y1_path), read_edge_list(y2_path), float(parts["eta"]))
     return split, int(parts["seed"])

@@ -98,27 +98,30 @@ def test_statistic_factored_general_c_matches_dense():
 def _check_trial(g, p, seed, method, labels):
     """Factored pipeline figures against the dense formulas on the same trial."""
     split = subsample_edges(g, p.eta, derive_seed(seed, "pipeline-split"))
-    rec = run_recovery(
+    est = run_recovery(
         split.y1, p, method=method, seed=derive_seed(seed, "pipeline-recovery"), labels=labels
     )
     spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=2000)
-    rep = corr_preserving_projection(rec.estimate, spec)
+    rep = corr_preserving_projection(est, spec)
     assert rep.backend == "subspace" and isinstance(rep.estimate, Factored)
     center = p.eta * p.d / p.n
     g_fact = statistic_from_m_hat(rep.estimate, split.y2, center)
     # the pipeline scores exactly this factored estimate
-    assert recovery_test_statistic(g, p, seed, method=method, labels=labels).statistic == g_fact
+    report = recovery_test_statistic(g, p, seed, method=method, labels=labels)
+    assert report.statistic == g_fact
+    rate = recovery_rate(est, membership_factors(labels))
+    assert report.side_channel["recovery_rate"] == rate
 
-    vals, vecs = np.diag(rec.estimate.c), rec.estimate.v
+    vals, vecs = np.diag(est.c), est.v
     m0 = (vecs * vals) @ vecs.T
     m0 = (m0 + m0.T) / 2.0
-    assert rec.rate == pytest.approx(dense_rate(m0, membership_matrix(labels)), rel=REL)
+    assert rate == pytest.approx(dense_rate(m0, membership_matrix(labels)), rel=REL)
     # the estimate is rescaled to the target norm, in factored and dense form
     m_hat = rep.estimate.dense()
     assert rep.estimate.norm() == pytest.approx(spec.target, rel=REL)
     assert float(np.linalg.norm(m_hat)) == pytest.approx(spec.target, rel=REL)
     assert g_fact == pytest.approx(dense_statistic(m_hat, split.y2, center), rel=REL)
-    return rec.rate
+    return rate
 
 
 def test_factored_pipeline_matches_dense_at_c4():

@@ -313,6 +313,23 @@ def test_read_edge_list_rejects_rows_not_two_integers(tmp_path, text, columns):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("3\n0 1\n", "header must be 'n m'"),
+        ("3 0\n0 1\n1 2\n", "expected 0 edges, found 2"),
+        ("3 2\n0 1\n", "expected 2 edges, found 1"),
+        ("3 1\n0 1\n1 2\n", "expected 1 edges, found 2"),
+    ],
+    ids=["one-field-header", "rows-under-zero-header", "too-few-rows", "too-many-rows"],
+)
+def test_read_edge_list_rejects_a_row_count_off_the_header(tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(path)
+
+
 def _pair_keys(g):
     return (g.edges[:, 0] * g.n + g.edges[:, 1]).tolist()
 

@@ -292,7 +292,7 @@ def test_planted_and_oracle_inputs_pass_the_certificate(seed, monkeypatch):
     p = SbmParams(400, 30.0, eps=0.6, k=2, eta=0.1, delta=0.1)
     graph, lab = sample_ssbm(p, seed)
     spec = ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-8, max_iters=500)
-    spectral = run_recovery(graph, p, method="spectral", seed=seed).estimate
+    spectral = run_recovery(graph, p, method="spectral", seed=seed)
     oracle = membership_factors(lab)
 
     def reached(*args):
@@ -325,6 +325,13 @@ def test_zero_input_rejected():
         corr_preserving_projection(Factored.from_dense(np.zeros((10, 10))), spec)
     with pytest.raises(ValueError, match="nonzero"):
         corr_preserving_projection(Factored.from_eig(np.zeros(2), np.eye(10)[:, :2]), spec)
+
+
+def test_input_rows_must_match_spec_n():
+    spec = ProjectionSpec(delta=0.5, k=2, n=12, tol=1e-8, max_iters=500)
+    oracle = membership_factors(sample_labels(SbmParams(10, 1.0, k=2), seed=0, balanced=True))
+    with pytest.raises(ValueError, match="10 rows, the spec n = 12"):
+        corr_preserving_projection(oracle, spec)
 
 
 def test_factored_input_must_hold_eigenpairs():
@@ -531,7 +538,7 @@ def sparse_planted_instance():
     """A sparse-regime planted graph's spectral estimate (n = 400, d = 7) and its spec."""
     p = SbmParams(400, 7.0, eps=0.9, k=2, delta=0.2)
     graph, lab = sample_ssbm(p, 23)
-    m0 = run_recovery(graph, p, method="spectral", seed=23, labels=lab).estimate
+    m0 = run_recovery(graph, p, method="spectral", seed=23, labels=lab)
     return m0, ProjectionSpec(delta=p.delta, k=p.k, n=p.n, tol=1e-6, max_iters=200)
 
 

@@ -16,9 +16,10 @@ from sbmlab.model import (
     sample_ssbm,
 )
 from sbmlab.recover import (
+    METHODS,
+    RecoveryFailed,
     estimate_degree,
     membership_factors,
-    random_labels,
     recovery_rate,
     run_recovery,
     spectral_factors,
@@ -75,7 +76,7 @@ def test_recovery_rate_null_baseline():
     lab = sample_labels(SbmParams(n, 2.0, k=2), seed=2, balanced=True)
     m_true = membership_factors(lab)
     for s in range(20):
-        m_rand = membership_factors(random_labels(n, 2, seed=s))
+        m_rand = membership_factors(sample_labels(SbmParams(n, 2.0, k=2), seed=s))
         assert abs(recovery_rate(m_rand, m_true)) <= 4 / math.sqrt(n)
 
 
@@ -84,7 +85,7 @@ def test_recovery_rate_null_baseline():
 def test_recovery_rate_scale_invariance(c, seed):
     lab = sample_labels(SbmParams(24, 2.0, k=2), seed=seed, balanced=True)
     m_true = Factored.from_dense(membership_matrix(lab))
-    m_rand = membership_matrix(random_labels(24, 2, seed=seed + 1))
+    m_rand = membership_matrix(sample_labels(SbmParams(24, 2.0, k=2), seed=seed + 1))
     base = recovery_rate(Factored.from_dense(m_rand), m_true)
     scaled = recovery_rate(Factored.from_dense(c * m_rand), m_true)
     assert scaled == pytest.approx(math.copysign(1.0, c) * base, abs=1e-12)
@@ -173,13 +174,34 @@ def test_membership_factors_exact():
 def test_run_recovery_dispatch():
     p = SbmParams(200, 12.0, eps=0.9, k=2)
     g, lab = sample_ssbm(p, seed=13)
-    res = run_recovery(g, p, method="oracle", labels=lab)
-    assert res.rate == pytest.approx(1.0, abs=1e-12)
-    res = run_recovery(g, p, method="spectral", labels=lab)
-    assert res.rate is not None and res.rate > 0.3
-    res = run_recovery(g, p, method="random", seed=5, labels=lab)
-    assert abs(res.rate) < 0.2
+    truth = membership_factors(lab)
+    m0 = run_recovery(g, p, method="oracle", labels=lab)
+    assert recovery_rate(m0, truth) == pytest.approx(1.0, abs=1e-12)
+    m0 = run_recovery(g, p, method="spectral", labels=lab)
+    assert recovery_rate(m0, truth) > 0.3
+    m0 = run_recovery(g, p, method="random", seed=5, labels=lab)
+    assert abs(recovery_rate(m0, truth)) < 0.2
     with pytest.raises(ValueError):
         run_recovery(g, p, method="nope")
     with pytest.raises(ValueError):
         run_recovery(g, p, method="oracle")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_recovery_returns_eigenpairs(method):
+    # the one hand-off to the projection: a Factored with n rows and diagonal C
+    p = SbmParams(200, 12.0, eps=0.9, k=2)
+    g, lab = sample_ssbm(p, seed=13)
+    m0 = run_recovery(g, p, method=method, seed=5, labels=lab)
+    assert isinstance(m0, Factored)
+    assert m0.v.shape[0] == p.n
+    assert np.array_equal(m0.c, np.diag(np.diag(m0.c)))
+    if method == "random":
+        want = membership_factors(sample_labels(p, 5))
+        assert np.array_equal(m0.v, want.v) and np.array_equal(m0.c, want.c)
+
+
+def test_run_recovery_rejects_an_edgeless_graph():
+    p = SbmParams(50, 4.0, k=2)
+    with pytest.raises(RecoveryFailed, match="empty graph: cannot center the adjacency"):
+        run_recovery(Graph(p.n, np.empty((0, 2), np.int64)), p)

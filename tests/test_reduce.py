@@ -179,16 +179,28 @@ def test_side_channel_names_the_projection_outcome(monkeypatch):
     proj = rep.side_channel["projection"]
     assert rep.statistic == 0.0 and proj["status"] == "infeasible"
     assert proj["bound"] < p.delta * projection_spec(p).target
-    for exc, status in (
-        (sbmlab.reduce.ProjectionDidNotConverge("cap"), "no_convergence"),
-        (ValueError("projection input must be nonzero"), "invalid"),
-    ):
-        def fail(m0, spec, exc=exc):
-            raise exc
+    def cap(m0, spec):
+        raise sbmlab.reduce.ProjectionDidNotConverge("cap")
 
-        monkeypatch.setattr(sbmlab.reduce, "corr_preserving_projection", fail)
-        rep = recovery_test_statistic(g, p, seed=derive_seed(12345, "probe-stat", 0))
-        assert rep.statistic == 0.0 and rep.side_channel["projection"] == {"status": status}
+    def reject(m0, spec):
+        raise ValueError("projection input must be nonzero")
+
+    monkeypatch.setattr(sbmlab.reduce, "corr_preserving_projection", cap)
+    rep = recovery_test_statistic(g, p, seed=derive_seed(12345, "probe-stat", 0))
+    assert rep.statistic == 0.0 and rep.side_channel["projection"] == {"status": "no_convergence"}
+    # a rejected input is a caller error: it propagates instead of scoring g = 0
+    monkeypatch.setattr(sbmlab.reduce, "corr_preserving_projection", reject)
+    with pytest.raises(ValueError, match="projection input must be nonzero"):
+        recovery_test_statistic(g, p, seed=derive_seed(12345, "probe-stat", 0))
+
+
+@pytest.mark.parametrize("method", ["spectral", "random"])
+def test_params_for_another_graph_size_raise(method):
+    # a graph drawn at n = 400 scored with params for n = 402 is a caller
+    # error, not a degenerate trial with g = 0
+    g, _ = sample_ssbm(SbmParams(400, 16.0, eps=0.9), seed=3)
+    with pytest.raises(ValueError, match="400.*402|402.*400"):
+        recovery_test_statistic(g, SbmParams(402, 16.0, eps=0.9), seed=3, method=method)
 
 
 def test_calibrate_threshold_properties():
@@ -292,9 +304,7 @@ def test_learning_statistic_matches_dense_eigh_reference(arm, t):
     m0 = svd_theta(split.y1, p.k).dense() - p.d / p.n
     w, v = np.linalg.eigh(m0)
     keep = np.abs(w) > p.n * np.finfo(float).eps * np.abs(w).max()
-    ref = sbmlab.reduce._project_and_score(
-        Factored.from_eig(w[keep], v[:, keep]), projection_spec(p), split.y2, p, {}
-    )
+    ref = sbmlab.reduce._project_and_score(Factored.from_eig(w[keep], v[:, keep]), split.y2, p, {})
     got, want = rep.side_channel["projection"], ref.side_channel["projection"]
     assert got["status"] == want["status"]
     for key in ("backend", "width", "iterations"):

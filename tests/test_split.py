@@ -197,6 +197,16 @@ def test_split_serialization_roundtrip(tmp_path):
     assert np.array_equal(sp2.y2.edges, sp.y2.edges)
 
 
+def test_read_edge_split_needs_eta_and_seed(tmp_path):
+    sp = subsample_edges(one_edge_graph(), 0.5, seed=1)
+    paths = (tmp_path / "y1.txt", tmp_path / "y2.txt", tmp_path / "meta.txt")
+    write_edge_split(sp, *paths, seed=1)
+    for line in ("eta=0.1\n", "seed=3\n"):
+        paths[2].write_text(line)
+        with pytest.raises(ValueError, match="eta=... seed=..."):
+            read_edge_split(*paths)
+
+
 def test_decouple_on_a_split_is_symmetric():
     from sbmlab.model import SbmParams, edge_prob_matrix, sample_ssbm
 
