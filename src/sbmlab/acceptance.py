@@ -159,7 +159,7 @@ def _c3_projection_certificate(seed, n=200, instances=20, sigma=26.0):
 
 def _c4_pipeline(seed, n=2000, d=60.0, trials=40):
     p = SbmParams(n, d, eps=math.sqrt(16.0 / d), k=2, eta=0.1, delta=0.1)
-    cfg = ExperimentConfig(params=p, trials=trials, threshold_quantile=0.99)
+    cfg = ExperimentConfig(params=p, trials=trials)
     tau, (rows_p,), rows_q = run_two_arms(
         cfg, derive_seed(seed, "c4-q"), [(p.eps, derive_seed(seed, "c4-p"))]
     )

@@ -19,6 +19,7 @@ import numpy as np
 from .acceptance import DEFAULT_SEED, acceptance_csv, run_acceptance
 from .harness import (
     _CONFIG_KEYS,
+    THRESHOLD_QUANTILE,
     ExperimentConfig,
     check_spectral_concentration,
     parse_config,
@@ -161,6 +162,8 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
     cmd = args.command
 
     if cmd == "sample":
+        if args.null and args.labels_out:
+            raise ValueError("--labels-out needs a planted draw: a --null draw has no labels")
         if args.null:
             g = sample_er(p.n, p.d, cfg.seed)
             labels = None
@@ -168,7 +171,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
             g, labels = sample_ssbm(p, cfg.seed)
         with _open_out(args) as fh:
             write_edge_list(g, fh)
-        if args.labels_out and labels is not None:
+        if args.labels_out:
             write_labels(labels, args.labels_out)
         _log(f"sampled graph with {g.edge_count} edges")
         return 0
@@ -185,7 +188,9 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
     if cmd in ("recover", "project"):
         g, labels = sample_ssbm(p, cfg.seed)
         truth = membership_factors(labels)
-        m0 = run_recovery(g, p, method=cfg.recovery_method, seed=cfg.seed, labels=labels)
+        # the random baseline draws from its own seed: cfg.seed's labels are the truth
+        seed = derive_seed(cfg.seed, "cli-recovery")
+        m0 = run_recovery(g, p, method=cfg.recovery_method, seed=seed, labels=labels)
         rate_before = recovery_rate(m0, truth)
         if cmd == "recover":
             with _open_out(args) as fh:
@@ -211,7 +216,7 @@ def _run_verb(args, cfg: ExperimentConfig) -> int:
         )
         with _open_out(args) as fh:
             write_trial_csv(rows_p + rows_q, fh, timing=not args.no_timing)
-        _log(f"threshold {tau}: the {cfg.threshold_quantile} quantile of {len(rows_q)} null statistics")
+        _log(f"threshold {tau}: the {THRESHOLD_QUANTILE} quantile of {len(rows_q)} null statistics")
         return 0
 
     if cmd == "learn":

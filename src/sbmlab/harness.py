@@ -33,6 +33,9 @@ from .seeds import derive_seed, unit_vector
 
 PIPELINES = ("recovery", "learning", "graphon", "bipartite")
 
+# tau is this quantile of the null arm's statistics: every test runs at size 0.01
+THRESHOLD_QUANTILE = 0.99
+
 SWEEP_CSV_COLUMNS = (
     "snr",
     "eps",
@@ -52,7 +55,6 @@ class ExperimentConfig:
     trials: int = 40
     seed: int = 0
     pipeline: str = "recovery"
-    threshold_quantile: float = 0.99
     recovery_method: str = "spectral"  # one of recover.METHODS
     ell: int = 3
 
@@ -65,8 +67,6 @@ class ExperimentConfig:
         if self.pipeline == "bipartite" and (n % 2 or k >= n // 2):
             # the vertex split puts n/2 vertices on a side; the plug-in fits rank k on one side
             raise ValueError(f"pipeline = bipartite needs an even n and k < n/2, got n={n}, k={k}")
-        if not 0.5 < self.threshold_quantile < 1.0:
-            raise ValueError(f"threshold quantile {self.threshold_quantile} is not in (0.5, 1)")
         if self.recovery_method not in METHODS:
             raise ValueError(f"unknown recovery method {self.recovery_method!r}")
 
@@ -83,7 +83,6 @@ _CONFIG_KEYS = {
     "trials": ("trials", int),
     "seed": ("seed", int),
     "pipeline": ("pipeline", str),
-    "threshold.quantile": ("threshold_quantile", float),
     "recovery.method": ("recovery_method", str),
     "ldlr.ell": ("ell", int),
 }
@@ -173,7 +172,7 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, arms):
     """cfg's pipeline on cfg.trials draws of the null arm and of each planted arm.
 
     `arms` lists the planted arms as (eps, seed_p) pairs; no statistic reads
-    eps, so one null arm serves them all.  tau is the threshold_quantile of
+    eps, so one null arm serves them all.  tau is the THRESHOLD_QUANTILE of
     the null statistics.
     Returns (tau, rows_p per planted arm, rows_q), each row decided against tau.
     """
@@ -182,7 +181,7 @@ def run_two_arms(cfg: ExperimentConfig, seed_q: int, arms):
     planted = [(replace(cfg.params, eps=eps), seed_p) for eps, seed_p in arms]
     rows_q = run_test_trials(stat, cfg.params, "Q", cfg.trials, seed_q)
     arms_p = [run_test_trials(stat, params, "P", cfg.trials, seed_p) for params, seed_p in planted]
-    tau = float(np.quantile(np.array([r.statistic for r in rows_q]), cfg.threshold_quantile))
+    tau = float(np.quantile(np.array([r.statistic for r in rows_q]), THRESHOLD_QUANTILE))
 
     def decide(rows):
         return [replace(r, threshold=tau) for r in rows]
@@ -213,8 +212,8 @@ def parse_snr_grid(text: str) -> list[float]:
 def sweep_phase(cfg: ExperimentConfig, snr_grid) -> list[PhasePoint]:
     """One run_two_arms experiment: a planted arm per SNR grid value, one null arm.
 
-    Points are the distinct SNR values in order, eps set from each; an eps
-    above 1 gets no arm.
+    Points are the distinct SNR values in order, each with eps = k sqrt(SNR / d);
+    an eps above 1 gets no arm.
     The grid must be finite and positive, checked before any trial runs.
     """
     grid = sorted(set(snr_grid))

@@ -102,11 +102,3 @@ def write_graphon(w: BlockGraphon, path) -> None:
         for row in w.b:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
-
-def read_graphon(path) -> BlockGraphon:
-    with open(path) as fh:
-        m = int(fh.readline())
-        b = np.loadtxt(fh, ndmin=2)
-    if b.shape != (m, m):
-        raise ValueError("graphon file shape mismatch")
-    return BlockGraphon(b)

@@ -74,11 +74,6 @@ class SbmParams:
     def p_out(self) -> float:
         return (1.0 - self.eps / self.k) * self.d / self.n
 
-    @property
-    def ks_snr(self) -> float:
-        """Signal-to-noise ratio eps^2 d / k^2; the critical threshold sits at 1."""
-        return self.eps**2 * self.d / self.k**2
-
 
 @dataclass(frozen=True, eq=False)
 class Labels:
@@ -323,29 +318,9 @@ def write_edge_list(graph: Graph, dest) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def read_edge_list(path) -> Graph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("edge-list header must be 'n m'")
-        n, m = int(header[0]), int(header[1])
-        rows = [line for line in fh if line.strip()]
-    # loadtxt warns on an empty body
-    edges = np.loadtxt(rows, dtype=np.int64, ndmin=2) if rows else np.empty((0, 2), np.int64)
-    if edges.shape[0] != m:
-        raise ValueError(f"expected {m} edges, found {edges.shape[0]}")
-    if edges.shape[1] != 2:
-        raise ValueError(f"edge-list rows must be 'u v', found {edges.shape[1]} columns")
-    return Graph(n, edges)
-
-
 def write_labels(labels: Labels, path) -> None:
     """Labels text format: one integer per line."""
     with open(path, "w") as fh:
         for x in labels.assignment:
             fh.write(f"{x}\n")
 
-
-def read_labels(path, k: int) -> Labels:
-    a = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return Labels(a, k)

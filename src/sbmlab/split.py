@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, SbmParams, edge_prob_matrix, map_trials, read_edge_list, write_edge_list
+from .model import Graph, SbmParams, edge_prob_matrix, map_trials, write_edge_list
 from .seeds import stream_rng
 
 
@@ -118,12 +118,3 @@ def write_edge_split(split: EdgeSplit, y1_path, y2_path, meta_path, seed: int) -
     with open(meta_path, "w") as fh:
         fh.write(f"eta={split.eta!r} seed={seed}\n")
 
-
-def read_edge_split(y1_path, y2_path, meta_path) -> tuple[EdgeSplit, int]:
-    with open(meta_path) as fh:
-        parts = dict(tok.split("=", 1) for tok in fh.readline().split())
-    missing = {"eta", "seed"} - parts.keys()
-    if missing:
-        raise ValueError(f"split metadata needs 'eta=... seed=...', missing {sorted(missing)}")
-    split = EdgeSplit(read_edge_list(y1_path), read_edge_list(y2_path), float(parts["eta"]))
-    return split, int(parts["seed"])

@@ -10,20 +10,20 @@ import pytest
 import sbmlab.cli
 from sbmlab.cli import build_parser, main
 from sbmlab.harness import _CONFIG_KEYS, SWEEP_CSV_COLUMNS, parse_config
-from sbmlab.learn import read_graphon, svd_theta
+from sbmlab.learn import svd_theta
 from sbmlab.model import (
+    BlockGraphon,
     SbmParams,
     edge_prob_matrix,
     map_trials,
-    read_edge_list,
-    read_labels,
     sample_ssbm,
     write_edge_list,
 )
-from sbmlab.split import read_edge_split
+from sbmlab.seeds import derive_seed
+from sbmlab.split import subsample_edges
 
 
-def test_sample_writes_edge_list(tmp_path):
+def test_sample_writes_edge_list(tmp_path, parse_edge_list):
     out = tmp_path / "g.txt"
     labels = tmp_path / "labels.txt"
     code = main(
@@ -31,14 +31,24 @@ def test_sample_writes_edge_list(tmp_path):
          "--out", str(out), "sample", "--labels-out", str(labels)]
     )
     assert code == 0
-    g = read_edge_list(out)
-    assert g.n == 60
-    lab = read_labels(labels, k=2)
-    assert lab.n == 60
+    g_ref, lab_ref = sample_ssbm(SbmParams(60, 5.0, eps=0.5), 3)
+    g = parse_edge_list(out)
+    assert g.n == 60 and np.array_equal(g.edges, g_ref.edges)
+    assert np.array_equal(np.loadtxt(labels, dtype=np.int64), lab_ref.assignment)
     # the verb writes through write_edge_list: same bytes as the path form
     ref = tmp_path / "ref.txt"
-    write_edge_list(sample_ssbm(SbmParams(60, 5.0, eps=0.5), 3)[0], ref)
+    write_edge_list(g_ref, ref)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_sample_null_refuses_labels_out(tmp_path, capsys):
+    # a G(n, d/n) draw has no labels: the verb says so before writing anything
+    out, labels = tmp_path / "g.txt", tmp_path / "labels.txt"
+    argv = ["--n", "50", "--d", "4", "--out", str(out), "sample", "--null", "--labels-out", str(labels)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sample: ") and "no labels" in err and err.count("\n") == 1
+    assert not out.exists() and not labels.exists()
 
 
 def test_sample_null_to_stdout(capsys):
@@ -48,14 +58,16 @@ def test_sample_null_to_stdout(capsys):
     assert n == 50 and len(lines) == m + 1
 
 
-def test_split_writes_three_files(tmp_path):
+def test_split_writes_three_files(tmp_path, parse_edge_list):
     prefix = tmp_path / "s"
     code = main(["--n", "80", "--d", "6", "--eta", "0.3", "--seed", "5", "split", "--prefix", str(prefix)])
     assert code == 0
-    sp, seed = read_edge_split(f"{prefix}.y1", f"{prefix}.y2", f"{prefix}.meta")
-    assert seed == 5
-    assert sp.eta == 0.3
-    assert sp.y1.n == 80
+    assert Path(f"{prefix}.meta").read_text() == "eta=0.3 seed=5\n"
+    g, _ = sample_ssbm(SbmParams(80, 6.0, eps=0.5, eta=0.3), 5)
+    sp = subsample_edges(g, 0.3, derive_seed(5, "cli-split"))
+    for suffix, part in (("y1", sp.y1), ("y2", sp.y2)):
+        g2 = parse_edge_list(f"{prefix}.{suffix}")
+        assert g2.n == 80 and np.array_equal(g2.edges, part.edges)
 
 
 def test_recover_and_project_rows(tmp_path, capsys):
@@ -87,6 +99,16 @@ def test_recover_and_project_honour_config_method(tmp_path, capsys):
     # the oracle recovers the planted labels exactly
     assert main(["--config", str(cfg), "recover"]) == 0
     assert float(capsys.readouterr().out.splitlines()[1].split(",")[1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("verb", ["recover", "project"])
+def test_random_method_does_not_draw_the_truth(capsys, verb):
+    # the signal-free baseline draws its labels from its own seed; on the
+    # planted labels' stream it would reproduce the truth at rate 1
+    for seed in range(4):
+        argv = ["--n", "400", "--d", "16", "--eps", "0.9", "--delta", "0.2", "--seed", str(seed)]
+        assert main(argv + [verb, "--method", "random"]) == 0
+        assert abs(float(capsys.readouterr().out.splitlines()[1].split(",")[1])) < 0.1
 
 
 PROJECT_EXAMPLE = ["--n", "200", "--d", "12", "--eps", "0.9", "--delta", "0.2", "project"]
@@ -163,8 +185,9 @@ def test_learn_verb(tmp_path, capsys):
     ref = map_trials(dense_error, p, "P", 3, 13, "cli-learn")
     for line, (want, _) in zip(lines[1:], ref):
         assert float(line.split(",")[1]) == pytest.approx(want, rel=1e-10)
-    # the graphon file reads back as trial 0's estimate, clipped to [0, 1] at the write
-    w = read_graphon(gout)
+    # the graphon file holds trial 0's estimate, clipped to [0, 1] at the write
+    assert gout.read_text().startswith("300\n")
+    w = BlockGraphon(np.loadtxt(gout, skiprows=1, ndmin=2))
     assert w.m == 300 and w.b.min() >= 0.0 and w.b.max() <= 1.0
     assert ref[0][1].min() < 0.0
     assert np.array_equal(w.b, np.clip(ref[0][1], 0.0, 1.0))
@@ -339,9 +362,9 @@ def test_usage_errors_exit_code_one():
         (["--config", "{slack}", "--eps", "0.25", "test"], "line 1: unknown key 'eta.policy'"),
         (["--config", "{fixed}", "test"], "line 1: unknown key 'threshold.policy'"),
         (["--config", "{value}", "test"], "line 1: unknown key 'threshold.value'"),
-        # a nan quantile would leave tau nan and decide every trial 0
+        # tau's level is the constant 0.99: a config that names it does not load
         (["--config", "{nan}", "--n", "200", "--d", "10", "--trials", "3", "test", "--no-timing"],
-         "threshold quantile nan is not in (0.5, 1)"),
+         "line 1: unknown key 'threshold.quantile'"),
         # the bipartite split needs an even n, and the plug-in's rank k below a side's n/2
         (["--config", "{bipartite}", "--n", "401", "--d", "16", "--trials", "3", "test"],
          "pipeline = bipartite needs an even n and k < n/2, got n=401, k=2"),
@@ -396,7 +419,7 @@ def test_test_verb_pipelines(tmp_path, capsys):
     cfg = tmp_path / "g.cfg"
     cfg.write_text(
         "params.n = 300\nparams.d = 60.0\nparams.eps = 0.9\nparams.k = 2\n"
-        "pipeline = graphon\ntrials = 6\nseed = 23\nthreshold.quantile = 0.99\n"
+        "pipeline = graphon\ntrials = 6\nseed = 23\n"
     )
     out = tmp_path / "graphon.csv"
     assert main(["--config", str(cfg), "--out", str(out), "test", "--no-timing"]) == 0

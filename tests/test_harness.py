@@ -38,7 +38,6 @@ def test_config_roundtrip():
         trials = 17
         seed = 99
         pipeline = learning
-        threshold.quantile = 0.95
         recovery.method = oracle
         ldlr.ell = 4
     """
@@ -49,7 +48,6 @@ def test_config_roundtrip():
         trials=17,
         seed=99,
         pipeline="learning",
-        threshold_quantile=0.95,
         recovery_method="oracle",
         ell=4,
     )
@@ -81,13 +79,10 @@ def test_config_rejects_unknown_and_malformed():
         parse_config("trials = 3\ntrials = 4\n")
     with pytest.raises(ValueError, match="pipeline"):
         parse_config("pipeline = nonsense\n")
-    # the threshold is an upper quantile of the null statistics, never nan
-    for q in ("0.3", "0.5", "1.0", "1.5", "nan"):
-        with pytest.raises(ValueError, match="quantile"):
-            parse_config(f"threshold.quantile = {q}\n")
-    # tau is always the calibrated quantile and eta is params.eta: the keys
-    # that once chose another rule are stale
-    for key in ("threshold.policy = fixed", "threshold.value = 12.5", "eta.policy = slack"):
+    # tau is always the null arm's 0.99 quantile and eta is params.eta: the
+    # keys that once chose another rule or level are stale
+    stale = ("threshold.policy = fixed", "threshold.value = 12.5", "eta.policy = slack")
+    for key in stale + tuple(f"threshold.quantile = {q}" for q in ("0.99", "0.95", "nan")):
         with pytest.raises(ValueError, match=f"line 2: unknown key '{key.split()[0]}'"):
             parse_config(f"trials = 3\n{key}\n")
     # the bipartite plug-in fits rank k on a side of n/2 vertices: k = n/2 - 1
@@ -266,10 +261,10 @@ def test_sweep_seed_distinguishes_close_snrs():
     assert sweep_seed(7, 1.0) != derive_seed(7, "sweep-q")
 
 
-def test_sweep_honours_pipeline_and_threshold_quantile():
+def test_sweep_honours_pipeline():
     cfg = parse_config(
         "params.n = 150\nparams.d = 10.0\nparams.eps = 0.6\npipeline = graphon\n"
-        "threshold.quantile = 0.6\ntrials = 4\nseed = 3\n"
+        "trials = 4\nseed = 3\n"
     )
     (pt,) = sweep_phase(cfg, [1.0])
     # both arms' statistics are graphon distances, not recovery scores
@@ -283,10 +278,11 @@ def test_sweep_honours_pipeline_and_threshold_quantile():
     dists_q = [dist(sample_er(p.n, p.d, derive_seed(seed_q, "trial-Q", t))) for t in range(4)]
     assert pt.median_stat_p == float(np.median(dists_p))
     assert pt.median_stat_q == float(np.median(dists_q))
-    # tau is the configured quantile of the null distances, not the default 0.99
-    tau = float(np.quantile(dists_q, 0.6))
+    # tau is the 0.99 quantile of the null distances: of 4 distinct values
+    # only the largest reaches it
+    tau = float(np.quantile(dists_q, 0.99))
     assert pt.power == np.mean(np.array(dists_p) >= tau)
-    assert pt.size == np.mean(np.array(dists_q) >= tau) == 0.5
+    assert pt.size == np.mean(np.array(dists_q) >= tau) == 0.25
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)

@@ -15,8 +15,6 @@ from sbmlab.model import (
     edge_prob_matrix,
     map_trials,
     membership_matrix,
-    read_edge_list,
-    read_labels,
     sample_er,
     sample_labels,
     sample_ssbm,
@@ -38,14 +36,6 @@ def test_params_validation():
     # p_in > 1: n=10, d=8, eps=1, k=2 gives 1.5 * 0.8 = 1.2
     with pytest.raises(ValueError):
         SbmParams(10, 8.0, eps=1.0, k=2)
-
-
-def test_ks_snr_values():
-    assert SbmParams(1000, 16.0, eps=0.0, k=2).ks_snr == 0.0
-    # hand evaluation: 0.25 * 16 / 4 = 1.0
-    assert SbmParams(1000, 16.0, eps=0.5, k=2).ks_snr == 1.0
-    # hand evaluation: 1 * 4 / 4 = 1.0
-    assert SbmParams(1000, 4.0, eps=1.0, k=2).ks_snr == 1.0
 
 
 def test_sample_labels_single_community():
@@ -250,11 +240,12 @@ def test_sbm_graphon_blocks():
     assert np.array_equal(w.b, np.array([[0.06, 0.02], [0.02, 0.06]]))
 
 
-def test_edge_list_roundtrip(tmp_path):
+def test_edge_list_roundtrip(tmp_path, parse_edge_list):
     g, lab = sample_ssbm(SbmParams(60, 4.0, eps=0.3, k=2), seed=17)
     path = tmp_path / "g.txt"
     write_edge_list(g, path)
-    g2 = read_edge_list(path)
+    assert path.read_text().startswith(f"60 {g.edge_count}\n")
+    g2 = parse_edge_list(path)
     assert g2.n == g.n and np.array_equal(g2.edges, g.edges)
     # writer output is bit-exact reproducible
     path2 = tmp_path / "g2.txt"
@@ -263,8 +254,8 @@ def test_edge_list_roundtrip(tmp_path):
 
     lpath = tmp_path / "labels.txt"
     write_labels(lab, lpath)
-    lab2 = read_labels(lpath, k=lab.k)
-    assert np.array_equal(lab.assignment, lab2.assignment)
+    # one integer per line
+    assert np.array_equal(np.loadtxt(lpath, dtype=np.int64), lab.assignment)
 
 
 @settings(deadline=None, max_examples=25)
@@ -288,46 +279,13 @@ def test_empty_graphon_constant(seed):
     assert np.all(w.b == 0.04)
 
 
-def test_empty_edge_list_roundtrip(tmp_path):
+def test_empty_edge_list_roundtrip(tmp_path, parse_edge_list):
     g = Graph(7, np.empty((0, 2), dtype=np.int64))
     path = tmp_path / "empty.txt"
     write_edge_list(g, path)
-    g2 = read_edge_list(path)
+    assert path.read_text() == "7 0\n"
+    g2 = parse_edge_list(path)
     assert g2.n == 7 and g2.edge_count == 0
-
-
-@pytest.mark.parametrize(
-    "text,columns",
-    [
-        # three columns whose 6 integers would regroup into 3 edges against a header of 2
-        ("6 2\n0 1 2\n3 4 5\n", 3),
-        # one row of four integers would regroup into 2 edges against a header of 1
-        ("6 1\n0 1 2 3\n", 4),
-    ],
-    ids=["three-columns", "four-columns"],
-)
-def test_read_edge_list_rejects_rows_not_two_integers(tmp_path, text, columns):
-    path = tmp_path / "g.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"rows must be 'u v', found {columns} columns"):
-        read_edge_list(path)
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("3\n0 1\n", "header must be 'n m'"),
-        ("3 0\n0 1\n1 2\n", "expected 0 edges, found 2"),
-        ("3 2\n0 1\n", "expected 2 edges, found 1"),
-        ("3 1\n0 1\n1 2\n", "expected 1 edges, found 2"),
-    ],
-    ids=["one-field-header", "rows-under-zero-header", "too-few-rows", "too-many-rows"],
-)
-def test_read_edge_list_rejects_a_row_count_off_the_header(tmp_path, text, message):
-    path = tmp_path / "g.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message):
-        read_edge_list(path)
 
 
 def _pair_keys(g):

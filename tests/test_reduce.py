@@ -205,34 +205,30 @@ def test_params_for_another_graph_size_raise(method):
 
 def test_calibrate_threshold_properties():
     p = SbmParams(300, 12.0, eps=0.0, k=2, eta=0.1, delta=0.2)
+    cfg = ExperimentConfig(params=p, trials=50, recovery_method="random")
 
-    def calibrate(quantile):
-        cfg = ExperimentConfig(
-            params=p, trials=50, threshold_quantile=quantile, recovery_method="random"
-        )
+    def calibrate():
         tau, _, rows_q = run_two_arms(
             cfg, derive_seed(31, "calibrate"), [(p.eps, derive_seed(31, "planted"))]
         )
         return tau, [r.statistic for r in rows_q]
 
-    taus = [calibrate(q)[0] for q in (0.6, 0.9, 0.99)]
-    assert taus[0] <= taus[1] <= taus[2]
+    tau, vals = calibrate()
+    assert tau == float(np.quantile(vals, 0.99))
     # reproducible bit-for-bit
-    assert taus[2] == calibrate(0.99)[0]
-    # near-median quantile of a symmetric null sits near zero
-    tau_mid, vals = calibrate(0.501)
+    assert tau == calibrate()[0]
+    # the null statistics of a symmetric null are centred: their median sits near zero
     se_med = 1.2533 * np.std(vals, ddof=1) / math.sqrt(len(vals))
-    assert abs(tau_mid) <= 4 * se_med
+    assert abs(np.median(vals)) <= 4 * se_med
 
 
 def test_null_calibrated_size():
     # at eps = 0 the P arm is the null law drawn from an independent stream,
     # so its decisions against the calibrated threshold reject at most
-    # ~1 - quantile of the time
+    # ~1 - 0.99 of the time
     cfg = ExperimentConfig(
         params=SbmParams(400, 16.0, eps=0.0, k=2, eta=0.1, delta=0.15),
         trials=50,
-        threshold_quantile=0.99,
         recovery_method="spectral",
     )
     _, (rows_p,), _ = run_two_arms(

@@ -11,7 +11,6 @@ from sbmlab.split import (
     EdgeSplit,
     decouple,
     decoupling_diagnostics,
-    read_edge_split,
     subsample_edges,
     write_edge_split,
 )
@@ -185,26 +184,15 @@ def test_diagnostics_requires_enough_trials():
         decoupling_diagnostics(SbmParams(50, 3.0), trials=10, seed=0)
 
 
-def test_split_serialization_roundtrip(tmp_path):
+def test_split_serialization_roundtrip(tmp_path, parse_edge_list):
     g, _ = sample_ssbm(SbmParams(80, 5.0, eps=0.4, k=2), seed=21)
     sp = subsample_edges(g, 0.25, seed=42)
     paths = (tmp_path / "y1.txt", tmp_path / "y2.txt", tmp_path / "meta.txt")
     write_edge_split(sp, *paths, seed=42)
-    sp2, seed = read_edge_split(*paths)
-    assert seed == 42
-    assert sp2.eta == sp.eta
-    assert np.array_equal(sp2.y1.edges, sp.y1.edges)
-    assert np.array_equal(sp2.y2.edges, sp.y2.edges)
-
-
-def test_read_edge_split_needs_eta_and_seed(tmp_path):
-    sp = subsample_edges(one_edge_graph(), 0.5, seed=1)
-    paths = (tmp_path / "y1.txt", tmp_path / "y2.txt", tmp_path / "meta.txt")
-    write_edge_split(sp, *paths, seed=1)
-    for line in ("eta=0.1\n", "seed=3\n"):
-        paths[2].write_text(line)
-        with pytest.raises(ValueError, match="eta=... seed=..."):
-            read_edge_split(*paths)
+    assert paths[2].read_text() == "eta=0.25 seed=42\n"
+    for path, part in zip(paths[:2], (sp.y1, sp.y2)):
+        g2 = parse_edge_list(path)
+        assert g2.n == 80 and np.array_equal(g2.edges, part.edges)
 
 
 def test_decouple_on_a_split_is_symmetric():
